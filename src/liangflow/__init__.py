@@ -39,6 +39,7 @@ from .errors import (
     LyapunovResidualError,
     MalformedError,
     NaNsPresentError,
+    NonFiniteMomentsError,
     NonFiniteStateError,
     NonRectangularError,
     NotHurwitzError,
@@ -90,7 +91,8 @@ __all__ = [
     "NonRectangularError", "NaNsPresentError", "ConstantSeriesError", "TooShortError",
     "DuplicateNamesError", "KTooLargeError", "SameIndexError", "MalformedError",
     "EmptyFileError", "BadMatrixSpecError", "SingularCovarianceError", "NotHurwitzError",
-    "NonFiniteStateError", "DegenerateBudgetError", "LyapunovResidualError",
+    "NonFiniteMomentsError", "NonFiniteStateError", "DegenerateBudgetError",
+    "LyapunovResidualError",
     "ZeroVarianceWarning",
     "__version__",
 ]

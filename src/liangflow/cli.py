@@ -69,7 +69,6 @@ class RunConfig:
     mode: str = "multivariate"
     nan_policy: str = "reject"
     seed: int = 0
-    workers: int = 1
     fmt: str = "json"
     preset: Optional[str] = None
     A: Optional[str] = None
@@ -97,8 +96,6 @@ class RunConfig:
             raise ValidationError(f"mode must be multivariate or bivariate, got {self.mode!r}")
         if self.nan_policy not in ("reject", "interpolate"):
             raise ValidationError(f"nan-policy must be reject or interpolate, got {self.nan_policy!r}")
-        if self.workers < 1:
-            raise ValidationError(f"workers must be >= 1, got {self.workers}")
         if self.n_steps is not None and self.n_steps < 1:
             raise ValidationError(f"n must be >= 1, got {self.n_steps}")
         if self.burn_in is not None and self.burn_in < 0:
@@ -262,14 +259,7 @@ def _flow_matrix_csv(fm) -> str:
 def cmd_analyze(cfg: RunConfig) -> int:
     """All-pairs rates with significance (and shares unless --no-normalize)."""
     tss = _load_series(cfg)
-    fm = all_pairs(
-        tss,
-        k=cfg.k,
-        alpha=cfg.alpha,
-        normalize=cfg.normalize,
-        mode=cfg.mode,
-        workers=cfg.workers,
-    )
+    fm = all_pairs(tss, k=cfg.k, alpha=cfg.alpha, normalize=cfg.normalize, mode=cfg.mode)
     text = emit_json(fm) if cfg.fmt == "json" else _flow_matrix_csv(fm)
     _write_text(text, cfg.output)
     return 0
@@ -278,14 +268,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
 def cmd_graph(cfg: RunConfig) -> int:
     """Analyze, filter by significance, emit the directed graph."""
     tss = _load_series(cfg)
-    fm = all_pairs(
-        tss,
-        k=cfg.k,
-        alpha=cfg.alpha,
-        normalize=cfg.normalize,
-        mode=cfg.mode,
-        workers=cfg.workers,
-    )
+    fm = all_pairs(tss, k=cfg.k, alpha=cfg.alpha, normalize=cfg.normalize, mode=cfg.mode)
     g = build_graph(fm, alpha=cfg.alpha, min_tau=cfg.min_tau, bonferroni=cfg.bonferroni)
     text = emit_dot(g) if cfg.fmt == "dot" else emit_json(g)
     _write_text(text, cfg.output)
@@ -352,8 +335,7 @@ def _run_bench(cfg: RunConfig) -> dict:
 
     def once() -> float:
         start = time.perf_counter()
-        all_pairs(tss, k=cfg.k, alpha=cfg.alpha, normalize=cfg.normalize,
-                  mode=cfg.mode, workers=cfg.workers)
+        all_pairs(tss, k=cfg.k, alpha=cfg.alpha, normalize=cfg.normalize, mode=cfg.mode)
         return time.perf_counter() - start
 
     once()
@@ -363,7 +345,6 @@ def _run_bench(cfg: RunConfig) -> dict:
         "n": cfg.bench_n,
         "relations": cfg.bench_d * (cfg.bench_d - 1),
         "mode": cfg.mode,
-        "workers": cfg.workers,
         "repetitions": cfg.reps,
         "times_sec": times,
         "median_sec": statistics.median(times),
@@ -398,8 +379,6 @@ def _add_series_options(sp):
                     help="attach relative-importance shares (tau)")
     sp.add_argument("--nan-policy", choices=("reject", "interpolate"), default="reject",
                     help="reject NaNs, or interpolate interior gaps and trim edges")
-    sp.add_argument("--workers", type=int, default=1,
-                    help="thread pool size for per-target fits (results identical for any value)")
     sp.add_argument("--output", help="output path (default: stdout)")
 
 
@@ -490,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--reps", type=int, default=5, help="timed repetitions")
     sp.add_argument("--k", type=int, default=1, help="difference stride in steps")
     sp.add_argument("--mode", choices=("multivariate", "bivariate"), default="multivariate")
-    sp.add_argument("--workers", type=int, default=1, help="thread pool size")
     sp.add_argument("--seed", type=int, default=0, help="seed for the synthetic data")
     sp.add_argument("--output", help="output path (default: stdout)")
 

@@ -62,6 +62,10 @@ class SingularCovarianceError(NumericalError):
     """Covariance matrix is (near-)singular; inputs are collinear."""
 
 
+class NonFiniteMomentsError(NumericalError):
+    """Sample moments of finite input overflowed to inf or NaN; the data need rescaling."""
+
+
 class NotHurwitzError(NumericalError):
     """Drift matrix has an eigenvalue with non-negative real part."""
 

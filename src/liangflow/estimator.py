@@ -13,11 +13,11 @@ maximum-likelihood estimate has a closed form built from three pieces:
    (``significance``).
 
 The pairwise rate is ``a_hat[source] * C[target, source] / C[target,
-target]``; the self rate is simply ``a_hat[target]``. Internally the
-regression is solved on standardized variables (correlation matrix plus a
-Cholesky factorization), which keeps the estimates invariant under
-per-component affine rescaling of the data to near machine precision; all
-reported quantities are mapped back to original units.
+target]``; the self rate is simply ``a_hat[target]``. One moment engine
+(``_Design``) fits every target at once on the correlation matrix, which
+keeps the estimates invariant under per-component affine rescaling of the
+data to near machine precision; all reported quantities are mapped back
+to original units.
 """
 
 from __future__ import annotations
@@ -27,12 +27,13 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import linalg, stats
+from scipy import linalg, special, stats
 
 from .core import PanelPairs, TimeSeriesSet, check_k, forward_difference
 from .errors import (
     DegenerateBudgetError,
     NaNsPresentError,
+    NonFiniteMomentsError,
     NonRectangularError,
     SameIndexError,
     SingularCovarianceError,
@@ -42,6 +43,7 @@ from .errors import (
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+_BLOCK = 4096  # columns per residual product
 # two-sided standard-normal quantiles for the 90/95/99% intervals
 _Z90 = float(stats.norm.isf(0.05))
 _Z95 = float(stats.norm.isf(0.025))
@@ -127,16 +129,21 @@ class NormalizedBudget:
 
 
 class _Design:
-    """Shared per-(window, k) regression state, reused across targets.
+    """The moment engine: every target of one window regressed on all components at once.
 
-    ``window`` is the d x n_eff matrix of regressor samples. Standardized
-    regressors and the Cholesky factor of their correlation matrix are
-    precomputed once; individual targets then only need their own
-    difference series. Read-only after construction, safe to share across
-    worker threads.
+    ``window`` is the d x n_eff matrix of regressors and ``ydot`` the
+    difference series, one row per target; ``ydot`` is centred and then
+    overwritten by the residuals, so pass a fresh array. Construction
+    computes, once for all targets, ``C = cov(W)``, ``Cd = cov(W, ydot)``
+    (column t is target t), the Cholesky factor of the correlation matrix,
+    the coefficients ``A`` (column t is target t's fit), the residual
+    variances, and ``s``, the coefficient covariance per unit residual
+    variance. The scalar estimators also fit every target and keep one: a
+    one-column product rounds differently, and this keeps each of them
+    bit-identical to its ``all_pairs`` entry.
     """
 
-    def __init__(self, window: np.ndarray, names, dt: float, k: int):
+    def __init__(self, window: np.ndarray, ydot: np.ndarray, names, dt: float, k: int):
         window = np.asarray(window, dtype=float)
         d, n_eff = window.shape
         if n_eff < d + 2:
@@ -146,84 +153,86 @@ class _Design:
         self.k = int(k)
         self.d = d
         self.n_eff = n_eff
-        self.window = window
+        self.dof = n_eff - (d + 1)
+        den = n_eff - 1
         self.mu = window.mean(axis=1)
-        self.centered = window - self.mu[:, None]
-        self.C = (self.centered @ self.centered.T) / (n_eff - 1)
-        sd = np.sqrt(np.diag(self.C).copy())
-        self.sd = sd
+        self.ymean = ydot.mean(axis=1)
+        xc = window - self.mu[:, None]
+        ydot -= self.ymean[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            self.C = (xc @ xc.T) / den
+            self.Cd = (xc @ ydot.T) / den
+            self.cdd = np.einsum("ij,ij->i", ydot, ydot) / den
+        if not all(np.isfinite(m).all() for m in (self.C, self.Cd, self.cdd)):
+            raise NonFiniteMomentsError(
+                "sample covariances are not finite (the values overflow when multiplied); "
+                "rescale the data"
+            )
+        sd = np.sqrt(np.diag(self.C))
         if np.any(sd == 0.0):
             flat = [self.names[i] for i in np.flatnonzero(sd == 0.0)]
             raise SingularCovarianceError(f"zero-variance series make C singular: {flat}")
-        self.Z = self.centered / sd[:, None]
-        self.R = self.C / np.outer(sd, sd)
+        self.sd = sd
         try:
-            self.cho = linalg.cho_factor(self.R, lower=True, check_finite=False)
-            self.det_r = float(np.prod(np.diag(self.cho[0])) ** 2)
+            cho = linalg.cho_factor(self.C / np.outer(sd, sd), lower=True, check_finite=False)
         except linalg.LinAlgError:
-            self.cho = None
-            self.det_r = 0.0
-
-    def require_invertible(self):
-        # tolerance: machine epsilon x d x max|entry|, evaluated on the
-        # correlation matrix where max|entry| = 1, so the rule is scale-free
-        tol = _EPS * self.d
-        if self.cho is None or not self.det_r > tol:
             raise SingularCovarianceError(
-                f"covariance matrix is numerically singular (correlation determinant "
-                f"{self.det_r:.3e} <= tolerance {tol:.3e}); inputs are collinear"
+                "covariance matrix is numerically singular (correlation matrix is not "
+                "positive definite); inputs are collinear"
+            ) from None
+        rinv = linalg.cho_solve(cho, np.eye(d), check_finite=False)
+        rinv = (rinv + rinv.T) / 2.0
+        # 1 / diag(R^-1) is 1 - R^2 of each component regressed on the others:
+        # scale-free, independent of the variable order, and equal to the
+        # correlation determinant at d = 2; tolerance machine epsilon x d
+        unexplained = 1.0 / np.diag(rinv)
+        worst = int(np.argmin(unexplained))
+        tol = _EPS * d
+        if not unexplained[worst] > tol:
+            raise SingularCovarianceError(
+                f"covariance matrix is numerically singular ({self.names[worst]!r} keeps a "
+                f"share {unexplained[worst]:.3e} <= tolerance {tol:.3e} of its variance "
+                f"given the other series); inputs are collinear"
             )
+        self.s = (rinv / np.outer(sd, sd)) / den
+        self.A = linalg.cho_solve(cho, self.Cd / sd[:, None], check_finite=False) / sd[:, None]
+        for lo in range(0, n_eff, _BLOCK):  # a d x _BLOCK temporary, not a third d x n_eff
+            ydot[:, lo : lo + _BLOCK] -= self.A.T @ xc[:, lo : lo + _BLOCK]
+        self.resid_var = np.einsum("ij,ij->i", ydot, ydot) / self.dof
+
+    def fit(self, target: int) -> LinearModelFit:
+        """The fit of one target, with the full covariance of [intercept, coeffs]."""
+        coeffs = self.A[:, target]
+        resid_var = float(self.resid_var[target])
+        # sampling covariance of [intercept, coeffs]: resid_var times the
+        # inverse Gram matrix of the regressors, assembled from C^{-1} via the
+        # partitioned-inverse identities to stay well-conditioned
+        d, n_eff = self.d, self.n_eff
+        smu = self.s @ self.mu
+        cc = np.empty((d + 1, d + 1))
+        cc[0, 0] = 1.0 / n_eff + float(self.mu @ smu)
+        cc[0, 1:] = -smu
+        cc[1:, 0] = -smu
+        cc[1:, 1:] = self.s
+        return LinearModelFit(
+            target=int(target),
+            coeffs=coeffs,
+            intercept=float(self.ymean[target]) - float(coeffs @ self.mu),
+            resid_var=resid_var,
+            coeff_cov=resid_var * cc,
+            g_hat=resid_var * self.dt * self.k,
+            n_eff=n_eff,
+            dof=self.dof,
+            k=self.k,
+            dt=self.dt,
+            cov_row=self.C[target],
+        )
 
 
 def _design_for(tss: TimeSeriesSet, k: int) -> _Design:
     check_k(tss.n_samples, tss.d, k)
-    return _Design(tss.values[:, : tss.n_samples - k], tss.names, tss.dt, k)
-
-
-def _fit_from_design(design: _Design, ydot: np.ndarray, target: int) -> LinearModelFit:
-    design.require_invertible()
-    d, n_eff = design.d, design.n_eff
-    dof = n_eff - (d + 1)
-    ymean = float(ydot.mean())
-    yc = ydot - ymean
-    sy = float(np.sqrt((yc @ yc) / (n_eff - 1)))
-    if sy > 0.0:
-        r = (design.Z @ (yc / sy)) / (n_eff - 1)
-        beta_std = linalg.cho_solve(design.cho, r, check_finite=False)
-        coeffs = beta_std * (sy / design.sd)
-    else:
-        coeffs = np.zeros(d)
-    intercept = ymean - float(coeffs @ design.mu)
-    resid = yc - coeffs @ design.centered
-    resid_var = float(resid @ resid) / dof
-
-    # sampling covariance of [intercept, coeffs]: resid_var times the
-    # inverse Gram matrix of the regressors, assembled from C^{-1} via the
-    # partitioned-inverse identities to stay well-conditioned
-    rinv = linalg.cho_solve(design.cho, np.eye(d), check_finite=False)
-    rinv = (rinv + rinv.T) / 2.0
-    s = (rinv / np.outer(design.sd, design.sd)) / (n_eff - 1)
-    smu = s @ design.mu
-    cc = np.empty((d + 1, d + 1))
-    cc[0, 0] = 1.0 / n_eff + float(design.mu @ smu)
-    cc[0, 1:] = -smu
-    cc[1:, 0] = -smu
-    cc[1:, 1:] = s
-    coeff_cov = resid_var * cc
-
-    return LinearModelFit(
-        target=int(target),
-        coeffs=coeffs,
-        intercept=intercept,
-        resid_var=resid_var,
-        coeff_cov=coeff_cov,
-        g_hat=resid_var * design.dt * design.k,
-        n_eff=n_eff,
-        dof=dof,
-        k=design.k,
-        dt=design.dt,
-        cov_row=design.C[target],
-    )
+    ydot = forward_difference(tss.values, k, tss.dt)
+    return _Design(tss.values[:, : tss.n_samples - k], ydot, tss.names, tss.dt, k)
 
 
 def fit_linear_model(tss: TimeSeriesSet, target: int, k: int = 1) -> LinearModelFit:
@@ -235,29 +244,36 @@ def fit_linear_model(tss: TimeSeriesSet, target: int, k: int = 1) -> LinearModel
     """
     if not 0 <= target < tss.d:
         raise IndexError(f"target {target} out of range for d = {tss.d}")
-    design = _design_for(tss, k)
-    ydot = forward_difference(tss.values[target], k, tss.dt)
-    return _fit_from_design(design, ydot, target)
+    return _design_for(tss, k).fit(target)
+
+
+def _p_values(value, std_err):
+    """Two-sided normal p-values of value / std_err, elementwise.
+
+    A zero standard error pins p to 1 for a zero estimate and to 0
+    otherwise, with a ZeroVarianceWarning. Returns (p, pinned), where
+    ``pinned`` marks the entries forced to 0.
+    """
+    value = np.asarray(value, dtype=float)
+    std_err = np.asarray(std_err, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = 2.0 * special.ndtr(-np.abs(value) / std_err)
+    zero = std_err == 0.0
+    pinned = zero & (value != 0.0)
+    if pinned.any():
+        warnings.warn(
+            "zero standard error with a nonzero estimate; p-value pinned to 0",
+            ZeroVarianceWarning,
+            stacklevel=3,
+        )
+    return np.where(zero, np.where(pinned, 0.0, 1.0), p), pinned
 
 
 def _normal_inference(value: float, std_err: float):
     """Two-sided p-value and central normal CIs for value/std_err."""
-    zero_variance = False
-    if std_err == 0.0:
-        if value != 0.0:
-            warnings.warn(
-                "zero standard error with a nonzero estimate; p-value pinned to 0",
-                ZeroVarianceWarning,
-                stacklevel=3,
-            )
-            p = 0.0
-            zero_variance = True
-        else:
-            p = 1.0
-    else:
-        p = float(2.0 * stats.norm.sf(abs(value) / std_err))
+    p, pinned = _p_values(value, std_err)
     cis = tuple((value - z * std_err, value + z * std_err) for z in (_Z90, _Z95, _Z99))
-    return p, cis[0], cis[1], cis[2], zero_variance
+    return float(p), cis[0], cis[1], cis[2], bool(pinned)
 
 
 def significance(flow: FlowEstimate, fit: LinearModelFit) -> FlowEstimate:
@@ -358,41 +374,20 @@ def flow_bivariate(x1, x2, dt: float = 1.0, k: int = 1) -> FlowEstimate:
     w2 = x2[:n_eff] - x2[:n_eff].mean()
     yc = ydot - ydot.mean()
     den = n_eff - 1
-    c11 = float(w1 @ w1) / den
-    c22 = float(w2 @ w2) / den
-    c12 = float(w1 @ w2) / den
-    c1d = float(w1 @ yc) / den
-    c2d = float(w2 @ yc) / den
-    cdd = float(yc @ yc) / den
-    return _bivariate_from_moments(c11, c22, c12, c1d, c2d, cdd, n_eff, source=1, target=0)
-
-
-def _bivariate_from_moments(
-    c11, c22, c12, c1d, c2d, cdd, n_eff, source, target
-) -> FlowEstimate:
-    """Pairwise flow from the five moments of (target, source, d(target))."""
-    det_c = c11 * c22 - c12 * c12
-    # same scale-free singularity rule as the multivariate path: determinant
-    # of the 2x2 correlation matrix against machine epsilon x d
-    if not (c11 > 0.0 and c22 > 0.0) or not det_c / (c11 * c22) > _EPS * 2:
-        raise SingularCovarianceError(
-            "pair covariance matrix is numerically singular (perfectly correlated series)"
-        )
-    value = (c11 * c12 * c2d - c12 * c12 * c1d) / (c11 * c11 * c22 - c11 * c12 * c12)
-    a1 = (c22 * c1d - c12 * c2d) / det_c
-    a2 = (c11 * c2d - c12 * c1d) / det_c
-    rss = max((n_eff - 1) * (cdd - a1 * c1d - a2 * c2d), 0.0)
-    resid_var = rss / (n_eff - 3)
-    var_a2 = resid_var * c11 / ((n_eff - 1) * det_c)
-    scale = c12 / c11
-    std_err = abs(scale) * float(np.sqrt(max(var_a2, 0.0)))
+    value, std_err, scale, ok = _bivariate_from_moments(
+        (w1 @ w1) / den, (w2 @ w2) / den, (w1 @ w2) / den,
+        (w1 @ yc) / den, (w2 @ yc) / den, (yc @ yc) / den, n_eff,
+    )
+    if not ok:
+        raise SingularCovarianceError(_PAIR_SINGULAR)
+    value, std_err = float(value), float(std_err)
     p, ci90, ci95, ci99, zv = _normal_inference(value, std_err)
     return FlowEstimate(
         kind="pairwise",
-        source=int(source),
-        target=int(target),
-        value=float(value),
-        coef_index=int(source),
+        source=1,
+        target=0,
+        value=value,
+        coef_index=1,
         coef_scale=float(scale),
         std_err=std_err,
         ci90=ci90,
@@ -401,6 +396,33 @@ def _bivariate_from_moments(
         p_value=p,
         zero_variance=zv,
     )
+
+
+_PAIR_SINGULAR = "pair covariance matrix is numerically singular (perfectly correlated series)"
+
+
+def _bivariate_from_moments(c11, c22, c12, c1d, c2d, cdd, n_eff):
+    """Pairwise flow from the five moments of (target, source, d(target)).
+
+    Broadcasts over arrays of moments. Returns (value, std_err, scale, ok):
+    the rate from source into target, its standard error, the covariance
+    ratio c12 / c11, and ``ok``, false where the pair is numerically
+    singular (the other outputs are meaningless there). The singularity
+    rule is the multivariate one at d = 2: the 2x2 correlation determinant
+    against machine epsilon x d.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det_c = c11 * c22 - c12 * c12
+        ok = (c11 > 0.0) & (c22 > 0.0) & (det_c / (c11 * c22) > _EPS * 2)
+        value = (c11 * c12 * c2d - c12 * c12 * c1d) / (c11 * c11 * c22 - c11 * c12 * c12)
+        a1 = (c22 * c1d - c12 * c2d) / det_c
+        a2 = (c11 * c2d - c12 * c1d) / det_c
+        rss = np.maximum((n_eff - 1) * (cdd - a1 * c1d - a2 * c2d), 0.0)
+        resid_var = rss / (n_eff - 3)
+        var_a2 = resid_var * c11 / ((n_eff - 1) * det_c)
+        scale = c12 / c11
+        std_err = np.abs(scale) * np.sqrt(np.maximum(var_a2, 0.0))
+    return value, std_err, scale, ok
 
 
 def flow_panel(pairs: PanelPairs, source: int, target: int) -> FlowEstimate:
@@ -416,10 +438,8 @@ def flow_panel(pairs: PanelPairs, source: int, target: int) -> FlowEstimate:
         raise IndexError(f"source {source} / target {target} out of range for d = {d}")
     if source == target:
         raise SameIndexError("source and target must differ for a pairwise flow")
-    design = _Design(pairs.x0, pairs.names, pairs.dt_gap, 1)
-    ydot = (pairs.x1[target] - pairs.x0[target]) / pairs.dt_gap
-    fit = _fit_from_design(design, ydot, target)
-    return _pair_estimate(fit, source)
+    design = _Design(pairs.x0, (pairs.x1 - pairs.x0) / pairs.dt_gap, pairs.names, pairs.dt_gap, 1)
+    return _pair_estimate(design.fit(target), source)
 
 
 def normalize_flows(

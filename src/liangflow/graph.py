@@ -10,15 +10,20 @@ outputs can be diffed and cached.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import estimator as _est
-from .core import TimeSeriesSet, forward_difference
-from .errors import MalformedError, NumericalError, ValidationError
+from .core import TimeSeriesSet
+from .errors import (
+    DegenerateBudgetError,
+    MalformedError,
+    NumericalError,
+    SingularCovarianceError,
+    ValidationError,
+)
 
 _MODES = ("multivariate", "bivariate")
 
@@ -99,47 +104,8 @@ class CausalGraph:
     min_tau: Optional[float] = None
 
 
-def _target_rows(design, ydots, i, normalize, mode):
-    """T/P/TAU/SE rows plus noise share for target i. Pure; safe under threads."""
-    d = design.d
-    fit = _est._fit_from_design(design, ydots[i], i)
-    self_est = _est._self_estimate(fit)
-    if mode == "multivariate":
-        flows = [_est._pair_estimate(fit, j) for j in range(d) if j != i]
-    else:
-        yc = ydots[i] - ydots[i].mean()
-        den = design.n_eff - 1
-        cd = (design.centered @ yc) / den
-        cdd = float(yc @ yc) / den
-        c = design.C
-        flows = [
-            _est._bivariate_from_moments(
-                c[i, i], c[j, j], c[i, j], cd[i], cd[j], cdd, design.n_eff, source=j, target=i
-            )
-            for j in range(d)
-            if j != i
-        ]
-    noise = float("nan")
-    if normalize:
-        budget = _est.normalize_flows(flows, self_est, fit)
-        flows, self_est, noise = budget.flows, budget.self_flow, budget.noise_share
-
-    t_row = np.empty(d)
-    p_row = np.empty(d)
-    tau_row = np.full(d, np.nan)
-    se_row = np.empty(d)
-    for est in flows:
-        t_row[est.source] = est.value
-        p_row[est.source] = est.p_value
-        se_row[est.source] = est.std_err
-        if est.normalized is not None:
-            tau_row[est.source] = est.normalized
-    t_row[i] = self_est.value
-    p_row[i] = self_est.p_value
-    se_row[i] = self_est.std_err
-    if self_est.normalized is not None:
-        tau_row[i] = self_est.normalized
-    return t_row, p_row, tau_row, se_row, noise
+def _into(name: str, err: NumericalError) -> NumericalError:
+    return type(err)(f"while computing flows into {name!r}: {err}")
 
 
 def all_pairs(
@@ -148,48 +114,77 @@ def all_pairs(
     alpha: float = 0.05,
     normalize: bool = True,
     mode: str = "multivariate",
-    workers: int = 1,
 ) -> FlowMatrix:
     """Every directed rate (plus self rates on the diagonal) in one pass.
 
-    One regression per target serves all of that target's incoming flows.
-    ``mode="bivariate"`` computes off-diagonal entries from pair moments
-    only (no conditioning on the remaining components); the diagonal and
-    the noise share always come from the full fit. With ``workers > 1``
-    targets are evaluated in a thread pool; results are assembled in index
-    order and are bit-identical to the single-worker run.
+    One moment engine fits every target at once (see
+    ``estimator._Design``); T, SE, P and the shares then follow by
+    broadcasting. ``mode="bivariate"`` computes off-diagonal entries from
+    pair moments only (no conditioning on the remaining components); the
+    diagonal and the noise share always come from the full fit. A
+    numerical failure names the first target whose flows cannot be
+    computed; a failure of the whole design names the first target.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     if tss.d < 2:
         raise ValidationError("all-pairs analysis needs at least two variables")
-    design = _est._design_for(tss, k)
-    ydots = [forward_difference(tss.values[i], k, tss.dt) for i in range(tss.d)]
+    try:
+        eng = _est._design_for(tss, k)
+    except NumericalError as e:
+        raise _into(tss.names[0], e) from e
 
-    def one(i):
-        try:
-            return _target_rows(design, ydots, i, normalize, mode)
-        except NumericalError as e:
-            raise type(e)(f"while computing flows into {tss.names[i]!r}: {e}") from e
+    d = tss.d
+    c_ii = np.diag(eng.C)
+    scale = eng.C / c_ii[:, None]  # C[target, source] / C[target, target]; 1 on the diagonal
+    t = eng.A.T * scale
+    se = np.abs(scale) * np.sqrt(np.maximum(eng.resid_var[:, None] * np.diag(eng.s), 0.0))
+    pair_bad = np.zeros(d, dtype=bool)
+    if mode == "bivariate":
+        cd_own = np.diag(eng.Cd)
+        value, std_err, _, ok = _est._bivariate_from_moments(
+            c_ii[:, None], c_ii[None, :], eng.C, cd_own[:, None], eng.Cd.T, eng.cdd[:, None],
+            eng.n_eff,
+        )
+        off = ~np.eye(d, dtype=bool)
+        pair_bad = (off & ~ok).any(axis=1)
+        t = np.where(off, value, t)
+        se = np.where(off, std_err, se)
 
-    targets = range(tss.d)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, targets))
-    else:
-        rows = [one(i) for i in targets]
+    tau = np.full((d, d), np.nan)
+    noise_share = np.full(d, np.nan)
+    budget_bad = np.zeros(d, dtype=bool)
+    if normalize:
+        noise = eng.resid_var * eng.dt * eng.k / (2.0 * c_ii)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.abs(t).sum(axis=1) + np.abs(noise)
+            budget_bad = ~(z > _est._TINY)
+            tau = t / z[:, None]
+            noise_share = np.abs(noise) / z
 
+    failing = np.flatnonzero(pair_bad | budget_bad)
+    if failing.size:
+        i = int(failing[0])
+        if pair_bad[i]:
+            err = SingularCovarianceError(_est._PAIR_SINGULAR)
+        else:
+            err = DegenerateBudgetError(
+                f"entropy budget for target {i} is zero; nothing to normalize"
+            )
+        raise _into(tss.names[i], err)
+
+    p, _ = _est._p_values(t, se)
     return FlowMatrix(
         names=tss.names,
         dt=tss.dt,
         k=int(k),
         alpha=float(alpha),
         mode=mode,
-        T=np.vstack([r[0] for r in rows]),
-        P=np.vstack([r[1] for r in rows]),
-        TAU=np.vstack([r[2] for r in rows]),
-        SE=np.vstack([r[3] for r in rows]),
-        noise_share=np.array([r[4] for r in rows]),
+        T=t,
+        P=p,
+        TAU=tau,
+        SE=se,
+        noise_share=noise_share,
     )
 
 
@@ -274,8 +269,9 @@ def _null_nan(x: float):
     return None if np.isnan(x) else x
 
 
-def _matrix_out(a: np.ndarray):
-    return [[_null_nan(v) for v in row] for row in a]
+def _array_out(a: np.ndarray):
+    """Nested lists of floats with NaN as None; the floats are those of ``a.tolist()``."""
+    return np.where(np.isnan(a), None, a).tolist()
 
 
 def emit_json(obj) -> str:
@@ -293,11 +289,11 @@ def emit_json(obj) -> str:
             "k": obj.k,
             "alpha": obj.alpha,
             "mode": obj.mode,
-            "T": _matrix_out(obj.T),
-            "P": _matrix_out(obj.P),
-            "TAU": _matrix_out(obj.TAU),
-            "SE": _matrix_out(obj.SE),
-            "noise_share": [_null_nan(v) for v in obj.noise_share],
+            "T": _array_out(obj.T),
+            "P": _array_out(obj.P),
+            "TAU": _array_out(obj.TAU),
+            "SE": _array_out(obj.SE),
+            "noise_share": _array_out(obj.noise_share),
         }
     elif isinstance(obj, CausalGraph):
         payload = {
@@ -325,10 +321,6 @@ def emit_json(obj) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def _nan_null(x):
-    return np.nan if x is None else float(x)
-
-
 def flow_matrix_from_json(text: str) -> FlowMatrix:
     """Inverse of ``emit_json`` for flow matrices (null becomes NaN)."""
     try:
@@ -343,9 +335,7 @@ def flow_matrix_from_json(text: str) -> FlowMatrix:
         raise MalformedError(f"unsupported orientation {raw['orientation']!r}")
 
     def arr(key):
-        return np.array(
-            [[_nan_null(v) for v in row] for row in raw[key]], dtype=float
-        )
+        return np.array(raw[key], dtype=float)  # null (None) becomes NaN
 
     return FlowMatrix(
         names=tuple(raw["names"]),
@@ -357,5 +347,5 @@ def flow_matrix_from_json(text: str) -> FlowMatrix:
         P=arr("P"),
         TAU=arr("TAU"),
         SE=arr("SE"),
-        noise_share=np.array([_nan_null(v) for v in raw["noise_share"]], dtype=float),
+        noise_share=arr("noise_share"),
     )

@@ -7,6 +7,7 @@ verdict that the session summary prints after the run (see conftest).
 
 import re
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from liangflow import (
     fit_linear_model,
     flow_bivariate,
     flow_multivariate,
+    normalize_flows,
     sample_covariance_matrix,
+    self_contribution,
     simulate,
     theoretical_budget,
 )
@@ -44,7 +47,7 @@ LABELS = {
     8: "stationary entropy budget balances",
     9: "chain graph recovery",
     10: "all-pairs benchmark wall time",
-    11: "determinism (workers, simulation, emitters)",
+    11: "determinism and one arithmetic (engine = scalar route, simulation, emitters)",
     12: "null p-value uniformity",
 }
 
@@ -256,6 +259,54 @@ def test_c10_benchmark_wall_time():
     _finish(10, ok, f"median {median * 1000:.0f} ms for 870 relations (d=30, N=1e4); {note}")
 
 
+ENGINE_TOL = 1e-12
+
+
+def _engine_vs_scalar(tss):
+    """Worst deviation of all_pairs from the scalar route over every (target, source).
+
+    The scalar route is flow_multivariate and self_contribution for T, SE
+    and P, normalize_flows for TAU and noise_share, and, off the diagonal
+    in bivariate mode, flow_bivariate(x_i, x_j). Both modes, normalize on
+    and off. T is measured in standard errors, SE and noise_share
+    relative, P absolute, and TAU times the budget in units of SE + |T|.
+    """
+    worst = dict.fromkeys(("T", "SE", "P", "TAU", "noise_share"), 0.0)
+
+    def dev(field, got, want, unit):
+        worst[field] = max(worst[field], abs(got - want) / unit)
+
+    d = tss.d
+    for mode in ("multivariate", "bivariate"):
+        for normalize in (True, False):
+            fm = all_pairs(tss, normalize=normalize, mode=mode)
+            for i in range(d):
+                flows = []
+                for j in range(d):
+                    if j == i:
+                        continue
+                    if mode == "multivariate":
+                        flows.append(flow_multivariate(tss, source=j, target=i))
+                    else:
+                        est = flow_bivariate(tss.values[i], tss.values[j], dt=tss.dt)
+                        flows.append(replace(est, source=j, target=i))
+                self_est = self_contribution(tss, target=i)
+                for j, est in [(fl.source, fl) for fl in flows] + [(i, self_est)]:
+                    dev("T", fm.T[i, j], est.value, est.std_err)
+                    dev("SE", fm.SE[i, j], est.std_err, est.std_err)
+                    dev("P", fm.P[i, j], est.p_value, 1.0)
+                if not normalize:
+                    if not (np.isnan(fm.TAU[i]).all() and np.isnan(fm.noise_share[i])):
+                        worst["TAU"] = worst["noise_share"] = np.inf
+                    continue
+                budget = normalize_flows(flows, self_est, fit_linear_model(tss, target=i))
+                z = budget.z_total
+                for j, est in [(fl.source, fl) for fl in budget.flows] + [(i, budget.self_flow)]:
+                    dev("TAU", fm.TAU[i, j] * z, est.normalized * z, est.std_err + abs(est.value))
+                dev("noise_share", fm.noise_share[i], budget.noise_share, budget.noise_share)
+    return worst
+
+
 def test_c11_determinism(ou2, tmp_path):
     sde, dt = ou2
     checks = []
@@ -265,7 +316,8 @@ def test_c11_determinism(ou2, tmp_path):
         np.random.default_rng(11).standard_normal((6, 2000)),
         1.0,
     )
-    checks.append(("workers", all_pairs(tss, workers=1) == all_pairs(tss, workers=6)))
+    worst = _engine_vs_scalar(tss)
+    checks.append(("engine-vs-scalar", max(worst.values()) <= ENGINE_TOL))
 
     paths = []
     for run in range(2):
@@ -284,7 +336,13 @@ def test_c11_determinism(ou2, tmp_path):
 
     failed = [name for name, passed in checks if not passed]
     ok = not failed
-    detail = "workers/simulate/emitters all byte-identical" if ok else f"failed: {failed}"
+    deviations = ", ".join(f"{name} {value:.1e}" for name, value in worst.items())
+    detail = (
+        f"all_pairs = scalar route (max dev {deviations}; <= {ENGINE_TOL:g}), "
+        f"simulate/emitters byte-identical"
+        if ok
+        else f"failed: {failed} (all_pairs vs scalar route: {deviations})"
+    )
     _finish(11, ok, detail)
 
 

@@ -252,6 +252,14 @@ def test_exit_code_numerical(tmp_path):
     assert main(["analyze", "--input", path, "--dt", "1"]) == 3
 
 
+def test_exit_code_overflow(tmp_path):
+    rng = np.random.default_rng(2)
+    rows = "\n".join(f"{1e200 * a!r},{1e200 * b!r}"
+                     for a, b in rng.standard_normal((60, 2)).tolist())
+    path = _write(tmp_path, "huge.csv", "a,b\n" + rows + "\n")
+    assert main(["analyze", "--input", path, "--dt", "1"]) == 3
+
+
 def test_exit_code_unexpected(monkeypatch, tmp_path):
     def boom(cfg):
         raise RuntimeError("wires crossed")
@@ -266,7 +274,6 @@ def test_exit_code_unexpected(monkeypatch, tmp_path):
         ["analyze", "--input", "x.csv", "--dt", "-1"],
         ["analyze", "--input", "x.csv", "--k", "0"],
         ["analyze", "--input", "x.csv", "--alpha", "1.5"],
-        ["analyze", "--input", "x.csv", "--workers", "0"],
         ["graph", "--input", "x.csv", "--min-tau", "-0.2"],
         ["bench", "--d", "1", "--n", "100"],
     ],

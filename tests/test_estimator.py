@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import signal, stats
 
 from liangflow import (
     DegenerateBudgetError,
@@ -12,7 +12,9 @@ from liangflow import (
     LinearModelFit,
     LinearSDE,
     NaNsPresentError,
+    NonFiniteMomentsError,
     NonRectangularError,
+    NumericalError,
     PanelPairs,
     SameIndexError,
     SingularCovarianceError,
@@ -79,6 +81,65 @@ def test_collinear_inputs_rejected():
     tss = TimeSeriesSet(("a", "b", "c"), values, 1.0)
     with pytest.raises(SingularCovarianceError):
         fit_linear_model(tss, target=0, k=1)
+
+
+_SINGULAR = "covariance matrix is numerically singular"
+
+
+def test_exact_linear_combination_rejected():
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((3, 200))
+    duplicate = np.vstack([x, x[1]])
+    combination = np.vstack([x, 2.0 * x[0] - 0.5 * x[2] + 3.0])
+    for values in (duplicate, combination):
+        tss = TimeSeriesSet(("a", "b", "c", "d"), values, 1.0)
+        with pytest.raises(SingularCovarianceError, match=_SINGULAR):
+            fit_linear_model(tss, target=1, k=1)
+
+
+def _euler_chain(rng, d, n, coupling=0.5, dt=0.01, burn=3000):
+    """Euler steps of dx_i = (-x_i + coupling x_{i-1}) dt + dW_i."""
+    x = np.empty((d, n + burn))
+    for i in range(d):
+        u = np.sqrt(dt) * rng.standard_normal(n + burn)
+        if i:
+            u += coupling * dt * x[i - 1]
+        x[i] = signal.lfilter([0.0, 1.0], [1.0, -(1.0 - dt)], u)
+    return x[:, burn:]
+
+
+def _sparse_var(rng, d, n, burn=500):
+    """VAR(1) with own coefficient 0.5 and two random earlier parents of weight 0.15-0.3."""
+    x = np.empty((d, n + burn))
+    for i in range(d):
+        u = rng.standard_normal(n + burn)
+        for p in rng.choice(i, size=min(2, i), replace=False):
+            u += rng.choice((-1.0, 1.0)) * rng.uniform(0.15, 0.3) * x[p]
+        x[i] = signal.lfilter([0.0, 1.0], [1.0, -0.5], u)
+    return x[:, burn:]
+
+
+@pytest.mark.parametrize("make", [_euler_chain, _sparse_var])
+def test_large_well_conditioned_systems_accepted(make):
+    # at d = 300 the correlation determinant of these systems is far below
+    # d * eps although every component keeps a large share of its variance
+    x = make(np.random.default_rng(3), 300, 4000)
+    ev = np.linalg.eigvalsh(np.corrcoef(x[:, :-1]))
+    assert ev[-1] / ev[0] < 1e4
+    assert np.log(ev).sum() < np.log(300 * np.finfo(float).eps)
+    tss = TimeSeriesSet(tuple(f"x{i}" for i in range(300)), x, 0.01)
+    fit = fit_linear_model(tss, target=0, k=1)
+    assert np.isfinite(fit.coeffs).all()
+
+
+def test_overflowing_moments_are_not_called_collinear():
+    tss = _random_set(3, 200, seed=14)
+    huge = TimeSeriesSet(tss.names, tss.values * 1e200, tss.dt)
+    with pytest.raises(NonFiniteMomentsError, match="not finite") as exc:
+        fit_linear_model(huge, target=0, k=1)
+    assert isinstance(exc.value, NumericalError)
+    assert not isinstance(exc.value, SingularCovarianceError)
+    assert "collinear" not in str(exc.value)
 
 
 def test_fit_recovers_drift_row(ou2):

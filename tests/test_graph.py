@@ -7,7 +7,9 @@ import pytest
 
 from liangflow import (
     CausalGraph,
+    DegenerateBudgetError,
     Edge,
+    FlowMatrix,
     MalformedError,
     SelfLoop,
     SingularCovarianceError,
@@ -91,14 +93,6 @@ def test_normalize_off_leaves_nan_shares():
     assert np.isfinite(fm.T).all()
 
 
-def test_workers_do_not_change_results():
-    tss = _random_set(6, 500, seed=6)
-    assert all_pairs(tss, workers=1) == all_pairs(tss, workers=4)
-    assert all_pairs(tss, mode="bivariate", workers=1) == all_pairs(
-        tss, mode="bivariate", workers=4
-    )
-
-
 def test_all_pairs_input_checks():
     tss = _random_set(2, 100, seed=7)
     with pytest.raises(ValueError):
@@ -114,6 +108,19 @@ def test_singular_failure_names_the_target():
     tss = TimeSeriesSet(("a", "b", "c"), np.vstack([x, x[1]]), 1.0)
     with pytest.raises(SingularCovarianceError, match="while computing flows into"):
         all_pairs(tss)
+
+
+def test_degenerate_budget_names_the_target():
+    # with k = 2 a period-2 series has an exactly zero difference series,
+    # so its whole budget (rates and noise) is zero
+    rng = np.random.default_rng(22)
+    values = np.vstack([rng.standard_normal(120), np.resize([1.0, -1.0], 120),
+                        rng.standard_normal(120)])
+    tss = TimeSeriesSet(("a", "b", "c"), values, 1.0)
+    with pytest.raises(DegenerateBudgetError, match="while computing flows into 'b'"):
+        all_pairs(tss, k=2)
+    fm = all_pairs(tss, k=2, normalize=False)
+    assert np.all(fm.T[1] == 0.0) and np.all(fm.P[1] == 1.0)
 
 
 def test_flow_matrix_equality_semantics():
@@ -276,6 +283,29 @@ def test_graph_json_payload():
     assert len(payload["edges"]) == len(g.edges)
     assert len(payload["self_loops"]) == 2
     assert payload["edges"][0]["source"] == g.edges[0].source
+
+
+def test_emit_json_pins_special_values():
+    nan = float("nan")
+    fm = FlowMatrix(
+        names=("a", "b"), dt=0.5, k=1, alpha=0.05, mode="multivariate",
+        T=[[nan, -0.0], [5e-324, 1e308]],
+        P=[[1.0, 0.25], [2.2250738585072014e-308, 0.1]],
+        TAU=[[nan, nan], [nan, nan]],
+        SE=[[0.1, 1e-300], [3.0, 1.7976931348623157e308]],
+        noise_share=[nan, -0.0],
+    )
+    matrix = '[\n    [\n      {}\n    ],\n    [\n      {}\n    ]\n  ]'.format
+    assert emit_json(fm) == (
+        '{\n  "orientation": "T[target][source]",\n'
+        '  "names": [\n    "a",\n    "b"\n  ],\n'
+        '  "dt": 0.5,\n  "k": 1,\n  "alpha": 0.05,\n  "mode": "multivariate",\n'
+        '  "T": ' + matrix("null,\n      -0.0", "5e-324,\n      1e+308") + ',\n'
+        '  "P": ' + matrix("1.0,\n      0.25", "2.2250738585072014e-308,\n      0.1") + ',\n'
+        '  "TAU": ' + matrix("null,\n      null", "null,\n      null") + ',\n'
+        '  "SE": ' + matrix("0.1,\n      1e-300", "3.0,\n      1.7976931348623157e+308") + ',\n'
+        '  "noise_share": [\n    null,\n    -0.0\n  ]\n}\n'
+    )
 
 
 def test_emit_json_rejects_unknown_types():
