@@ -10,12 +10,14 @@ configuration, 3 numerical degeneracy, 1 unexpected failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import statistics
 import sys
 import time
+import warnings
 from dataclasses import dataclass, fields
 from importlib import resources
 from typing import Optional
@@ -26,6 +28,7 @@ from .core import TimeSeriesSet, validate_series_set
 from .dynamics import (
     LinearSDE,
     _budget_from_sigma,
+    budget_shares,
     simulate,
     stationary_covariance,
 )
@@ -92,10 +95,6 @@ class RunConfig:
             raise ValidationError(f"k must be >= 1, got {self.k}")
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError(f"alpha must be strictly between 0 and 1, got {self.alpha}")
-        if self.mode not in ("multivariate", "bivariate"):
-            raise ValidationError(f"mode must be multivariate or bivariate, got {self.mode!r}")
-        if self.nan_policy not in ("reject", "interpolate"):
-            raise ValidationError(f"nan-policy must be reject or interpolate, got {self.nan_policy!r}")
         if self.n_steps is not None and self.n_steps < 1:
             raise ValidationError(f"n must be >= 1, got {self.n_steps}")
         if self.burn_in is not None and self.burn_in < 0:
@@ -119,31 +118,63 @@ def parse_csv(path: str):
     Empty cells become NaN, to be resolved by the NaN policy downstream.
     Returns (names, values) with values shaped d x N (column-per-variable
     input transposed to row-per-variable).
+
+    The data rows are read in bulk by numpy's C reader; any input it
+    rejects is read again by ``_parse_rows``, which defines what is
+    accepted and which error is raised, so both paths give the same result.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            header = next(filter(None, csv.reader(fh)), None)
+            values = None if header is None else _parse_bulk(fh, len(header))
+            if values is not None:
+                return [cell.strip() for cell in header], values.T
+            fh.seek(0)
+            return _parse_rows(path, fh)
     except OSError as e:
         raise ValidationError(f"cannot read {path}: {e}") from None
     except UnicodeDecodeError as e:
         raise MalformedError(f"{path} is not UTF-8 text: {e}") from None
+
+
+def _parse_bulk(fh, width: int):
+    """The data rows after the header as an N x width array, or None to fall back.
+
+    ``comments=None`` keeps a leading '#' data, not a comment. Empty
+    cells, Python-only float syntax (``1_0``, non-ASCII digits), ragged
+    rows, undecodable text and a file without data rows all end here as
+    None.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            values = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+    except ValueError:
+        return None
+    return values if values.shape[0] > 0 and values.shape[1] == width else None
+
+
+def _parse_rows(path: str, fh):
+    """Row-by-row reader of ``parse_csv``'s format; errors name the physical line."""
+    reader = csv.reader(fh)
+    rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise EmptyFileError(f"{path}: no content")
-    names = [cell.strip() for cell in rows[0]]
+    names = [cell.strip() for cell in rows[0][1]]
     if len(rows) == 1:
         raise EmptyFileError(f"{path}: header only, no data rows")
     width = len(names)
     values = np.empty((len(rows) - 1, width))
-    for ln, row in enumerate(rows[1:], start=2):
+    for i, (ln, row) in enumerate(rows[1:]):
         if len(row) != width:
             raise MalformedError(f"{path}: line {ln}: expected {width} cells, got {len(row)}")
         for col, cell in enumerate(row):
             cell = cell.strip()
             if cell == "":
-                values[ln - 2, col] = np.nan
+                values[i, col] = np.nan
             else:
                 try:
-                    values[ln - 2, col] = float(cell)
+                    values[i, col] = float(cell)
                 except ValueError:
                     raise MalformedError(
                         f"{path}: line {ln}: non-numeric value {cell!r} in column "
@@ -152,12 +183,16 @@ def parse_csv(path: str):
     return names, values.T
 
 
+_WRITE_BLOCK = 4096  # samples per tolist() block: bounds the Python floats alive at once
+
+
 def write_csv(names, values: np.ndarray, fh):
     """Write the parse_csv format; floats via repr so bytes are reproducible."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(names)
-    for col in values.T:
-        writer.writerow([repr(float(v)) for v in col])
+    csv.writer(fh, lineterminator="\n").writerow(names)
+    values = np.asarray(values, dtype=float)
+    for start in range(0, values.shape[1], _WRITE_BLOCK):
+        block = values[:, start:start + _WRITE_BLOCK].T.tolist()
+        fh.write("".join([",".join(map(repr, row)) + "\n" for row in block]))
 
 
 def load_preset(name: str):
@@ -219,12 +254,19 @@ def _resolve_sde(cfg: RunConfig):
     return LinearSDE(A=a, B=b, f=f, names=names), None
 
 
+@contextlib.contextmanager
+def _open_output(path: Optional[str]):
+    """The output file (replaced), or stdout when no path is given."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        yield fh
+
+
 def _write_text(text: str, path: Optional[str]):
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _open_output(path) as fh:
+        fh.write(text)
 
 
 def _load_series(cfg: RunConfig) -> TimeSeriesSet:
@@ -287,9 +329,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     if cfg.n_steps is None:
         raise ValidationError("--n (number of recorded samples) is required")
     tss = simulate(sde, x0, cfg.n_steps, dt, cfg.seed, burn_in=cfg.burn_in)
-    buf = io.StringIO()
-    write_csv(tss.names, tss.values, buf)
-    _write_text(buf.getvalue(), cfg.output)
+    with _open_output(cfg.output) as fh:
+        write_csv(tss.names, tss.values, fh)
     return 0
 
 
@@ -297,29 +338,16 @@ def cmd_oracle(cfg: RunConfig) -> int:
     """Exact rates and entropy budget for a linear system (no estimation)."""
     sde, _ = _resolve_sde(cfg)
     sc = stationary_covariance(sde)
-    d = sde.d
-    t = np.zeros((d, d))
-    tau = np.zeros((d, d))
-    noise = np.zeros(d)
-    noise_share = np.zeros(d)
-    residual = np.zeros(d)
-    for i in range(d):
-        budget = _budget_from_sigma(sde, sc.Sigma, i)
-        t[i] = budget.flows
-        t[i, i] = budget.self_rate
-        noise[i] = budget.noise_rate
-        residual[i] = budget.residual
-        z = float(np.abs(t[i]).sum() + abs(budget.noise_rate))
-        tau[i] = t[i] / z
-        noise_share[i] = abs(budget.noise_rate) / z
+    budgets = [_budget_from_sigma(sde, sc.Sigma, i) for i in range(sde.d)]
+    rates, tau, noise_share = zip(*map(budget_shares, budgets))
     payload = {
         "orientation": "T[target][source]",
         "names": list(sde.names),
-        "T": [[float(v) for v in row] for row in t],
-        "TAU": [[float(v) for v in row] for row in tau],
-        "noise_share": [float(v) for v in noise_share],
-        "noise_rate": [float(v) for v in noise],
-        "budget_residual": [float(v) for v in residual],
+        "T": [row.tolist() for row in rates],
+        "TAU": [row.tolist() for row in tau],
+        "noise_share": list(noise_share),
+        "noise_rate": [b.noise_rate for b in budgets],
+        "budget_residual": [b.residual for b in budgets],
         "lyapunov_residual": sc.residual,
     }
     _write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", cfg.output)

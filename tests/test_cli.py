@@ -1,8 +1,11 @@
 """End-to-end command-line behavior: parsing, commands, exit codes, determinism."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -41,11 +44,72 @@ def test_parse_csv_ragged_row_reports_line(tmp_path):
         parse_csv(path)
 
 
-def test_parse_csv_empty_cell_becomes_nan(tmp_path):
-    path = _write(tmp_path, "t.csv", "a,b\n1,\n3,4\n")
+def test_parse_csv_error_names_the_physical_line(tmp_path):
+    # blank lines are skipped but still counted: the short row is line 5
+    path = _write(tmp_path, "t.csv", "a,b\n\n1,2\n\n3\n")
+    with pytest.raises(MalformedError, match="line 5: expected 2 cells, got 1"):
+        parse_csv(path)
+    path = _write(tmp_path, "u.csv", "\r\na,b\r\n\r\n1,x\r\n")
+    with pytest.raises(MalformedError, match="line 4: non-numeric value 'x'"):
+        parse_csv(path)
+
+
+@pytest.fixture
+def row_loop_calls(monkeypatch):
+    """Paths parse_csv handed to the row-by-row reader instead of the bulk one."""
+    calls = []
+    rows = cli._parse_rows
+
+    def spy(path, fh):
+        calls.append(path)
+        return rows(path, fh)
+
+    monkeypatch.setattr(cli, "_parse_rows", spy)
+    return calls
+
+
+def test_parse_csv_plain_numbers_take_the_bulk_reader(tmp_path, row_loop_calls):
+    path = _write(tmp_path, "t.csv", '\n x , y \r\n1 ,"2.5"\r\n\r\n-inf,5e-324\r\n')
+    names, values = parse_csv(path)
+    assert row_loop_calls == []
+    assert names == ["x", "y"]
+    np.testing.assert_array_equal(values, [[1.0, -np.inf], [2.5, 5e-324]])
+
+
+def test_parse_csv_fallback_python_float_syntax(tmp_path, row_loop_calls):
+    path = _write(tmp_path, "t.csv", "a,b\n1_0,2\n\uff13,4\n")
     _, values = parse_csv(path)
-    assert np.isnan(values[1, 0])
-    assert values[0, 0] == 1.0
+    assert row_loop_calls == [path]
+    assert values.tolist() == [[10.0, 3.0], [2.0, 4.0]]
+
+
+def test_parse_csv_fallback_hash_is_data_not_comment(tmp_path, row_loop_calls):
+    path = _write(tmp_path, "t.csv", "a,b\n1,2\n#1,2\n3,4\n")
+    with pytest.raises(MalformedError, match="line 3: non-numeric value '#1' in column 'a'"):
+        parse_csv(path)
+    assert row_loop_calls == [path]
+
+
+def test_parse_csv_fallback_trailing_comma_is_ragged(tmp_path, row_loop_calls):
+    path = _write(tmp_path, "t.csv", "a,b\n1,2,\n3,4,\n")
+    with pytest.raises(MalformedError, match="line 2: expected 2 cells, got 3"):
+        parse_csv(path)
+    assert row_loop_calls == [path]
+
+
+def test_parse_csv_invalid_utf8_after_the_first_block(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"a,b\n" + b"1,2\n" * 5000 + b"3,\xff\n")
+    with pytest.raises(MalformedError, match="not UTF-8"):
+        parse_csv(str(path))
+
+
+def test_parse_csv_empty_cell_becomes_nan(tmp_path, row_loop_calls):
+    path = _write(tmp_path, "t.csv", "a,b\n1,\n3, \n")
+    _, values = parse_csv(path)
+    assert row_loop_calls == [path]
+    assert values[0].tolist() == [1.0, 3.0]
+    assert np.isnan(values[1]).all()
 
 
 def test_parse_csv_non_numeric(tmp_path):
@@ -54,11 +118,16 @@ def test_parse_csv_non_numeric(tmp_path):
         parse_csv(path)
 
 
-def test_parse_csv_empty_and_header_only(tmp_path):
+def test_parse_csv_empty_and_header_only(tmp_path, row_loop_calls):
     with pytest.raises(EmptyFileError):
         parse_csv(_write(tmp_path, "e.csv", ""))
-    with pytest.raises(EmptyFileError):
-        parse_csv(_write(tmp_path, "h.csv", "a,b\n"))
+    header_only = _write(tmp_path, "h.csv", "a,b\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(EmptyFileError, match="header only"):
+            parse_csv(header_only)
+    assert caught == []  # the bulk reader's "input contained no data" stays inside
+    assert row_loop_calls[-1] == header_only
 
 
 def test_parse_csv_missing_file(tmp_path):
@@ -75,6 +144,31 @@ def test_csv_write_read_round_trip(tmp_path):
     names, back = parse_csv(str(path))
     assert names == ["a", "b", "c"]
     np.testing.assert_array_equal(back, values)
+
+
+def test_write_csv_bytes_match_per_value_repr():
+    # 9000 samples: two full blocks of 4096 and a partial one
+    values = np.random.default_rng(1).standard_normal((3, 9000))
+    values[0, :5] = [-0.0, np.nan, np.inf, -np.inf, 5e-324]
+    values[1, 4095:4098] = [1e308, -5e-324, 0.0]
+    names = ("a", "b,c", 'q"')
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(names)
+    for col in values.T:
+        writer.writerow([repr(float(v)) for v in col])
+    got = io.StringIO()
+    write_csv(names, values, got)
+    assert got.getvalue() == want.getvalue()
+
+
+def test_simulate_stdout_bytes_equal_file_bytes(tmp_path, capsysbinary):
+    argv = ["simulate", "--preset", "chain5", "--n", "5000", "--seed", "4"]
+    path = tmp_path / "sim.csv"
+    assert main(argv + ["--output", str(path)]) == 0
+    capsysbinary.readouterr()
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out == path.read_bytes()
 
 
 # ----------------------------------------------------------------- presets

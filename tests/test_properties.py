@@ -1,16 +1,20 @@
-"""Invariants of all_pairs as properties over generated datasets.
+"""Invariants of all_pairs and of CSV parsing as properties over generated inputs.
 
 Datasets are small sparse VAR(1) systems drawn from a seed, so the rates
 are not all null. Tolerances are fixed beforehand from double precision:
 a reordered or rescaled regression changes the rounding of every
-quantity, never more than 1e-9 of a standard error here.
+quantity, never more than 1e-9 of a standard error here. CSV parsing
+has no tolerance: the bulk reader must return the row loop's bits.
 """
+
+import csv
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liangflow import TimeSeriesSet, all_pairs
+from liangflow.cli import _parse_bulk, _parse_rows, parse_csv
 
 TOL = 1e-9
 
@@ -66,3 +70,42 @@ def test_rates_scale_as_one_over_dt(case, dt, mode):
     assert np.all(np.abs(scaled.P - base.P) <= TOL)
     assert np.all(np.abs(scaled.TAU - base.TAU) <= TOL)
     assert np.all(np.abs(scaled.noise_share - base.noise_share) <= TOL)
+
+
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, np.inf, -np.inf,
+               1e308, -1e308, 1.7976931348623157e308)
+values64 = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, width=64))
+
+
+@st.composite
+def csv_texts(draw):
+    """(text, n_rows, d): a float64 matrix in one of the layouts parse_csv reads."""
+    d = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(values64, min_size=d, max_size=d), min_size=1, max_size=12))
+    fmt = draw(st.sampled_from((repr, lambda v: "%.17g" % v)))
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    pad = " " * draw(st.integers(0, 2))
+    quote = '"' if draw(st.booleans()) else ""
+    blanks = draw(st.lists(st.integers(0, 2), min_size=len(rows) + 1, max_size=len(rows) + 1))
+    lines = [end * draw(st.integers(0, 2)) + ",".join(f" v{i} " for i in range(d))]
+    for row, blank in zip(rows, blanks):
+        lines.append(end * blank + ",".join(quote + pad + fmt(v) + pad + quote for v in row))
+    return end.join(lines) + end * (1 + blanks[-1]), len(rows), d
+
+
+@examples
+@given(csv_texts())
+def test_bulk_csv_reader_returns_the_row_loop_bits(tmp_path_factory, case):
+    text, n, d = case
+    path = str(tmp_path_factory.mktemp("csv") / "t.csv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    names, values = parse_csv(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        want_names, want = _parse_rows(path, fh)
+        fh.seek(0)
+        next(filter(None, csv.reader(fh)))
+        assert _parse_bulk(fh, d) is not None  # the layout takes the bulk path
+    assert names == want_names == [f"v{i}" for i in range(d)]
+    assert values.shape == want.shape == (d, n)
+    assert values.tobytes() == want.tobytes()
