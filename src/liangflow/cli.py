@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
 import statistics
 import sys
@@ -28,7 +29,6 @@ from .core import TimeSeriesSet, validate_series_set
 from .dynamics import (
     LinearSDE,
     _budget_from_sigma,
-    budget_shares,
     simulate,
     stationary_covariance,
 )
@@ -40,6 +40,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
+from .estimator import budget_shares
 from .graph import all_pairs, build_graph, emit_dot, emit_json
 
 _EPILOG = """\
@@ -112,6 +113,9 @@ class RunConfig:
                 raise ValidationError(f"reps must be >= 1, got {self.reps}")
 
 
+_READ_BLOCK = 4096  # data lines per bulk read: a fault costs one block, not the file
+
+
 def parse_csv(path: str):
     """Read a CSV (header row = variable names, one time step per data row).
 
@@ -119,68 +123,120 @@ def parse_csv(path: str):
     Returns (names, values) with values shaped d x N (column-per-variable
     input transposed to row-per-variable).
 
-    The data rows are read in bulk by numpy's C reader; any input it
-    rejects is read again by ``_parse_rows``, which defines what is
-    accepted and which error is raised, so both paths give the same result.
+    The data rows are read in blocks of lines, each by numpy's C reader
+    where it accepts them and otherwise by ``_parse_rows``, which defines
+    what is accepted and which error is raised. A block with a quote goes
+    to ``_parse_rows`` whole, because a quoted cell may span lines. The
+    result is the row loop's over the whole file, bit for bit.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            header = next(filter(None, csv.reader(fh)), None)
-            values = None if header is None else _parse_bulk(fh, len(header))
-            if values is not None:
-                return [cell.strip() for cell in header], values.T
-            fh.seek(0)
-            return _parse_rows(path, fh)
+            reader = csv.reader(fh)
+            header = next(filter(None, reader), None)
+            if header is None:
+                raise EmptyFileError(f"{path}: no content")
+            names = [cell.strip() for cell in header]
+            try:
+                blocks = _parse_blocks(path, names, fh, reader.line_num)
+            except MalformedError:
+                fh.read()  # undecodable text further on is reported instead, as by one pass
+                raise
     except OSError as e:
         raise ValidationError(f"cannot read {path}: {e}") from None
     except UnicodeDecodeError as e:
         raise MalformedError(f"{path} is not UTF-8 text: {e}") from None
+    if not any(len(block) for block in blocks):
+        raise EmptyFileError(f"{path}: header only, no data rows")
+    return names, np.concatenate(blocks).T
 
 
-def _parse_bulk(fh, width: int):
-    """The data rows after the header as an N x width array, or None to fall back.
+def _parse_blocks(path: str, names, fh, line: int):
+    """The data rows after physical line ``line`` as a list of row blocks."""
+    blocks = []
+    while lines := list(itertools.islice(fh, _READ_BLOCK)):
+        if any('"' in text for text in lines):
+            reader = csv.reader(itertools.chain(lines, fh))
+            blocks.append(_parse_rows(path, names, reader, line, len(lines)))
+            line += reader.line_num
+        else:
+            blocks += _parse_lines(path, names, lines, line)
+            line += len(lines)
+    return blocks
+
+
+def _parse_lines(path: str, names, lines, line: int):
+    """Quote-free data lines, one record each, as a list of row blocks.
+
+    If the C reader rejects the lines, those with an empty cell (the usual
+    reason) go to the row loop and the runs between them to the C reader
+    again, so a file with gaps is still read once in C. A run rejected
+    again goes to the row loop whole.
+    """
+    values = _parse_bulk(lines, len(names))
+    if values is not None:
+        return [values]
+    blocks = []
+    for gappy, run in itertools.groupby(lines, _has_empty_cell):
+        run = list(run)
+        values = None if gappy or len(run) == len(lines) else _parse_bulk(run, len(names))
+        if values is None:
+            values = _parse_rows(path, names, csv.reader(run), line, len(run))
+        blocks.append(values)
+        line += len(run)
+    return blocks
+
+
+def _has_empty_cell(text: str) -> bool:
+    cells = text.rstrip("\r\n")
+    return ",," in cells or cells.startswith(",") or cells.endswith(",")
+
+
+def _parse_bulk(lines, width: int):
+    """The lines as an N x width array by numpy's C reader, or None if it rejects them.
 
     ``comments=None`` keeps a leading '#' data, not a comment. Empty
     cells, Python-only float syntax (``1_0``, non-ASCII digits), ragged
-    rows, undecodable text and a file without data rows all end here as
-    None.
+    rows and lines without data all end here as None.
     """
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            values = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+            values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
-    return values if values.shape[0] > 0 and values.shape[1] == width else None
+    return values if values.shape[1] == width else None
 
 
-def _parse_rows(path: str, fh):
-    """Row-by-row reader of ``parse_csv``'s format; errors name the physical line."""
-    reader = csv.reader(fh)
-    rows = [(reader.line_num, row) for row in reader if row]
-    if not rows:
-        raise EmptyFileError(f"{path}: no content")
-    names = [cell.strip() for cell in rows[0][1]]
-    if len(rows) == 1:
-        raise EmptyFileError(f"{path}: header only, no data rows")
+def _parse_rows(path: str, names, reader, line: int, n_lines):
+    """Row-by-row reader of ``parse_csv``'s format, as an N x d array.
+
+    Reads the records that start in the reader's first ``n_lines`` lines
+    (a quoted record may run past them). ``line`` is the physical line
+    before the reader's first, so errors name physical lines.
+    """
     width = len(names)
-    values = np.empty((len(rows) - 1, width))
-    for i, (ln, row) in enumerate(rows[1:]):
-        if len(row) != width:
-            raise MalformedError(f"{path}: line {ln}: expected {width} cells, got {len(row)}")
-        for col, cell in enumerate(row):
-            cell = cell.strip()
-            if cell == "":
-                values[i, col] = np.nan
-            else:
-                try:
-                    values[i, col] = float(cell)
-                except ValueError:
-                    raise MalformedError(
-                        f"{path}: line {ln}: non-numeric value {cell!r} in column "
-                        f"{names[col]!r}"
-                    ) from None
-    return names, values.T
+    rows = []
+    for row in reader:
+        if row:
+            ln = line + reader.line_num
+            if len(row) != width:
+                raise MalformedError(f"{path}: line {ln}: expected {width} cells, got {len(row)}")
+            values = []
+            for name, cell in zip(names, row):
+                cell = cell.strip()
+                if cell == "":
+                    values.append(np.nan)
+                else:
+                    try:
+                        values.append(float(cell))
+                    except ValueError:
+                        raise MalformedError(
+                            f"{path}: line {ln}: non-numeric value {cell!r} in column {name!r}"
+                        ) from None
+            rows.append(values)
+        if reader.line_num >= n_lines:
+            break
+    return np.array(rows, dtype=float).reshape(-1, width)
 
 
 _WRITE_BLOCK = 4096  # samples per tolist() block: bounds the Python floats alive at once
@@ -339,13 +395,15 @@ def cmd_oracle(cfg: RunConfig) -> int:
     sde, _ = _resolve_sde(cfg)
     sc = stationary_covariance(sde)
     budgets = [_budget_from_sigma(sde, sc.Sigma, i) for i in range(sde.d)]
-    rates, tau, noise_share = zip(*map(budget_shares, budgets))
+    rates = np.array([b.flows for b in budgets])
+    np.fill_diagonal(rates, [b.self_rate for b in budgets])
+    tau, noise_share, _ = budget_shares(rates, np.array([b.noise_rate for b in budgets]))
     payload = {
         "orientation": "T[target][source]",
         "names": list(sde.names),
-        "T": [row.tolist() for row in rates],
-        "TAU": [row.tolist() for row in tau],
-        "noise_share": list(noise_share),
+        "T": rates.tolist(),
+        "TAU": tau.tolist(),
+        "noise_share": noise_share.tolist(),
         "noise_rate": [b.noise_rate for b in budgets],
         "budget_residual": [b.residual for b in budgets],
         "lyapunov_residual": sc.residual,

@@ -304,17 +304,3 @@ def theoretical_budget(sde: LinearSDE, target: int) -> TheoreticalBudget:
         raise IndexError(f"target {target} out of range for d = {d}")
     sigma = stationary_covariance(sde).Sigma
     return _budget_from_sigma(sde, sigma, target)
-
-
-def budget_shares(budget: TheoreticalBudget) -> tuple[np.ndarray, np.ndarray, float]:
-    """One target's exact rates normalized the way the estimator's budget is.
-
-    Returns (rates, tau, noise_share): ``rates`` holds the incoming flows
-    with the self rate in the target's own slot, Z = sum |rates| +
-    |noise rate| (the budget of ``normalize_flows``), tau = rates / Z and
-    noise_share = |noise rate| / Z.
-    """
-    rates = budget.flows.copy()
-    rates[budget.target] = budget.self_rate
-    z = float(np.abs(rates).sum() + abs(budget.noise_rate))
-    return rates, rates / z, abs(budget.noise_rate) / z

@@ -442,6 +442,20 @@ def flow_panel(pairs: PanelPairs, source: int, target: int) -> FlowEstimate:
     return _pair_estimate(design.fit(target), source)
 
 
+def budget_shares(rates: np.ndarray, noise):
+    """Each target's entropy budget and its shares: (tau, noise_share, Z).
+
+    ``rates`` holds a target's incoming flows and its self rate along the
+    last axis and ``noise`` its noise term. Z = sum |rates| + |noise|,
+    tau = rates / Z and noise_share = |noise| / Z; a zero Z gives inf or
+    NaN, which callers check. ``normalize_flows``, ``all_pairs`` and the
+    exact oracle's shares all use this one definition.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.abs(rates).sum(axis=-1) + np.abs(noise)
+        return rates / z[..., None], np.abs(noise) / z, z
+
+
 def normalize_flows(
     flows: Sequence[FlowEstimate], self_flow: FlowEstimate, fit: LinearModelFit
 ) -> NormalizedBudget:
@@ -460,18 +474,21 @@ def normalize_flows(
         raise ValueError("self_flow must be the self contribution of the fit's target")
     c_ii = float(fit.cov_row[fit.target])
     noise_term = fit.g_hat / (2.0 * c_ii)
-    z = sum(abs(fl.value) for fl in flows) + abs(self_flow.value) + abs(noise_term)
+    tau, noise_share, z = budget_shares(
+        np.array([fl.value for fl in flows] + [self_flow.value]), noise_term
+    )
+    z = float(z)
     if not z > _TINY:
         raise DegenerateBudgetError(
             f"entropy budget for target {fit.target} is zero; nothing to normalize"
         )
-    out_flows = tuple(replace(fl, normalized=fl.value / z) for fl in flows)
-    out_self = replace(self_flow, normalized=self_flow.value / z)
+    out_flows = tuple(replace(fl, normalized=float(t)) for fl, t in zip(flows, tau))
+    out_self = replace(self_flow, normalized=float(tau[-1]))
     return NormalizedBudget(
         target=fit.target,
         flows=out_flows,
         self_flow=out_self,
         noise_term=noise_term,
-        noise_share=abs(noise_term) / z,
+        noise_share=float(noise_share),
         z_total=z,
     )

@@ -156,11 +156,8 @@ def all_pairs(
     budget_bad = np.zeros(d, dtype=bool)
     if normalize:
         noise = eng.resid_var * eng.dt * eng.k / (2.0 * c_ii)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.abs(t).sum(axis=1) + np.abs(noise)
-            budget_bad = ~(z > _est._TINY)
-            tau = t / z[:, None]
-            noise_share = np.abs(noise) / z
+        tau, noise_share, z = _est.budget_shares(t, noise)
+        budget_bad = ~(z > _est._TINY)
 
     failing = np.flatnonzero(pair_bad | budget_bad)
     if failing.size:

@@ -52,24 +52,27 @@ def test_parse_csv_error_names_the_physical_line(tmp_path):
     path = _write(tmp_path, "u.csv", "\r\na,b\r\n\r\n1,x\r\n")
     with pytest.raises(MalformedError, match="line 4: non-numeric value 'x'"):
         parse_csv(path)
+    path = _write(tmp_path, "v.csv", "a,b\n1,\n\n2,x\n")  # after a gap in the same block
+    with pytest.raises(MalformedError, match="line 4: non-numeric value 'x'"):
+        parse_csv(path)
 
 
 @pytest.fixture
 def row_loop_calls(monkeypatch):
-    """Paths parse_csv handed to the row-by-row reader instead of the bulk one."""
+    """(path, lines) of each piece parse_csv handed to the row-by-row reader."""
     calls = []
     rows = cli._parse_rows
 
-    def spy(path, fh):
-        calls.append(path)
-        return rows(path, fh)
+    def spy(path, names, reader, line, n_lines):
+        calls.append((path, n_lines))
+        return rows(path, names, reader, line, n_lines)
 
     monkeypatch.setattr(cli, "_parse_rows", spy)
     return calls
 
 
 def test_parse_csv_plain_numbers_take_the_bulk_reader(tmp_path, row_loop_calls):
-    path = _write(tmp_path, "t.csv", '\n x , y \r\n1 ,"2.5"\r\n\r\n-inf,5e-324\r\n')
+    path = _write(tmp_path, "t.csv", '\n" x ", y \r\n1 , 2.5\r\n\r\n-inf,5e-324\r\n')
     names, values = parse_csv(path)
     assert row_loop_calls == []
     assert names == ["x", "y"]
@@ -79,7 +82,7 @@ def test_parse_csv_plain_numbers_take_the_bulk_reader(tmp_path, row_loop_calls):
 def test_parse_csv_fallback_python_float_syntax(tmp_path, row_loop_calls):
     path = _write(tmp_path, "t.csv", "a,b\n1_0,2\n\uff13,4\n")
     _, values = parse_csv(path)
-    assert row_loop_calls == [path]
+    assert {p for p, _ in row_loop_calls} == {path}
     assert values.tolist() == [[10.0, 3.0], [2.0, 4.0]]
 
 
@@ -87,14 +90,14 @@ def test_parse_csv_fallback_hash_is_data_not_comment(tmp_path, row_loop_calls):
     path = _write(tmp_path, "t.csv", "a,b\n1,2\n#1,2\n3,4\n")
     with pytest.raises(MalformedError, match="line 3: non-numeric value '#1' in column 'a'"):
         parse_csv(path)
-    assert row_loop_calls == [path]
+    assert {p for p, _ in row_loop_calls} == {path}
 
 
 def test_parse_csv_fallback_trailing_comma_is_ragged(tmp_path, row_loop_calls):
     path = _write(tmp_path, "t.csv", "a,b\n1,2,\n3,4,\n")
     with pytest.raises(MalformedError, match="line 2: expected 2 cells, got 3"):
         parse_csv(path)
-    assert row_loop_calls == [path]
+    assert {p for p, _ in row_loop_calls} == {path}
 
 
 def test_parse_csv_invalid_utf8_after_the_first_block(tmp_path):
@@ -102,12 +105,16 @@ def test_parse_csv_invalid_utf8_after_the_first_block(tmp_path):
     path.write_bytes(b"a,b\n" + b"1,2\n" * 5000 + b"3,\xff\n")
     with pytest.raises(MalformedError, match="not UTF-8"):
         parse_csv(str(path))
+    # as in one pass over the file, undecodable text outranks an earlier bad cell
+    path.write_bytes(b"a,b\n1,x\n" + b"1,2\n" * 100000 + b"3,\xff\n")
+    with pytest.raises(MalformedError, match="not UTF-8"):
+        parse_csv(str(path))
 
 
 def test_parse_csv_empty_cell_becomes_nan(tmp_path, row_loop_calls):
     path = _write(tmp_path, "t.csv", "a,b\n1,\n3, \n")
     _, values = parse_csv(path)
-    assert row_loop_calls == [path]
+    assert {p for p, _ in row_loop_calls} == {path}
     assert values[0].tolist() == [1.0, 3.0]
     assert np.isnan(values[1]).all()
 
@@ -118,16 +125,39 @@ def test_parse_csv_non_numeric(tmp_path):
         parse_csv(path)
 
 
-def test_parse_csv_empty_and_header_only(tmp_path, row_loop_calls):
+def test_parse_csv_empty_and_header_only(tmp_path):
     with pytest.raises(EmptyFileError):
         parse_csv(_write(tmp_path, "e.csv", ""))
-    header_only = _write(tmp_path, "h.csv", "a,b\n")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(EmptyFileError, match="header only"):
-            parse_csv(header_only)
-    assert caught == []  # the bulk reader's "input contained no data" stays inside
-    assert row_loop_calls[-1] == header_only
+    for text in ("a,b\n", "a,b\n\n\r\n"):
+        header_only = _write(tmp_path, "h.csv", text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(EmptyFileError, match="header only"):
+                parse_csv(header_only)
+        assert caught == []  # the bulk reader's "input contained no data" stays inside
+
+
+def test_parse_csv_gaps_alone_take_the_row_loop(tmp_path, row_loop_calls):
+    rows = ["%d,%d,%d" % (i, -i, i) for i in range(10000)]
+    rows[50], rows[9000], rows[9001] = ",-50,50", "9000,,", "9001,-9001,"
+    path = _write(tmp_path, "t.csv", "a,b,c\n" + "\n".join(rows) + "\n")
+    _, values = parse_csv(path)
+    assert [n for _, n in row_loop_calls] == [1, 2]  # the gappy lines, not the file or a block
+    want = np.array([np.arange(10000.0), -np.arange(10000.0), np.arange(10000.0)])
+    want[0, 50] = want[1, 9000] = want[2, 9000] = want[2, 9001] = np.nan
+    np.testing.assert_array_equal(values, want)
+
+
+def test_parse_csv_blocks_keep_physical_lines_and_quoted_records(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_READ_BLOCK", 2)
+    # the quoted cell "4\n" is one record over lines 3-4, across a block boundary
+    text = 'a,b\n1,2\n3,"4\n"\n5,6\n\n7,\n'
+    _, values = parse_csv(_write(tmp_path, "t.csv", text))
+    np.testing.assert_array_equal(values, [[1, 3, 5, 7], [2, 4, 6, np.nan]])
+    with pytest.raises(MalformedError, match="line 9: non-numeric value 'x'"):
+        parse_csv(_write(tmp_path, "u.csv", text + "\n8,x\n"))
+    with pytest.raises(MalformedError, match="line 9: expected 2 cells, got 1"):
+        parse_csv(_write(tmp_path, "v.csv", text + "\n8\n"))
 
 
 def test_parse_csv_missing_file(tmp_path):

@@ -4,17 +4,21 @@ Datasets are small sparse VAR(1) systems drawn from a seed, so the rates
 are not all null. Tolerances are fixed beforehand from double precision:
 a reordered or rescaled regression changes the rounding of every
 quantity, never more than 1e-9 of a standard error here. CSV parsing
-has no tolerance: the bulk reader must return the row loop's bits.
+has no tolerance: the block reader must return the bits of the row loop
+run over the whole file.
 """
 
 import csv
+import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liangflow import TimeSeriesSet, all_pairs
-from liangflow.cli import _parse_bulk, _parse_rows, parse_csv
+import liangflow.cli as cli
+from liangflow.cli import _parse_rows, parse_csv
 
 TOL = 1e-9
 
@@ -75,37 +79,45 @@ def test_rates_scale_as_one_over_dt(case, dt, mode):
 EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, np.inf, -np.inf,
                1e308, -1e308, 1.7976931348623157e308)
 values64 = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, width=64))
+# lines per bulk read: the default and sizes small enough that blocks,
+# runs between gaps and quoted records cross each other
+BLOCK_SIZES = (4096, 1, 2, 3, 7)
 
 
 @st.composite
 def csv_texts(draw):
-    """(text, n_rows, d): a float64 matrix in one of the layouts parse_csv reads."""
+    """(text, n_rows, d): a float64 matrix, with gaps, in one of the layouts parse_csv reads."""
     d = draw(st.integers(1, 4))
-    rows = draw(st.lists(st.lists(values64, min_size=d, max_size=d), min_size=1, max_size=12))
+    # None is an empty cell; with d = 1 it could be a blank line, which is no row
+    cells = st.one_of(values64, st.none()) if d > 1 else values64
+    rows = draw(st.lists(st.lists(cells, min_size=d, max_size=d), min_size=1, max_size=12))
     fmt = draw(st.sampled_from((repr, lambda v: "%.17g" % v)))
     end = draw(st.sampled_from(("\n", "\r\n")))
     pad = " " * draw(st.integers(0, 2))
-    quote = '"' if draw(st.booleans()) else ""
+    # none, quoted, or quoted with the line end inside the quotes
+    quote, tail = draw(st.sampled_from((("", ""), ('"', ""), ('"', end))))
     blanks = draw(st.lists(st.integers(0, 2), min_size=len(rows) + 1, max_size=len(rows) + 1))
     lines = [end * draw(st.integers(0, 2)) + ",".join(f" v{i} " for i in range(d))]
     for row, blank in zip(rows, blanks):
-        lines.append(end * blank + ",".join(quote + pad + fmt(v) + pad + quote for v in row))
+        lines.append(end * blank + ",".join(
+            quote + pad + ("" if v is None else fmt(v)) + pad + tail + quote for v in row
+        ))
     return end.join(lines) + end * (1 + blanks[-1]), len(rows), d
 
 
 @examples
-@given(csv_texts())
-def test_bulk_csv_reader_returns_the_row_loop_bits(tmp_path_factory, case):
+@given(csv_texts(), st.sampled_from(BLOCK_SIZES))
+def test_block_reader_returns_the_whole_file_row_loop_bits(tmp_path_factory, case, block):
     text, n, d = case
     path = str(tmp_path_factory.mktemp("csv") / "t.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
-    names, values = parse_csv(path)
+    with mock.patch.object(cli, "_READ_BLOCK", block):
+        names, values = parse_csv(path)
     with open(path, newline="", encoding="utf-8") as fh:
-        want_names, want = _parse_rows(path, fh)
-        fh.seek(0)
-        next(filter(None, csv.reader(fh)))
-        assert _parse_bulk(fh, d) is not None  # the layout takes the bulk path
+        reader = csv.reader(fh)
+        want_names = [cell.strip() for cell in next(filter(None, reader))]
+        want = _parse_rows(path, want_names, reader, 0, math.inf).T
     assert names == want_names == [f"v{i}" for i in range(d)]
     assert values.shape == want.shape == (d, n)
     assert values.tobytes() == want.tobytes()
