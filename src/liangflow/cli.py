@@ -15,11 +15,11 @@ import csv
 import io
 import itertools
 import json
+import math
 import statistics
 import sys
 import time
 import warnings
-from dataclasses import dataclass, fields
 from importlib import resources
 from typing import Optional
 
@@ -57,60 +57,6 @@ conventions:
 
 class _Fmt(argparse.ArgumentDefaultsHelpFormatter, argparse.RawDescriptionHelpFormatter):
     pass
-
-
-@dataclass
-class RunConfig:
-    """Validated bag of options for one command invocation."""
-
-    command: str
-    input: Optional[str] = None
-    output: Optional[str] = None
-    dt: Optional[float] = None
-    k: int = 1
-    alpha: float = 0.05
-    normalize: bool = True
-    mode: str = "multivariate"
-    nan_policy: str = "reject"
-    seed: int = 0
-    fmt: str = "json"
-    preset: Optional[str] = None
-    A: Optional[str] = None
-    B: Optional[str] = None
-    f: Optional[str] = None
-    x0: Optional[str] = None
-    names: Optional[str] = None
-    n_steps: Optional[int] = None
-    burn_in: Optional[int] = None
-    require_stationary: bool = False
-    min_tau: Optional[float] = None
-    bonferroni: bool = False
-    bench_d: int = 30
-    bench_n: int = 10000
-    reps: int = 5
-
-    def validate(self):
-        if self.dt is not None and not self.dt > 0:
-            raise ValidationError(f"dt must be positive, got {self.dt}")
-        if self.k < 1:
-            raise ValidationError(f"k must be >= 1, got {self.k}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError(f"alpha must be strictly between 0 and 1, got {self.alpha}")
-        if self.n_steps is not None and self.n_steps < 1:
-            raise ValidationError(f"n must be >= 1, got {self.n_steps}")
-        if self.burn_in is not None and self.burn_in < 0:
-            raise ValidationError(f"burn-in must be >= 0, got {self.burn_in}")
-        if self.min_tau is not None and self.min_tau < 0:
-            raise ValidationError(f"min-tau must be >= 0, got {self.min_tau}")
-        if self.command == "bench":
-            if self.bench_d < 2:
-                raise ValidationError(f"bench needs d >= 2, got {self.bench_d}")
-            if self.bench_n < self.bench_d + 3:
-                raise ValidationError(
-                    f"bench needs n >= d + 3 = {self.bench_d + 3}, got {self.bench_n}"
-                )
-            if self.reps < 1:
-                raise ValidationError(f"reps must be >= 1, got {self.reps}")
 
 
 _READ_BLOCK = 4096  # data lines per bulk read: a fault costs one block, not the file
@@ -294,19 +240,19 @@ def _parse_vector(text: str, d: int, what: str) -> np.ndarray:
     return vec
 
 
-def _resolve_sde(cfg: RunConfig):
+def _resolve_sde(args: argparse.Namespace):
     """SDE from --preset or inline --A/--B/--f/--names; returns (sde, preset_dt)."""
-    if cfg.preset:
-        if cfg.A or cfg.B or cfg.f or cfg.names:
+    if args.preset:
+        if args.A or args.B or args.f or args.names:
             raise ValidationError("give either --preset or inline --A/--B/--f/--names, not both")
-        return load_preset(cfg.preset)
-    if cfg.A is None or cfg.B is None:
+        return load_preset(args.preset)
+    if args.A is None or args.B is None:
         raise ValidationError("need --preset, or both --A and --B")
-    a = _parse_matrix(cfg.A, "A")
-    b = _parse_matrix(cfg.B, "B")
+    a = _parse_matrix(args.A, "A")
+    b = _parse_matrix(args.B, "B")
     d = a.shape[0]
-    f = _parse_vector(cfg.f, d, "f") if cfg.f else None
-    names = tuple(n.strip() for n in cfg.names.split(",")) if cfg.names else ()
+    f = _parse_vector(args.f, d, "f") if args.f else None
+    names = tuple(n.strip() for n in args.names.split(",")) if args.names else ()
     return LinearSDE(A=a, B=b, f=f, names=names), None
 
 
@@ -325,12 +271,9 @@ def _write_text(text: str, path: Optional[str]):
         fh.write(text)
 
 
-def _load_series(cfg: RunConfig) -> TimeSeriesSet:
-    if not cfg.input:
-        raise ValidationError("--input is required")
-    names, values = parse_csv(cfg.input)
-    return validate_series_set(values, names, cfg.dt if cfg.dt is not None else 1.0,
-                               nan_policy=cfg.nan_policy)
+def _load_series(args: argparse.Namespace) -> TimeSeriesSet:
+    names, values = parse_csv(args.input)
+    return validate_series_set(values, names, args.dt, nan_policy=args.nan_policy)
 
 
 def _num_cell(x: float) -> str:
@@ -354,45 +297,43 @@ def _flow_matrix_csv(fm) -> str:
     return out.getvalue()
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
+def cmd_analyze(args: argparse.Namespace) -> int:
     """All-pairs rates with significance (and shares unless --no-normalize)."""
-    tss = _load_series(cfg)
-    fm = all_pairs(tss, k=cfg.k, alpha=cfg.alpha, normalize=cfg.normalize, mode=cfg.mode)
-    text = emit_json(fm) if cfg.fmt == "json" else _flow_matrix_csv(fm)
-    _write_text(text, cfg.output)
+    tss = _load_series(args)
+    fm = all_pairs(tss, k=args.k, alpha=args.alpha, normalize=args.normalize, mode=args.mode)
+    text = emit_json(fm) if args.format == "json" else _flow_matrix_csv(fm)
+    _write_text(text, args.output)
     return 0
 
 
-def cmd_graph(cfg: RunConfig) -> int:
+def cmd_graph(args: argparse.Namespace) -> int:
     """Analyze, filter by significance, emit the directed graph."""
-    tss = _load_series(cfg)
-    fm = all_pairs(tss, k=cfg.k, alpha=cfg.alpha, normalize=cfg.normalize, mode=cfg.mode)
-    g = build_graph(fm, alpha=cfg.alpha, min_tau=cfg.min_tau, bonferroni=cfg.bonferroni)
-    text = emit_dot(g) if cfg.fmt == "dot" else emit_json(g)
-    _write_text(text, cfg.output)
+    tss = _load_series(args)
+    fm = all_pairs(tss, k=args.k, alpha=args.alpha, normalize=args.normalize, mode=args.mode)
+    g = build_graph(fm, alpha=args.alpha, min_tau=args.min_tau, bonferroni=args.bonferroni)
+    text = emit_dot(g) if args.format == "dot" else emit_json(g)
+    _write_text(text, args.output)
     return 0
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(args: argparse.Namespace) -> int:
     """Write one seeded trajectory as CSV (consumable by analyze)."""
-    sde, preset_dt = _resolve_sde(cfg)
-    dt = cfg.dt if cfg.dt is not None else (preset_dt if preset_dt is not None else 1.0)
-    if cfg.require_stationary and not sde.is_hurwitz():
+    sde, preset_dt = _resolve_sde(args)
+    dt = args.dt if args.dt is not None else (preset_dt if preset_dt is not None else 1.0)
+    if args.require_stationary and not sde.is_hurwitz():
         raise NotHurwitzError(
             "--require-stationary: drift matrix has an eigenvalue with non-negative real part"
         )
-    x0 = _parse_vector(cfg.x0, sde.d, "x0") if cfg.x0 else np.zeros(sde.d)
-    if cfg.n_steps is None:
-        raise ValidationError("--n (number of recorded samples) is required")
-    tss = simulate(sde, x0, cfg.n_steps, dt, cfg.seed, burn_in=cfg.burn_in)
-    with _open_output(cfg.output) as fh:
+    x0 = _parse_vector(args.x0, sde.d, "x0") if args.x0 else np.zeros(sde.d)
+    tss = simulate(sde, x0, args.n, dt, args.seed, burn_in=args.burn_in)
+    with _open_output(args.output) as fh:
         write_csv(tss.names, tss.values, fh)
     return 0
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
+def cmd_oracle(args: argparse.Namespace) -> int:
     """Exact rates and entropy budget for a linear system (no estimation)."""
-    sde, _ = _resolve_sde(cfg)
+    sde, _ = _resolve_sde(args)
     sc = stationary_covariance(sde)
     budgets = [_budget_from_sigma(sde, sc.Sigma, i) for i in range(sde.d)]
     rates = np.array([b.flows for b in budgets])
@@ -408,39 +349,39 @@ def cmd_oracle(cfg: RunConfig) -> int:
         "budget_residual": [b.residual for b in budgets],
         "lyapunov_residual": sc.residual,
     }
-    _write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", cfg.output)
+    _write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.output)
     return 0
 
 
-def _run_bench(cfg: RunConfig) -> dict:
+def _run_bench(d: int, n: int, reps: int, k: int = 1, mode: str = "multivariate",
+               seed: int = 0) -> dict:
     """Time all_pairs on seeded synthetic data; excludes I/O and one warm-up run."""
-    rng = np.random.default_rng(cfg.seed)
-    names = tuple(f"x{i + 1}" for i in range(cfg.bench_d))
-    tss = TimeSeriesSet(names=names, values=rng.standard_normal((cfg.bench_d, cfg.bench_n)),
-                        dt=1.0)
+    rng = np.random.default_rng(seed)
+    names = tuple(f"x{i + 1}" for i in range(d))
+    tss = TimeSeriesSet(names=names, values=rng.standard_normal((d, n)), dt=1.0)
 
     def once() -> float:
         start = time.perf_counter()
-        all_pairs(tss, k=cfg.k, alpha=cfg.alpha, normalize=cfg.normalize, mode=cfg.mode)
+        all_pairs(tss, k=k, mode=mode)
         return time.perf_counter() - start
 
     once()
-    times = [once() for _ in range(cfg.reps)]
+    times = [once() for _ in range(reps)]
     return {
-        "d": cfg.bench_d,
-        "n": cfg.bench_n,
-        "relations": cfg.bench_d * (cfg.bench_d - 1),
-        "mode": cfg.mode,
-        "repetitions": cfg.reps,
+        "d": d,
+        "n": n,
+        "relations": d * (d - 1),
+        "mode": mode,
+        "repetitions": reps,
         "times_sec": times,
         "median_sec": statistics.median(times),
         "min_sec": min(times),
     }
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    report = _run_bench(cfg)
-    _write_text(json.dumps(report, indent=2) + "\n", cfg.output)
+def cmd_bench(args: argparse.Namespace) -> int:
+    report = _run_bench(args.d, args.n, args.reps, k=args.k, mode=args.mode, seed=args.seed)
+    _write_text(json.dumps(report, indent=2) + "\n", args.output)
     return 0
 
 
@@ -453,12 +394,40 @@ _DISPATCH = {
 }
 
 
+def _checked(kind, ok, rule: str):
+    """An argparse ``type=``: ``kind(text)``, accepted only if ``ok`` holds for it.
+
+    Every rule is a comparison, so NaN fails each one.
+    """
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            pass
+        else:
+            if ok(value):
+                return value
+        raise argparse.ArgumentTypeError(f"expected {rule}, got {text!r}")
+
+    return convert
+
+
+_STEP = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+_COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_NON_NEGATIVE = _checked(int, lambda v: v >= 0, "an integer >= 0")
+
+
+def _burn_in_arg(text: str):
+    return None if text == "auto" else _NON_NEGATIVE(text)
+
+
 def _add_series_options(sp):
     sp.add_argument("--input", required=True, help="input CSV (header row, one time step per row)")
-    sp.add_argument("--dt", type=float, default=1.0,
+    sp.add_argument("--dt", type=_STEP, default=1.0,
                     help="sampling interval; rates scale as 1/dt")
-    sp.add_argument("--k", type=int, default=1, help="difference stride in steps")
-    sp.add_argument("--alpha", type=float, default=0.05, help="significance level")
+    sp.add_argument("--k", type=_COUNT, default=1, help="difference stride in steps")
+    sp.add_argument("--alpha", type=_checked(float, lambda v: 0 < v < 1, "a number in (0, 1)"),
+                    default=0.05, help="significance level")
     sp.add_argument("--mode", choices=("multivariate", "bivariate"), default="multivariate",
                     help="condition pairwise rates on all components, or on the pair only")
     sp.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=True,
@@ -478,17 +447,6 @@ def _add_system_options(sp):
     sp.add_argument("--output", help="output path (default: stdout)")
 
 
-def _burn_in_arg(text: str):
-    if text == "auto":
-        return None
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer or 'auto', got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError("burn-in must be >= 0")
-    return value
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -506,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
                         description="Estimate every directed rate, with standard errors, "
                                     "p-values, and (by default) normalized shares.")
     _add_series_options(sp)
-    sp.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json",
+    sp.add_argument("--format", choices=("json", "csv"), default="json",
                     help="matrix JSON, or a long-format CSV table")
 
     sp = sub.add_parser("graph", formatter_class=_Fmt, epilog=_EPILOG,
@@ -514,11 +472,12 @@ def build_parser() -> argparse.ArgumentParser:
                         description="Estimate all rates, keep relations with p < alpha "
                                     "(optionally also |tau| >= --min-tau), emit the graph.")
     _add_series_options(sp)
-    sp.add_argument("--min-tau", type=float, default=None,
+    sp.add_argument("--min-tau", default=None,
+                    type=_checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0"),
                     help="minimum |normalized share| for an edge (needs --normalize)")
     sp.add_argument("--bonferroni", action="store_true",
                     help="divide alpha by d^2 (number of tested relations)")
-    sp.add_argument("--format", dest="fmt", choices=("dot", "json"), default="dot",
+    sp.add_argument("--format", choices=("dot", "json"), default="dot",
                     help="Graphviz DOT, or JSON edge list")
 
     sp = sub.add_parser("simulate", formatter_class=_Fmt, epilog=_EPILOG,
@@ -526,12 +485,12 @@ def build_parser() -> argparse.ArgumentParser:
                         description="Euler–Maruyama trajectory of dX = (f + A X) dt + B dW; "
                                     "identical seed and parameters give identical bytes.")
     _add_system_options(sp)
-    sp.add_argument("--n", dest="n_steps", type=int, required=True,
+    sp.add_argument("--n", type=_COUNT, required=True,
                     help="number of recorded samples (after burn-in)")
-    sp.add_argument("--dt", type=float, default=None,
+    sp.add_argument("--dt", type=_STEP, default=None,
                     help="integration/sampling step (default: preset's dt, else 1)")
     sp.add_argument("--x0", help="initial state, comma-separated (default: zeros)")
-    sp.add_argument("--seed", type=int, default=0, help="random generator seed")
+    sp.add_argument("--seed", type=_NON_NEGATIVE, default=0, help="random generator seed")
     sp.add_argument("--burn-in", type=_burn_in_arg, default="auto",
                     help="steps to discard first; 'auto' = ten slowest decay times "
                          "(0 when the drift is not stable)")
@@ -550,32 +509,22 @@ def build_parser() -> argparse.ArgumentParser:
                         description="Times all_pairs (excluding I/O and one warm-up run) "
                                     "on seeded synthetic data; reports per-repetition, "
                                     "median, and min wall times as JSON.")
-    sp.add_argument("--d", dest="bench_d", type=int, default=30, help="number of variables")
-    sp.add_argument("--n", dest="bench_n", type=int, default=10000, help="samples per variable")
-    sp.add_argument("--reps", type=int, default=5, help="timed repetitions")
-    sp.add_argument("--k", type=int, default=1, help="difference stride in steps")
+    sp.add_argument("--d", type=_checked(int, lambda v: v >= 2, "an integer >= 2"), default=30,
+                    help="number of variables")
+    sp.add_argument("--n", type=_COUNT, default=10000, help="samples per variable")
+    sp.add_argument("--reps", type=_COUNT, default=5, help="timed repetitions")
+    sp.add_argument("--k", type=_COUNT, default=1, help="difference stride in steps")
     sp.add_argument("--mode", choices=("multivariate", "bivariate"), default="multivariate")
-    sp.add_argument("--seed", type=int, default=0, help="seed for the synthetic data")
+    sp.add_argument("--seed", type=_NON_NEGATIVE, default=0, help="seed for the synthetic data")
     sp.add_argument("--output", help="output path (default: stdout)")
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    kwargs = {}
-    for f in fields(RunConfig):
-        if hasattr(args, f.name):
-            kwargs[f.name] = getattr(args, f.name)
-    return RunConfig(**kwargs)
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        cfg.validate()
-        return _DISPATCH[cfg.command](cfg)
+        return _DISPATCH[args.command](args)
     except ValidationError as e:
         print(f"liangflow: error: {e}", file=sys.stderr)
         return 2

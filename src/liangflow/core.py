@@ -77,8 +77,8 @@ class TimeSeriesSet:
         if d < 1 or n < 1:
             raise TooShortError(f"empty series set of shape {values.shape}")
         object.__setattr__(self, "names", _check_names(self.names, d))
-        if not float(self.dt) > 0.0:
-            raise ValidationError(f"dt must be positive, got {self.dt}")
+        if not 0.0 < float(self.dt) < np.inf:
+            raise ValidationError(f"dt must be finite and positive, got {self.dt}")
         object.__setattr__(self, "dt", float(self.dt))
         if not np.isfinite(values).all():
             raise NaNsPresentError("non-finite values in series set")
@@ -142,8 +142,8 @@ class PanelPairs:
         object.__setattr__(self, "names", _check_names(self.names, d))
         if m < d + 3:
             raise TooShortError(f"{m} panel pairs < d + 3 = {d + 3}")
-        if not float(self.dt_gap) > 0.0:
-            raise ValidationError(f"dt_gap must be positive, got {self.dt_gap}")
+        if not 0.0 < float(self.dt_gap) < np.inf:
+            raise ValidationError(f"dt_gap must be finite and positive, got {self.dt_gap}")
         object.__setattr__(self, "dt_gap", float(self.dt_gap))
         if not (np.isfinite(x0).all() and np.isfinite(x1).all()):
             raise NaNsPresentError("non-finite values in panel data")
@@ -176,7 +176,7 @@ def validate_series_set(raw, names, dt: float, nan_policy: str = "reject") -> Ti
     if nan_policy not in ("reject", "interpolate"):
         raise ValueError(f"nan_policy must be 'reject' or 'interpolate', got {nan_policy!r}")
     try:
-        values = np.array(raw, dtype=float)
+        values = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as e:
         raise NonRectangularError(f"input is not a rectangular numeric matrix: {e}") from None
     if values.ndim == 1:
@@ -189,19 +189,18 @@ def validate_series_set(raw, names, dt: float, nan_policy: str = "reject") -> Ti
         if nan_policy == "reject":
             bad = int((~finite).sum())
             raise NaNsPresentError(f"{bad} non-finite values present (nan_policy='reject')")
-        values, finite = _interpolate_gaps(values, finite)
+        values = _interpolate_gaps(values, finite)
 
-    d, n = values.shape
-    names = _check_names(names, d)
-    if n < d + 3:
-        raise TooShortError(f"N = {n} samples < d + 3 = {d + 3}")
-    spans = values.max(axis=1) - values.min(axis=1)
+    tss = TimeSeriesSet(names=names, values=values, dt=dt)
+    if tss.n_samples < tss.d + 3:
+        raise TooShortError(f"N = {tss.n_samples} samples < d + 3 = {tss.d + 3}")
+    spans = tss.values.max(axis=1) - tss.values.min(axis=1)
     flat = np.flatnonzero(spans == 0.0)
     if flat.size:
         raise ConstantSeriesError(
-            f"constant series (zero variance): {[names[i] for i in flat]}"
+            f"constant series (zero variance): {[tss.names[i] for i in flat]}"
         )
-    return TimeSeriesSet(names=names, values=values, dt=dt)
+    return tss
 
 
 def _interpolate_gaps(values: np.ndarray, finite: np.ndarray):
@@ -233,7 +232,7 @@ def _interpolate_gaps(values: np.ndarray, finite: np.ndarray):
             trimmed,
             filled,
         )
-    return values, np.isfinite(values)
+    return values
 
 
 def forward_difference(x: np.ndarray, k: int, dt: float) -> np.ndarray:

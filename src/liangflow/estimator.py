@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import linalg, special, stats
+from scipy import linalg, special
 
 from .core import PanelPairs, TimeSeriesSet, check_k, forward_difference
 from .errors import (
@@ -45,9 +45,9 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 _BLOCK = 4096  # columns per residual product
 # two-sided standard-normal quantiles for the 90/95/99% intervals
-_Z90 = float(stats.norm.isf(0.05))
-_Z95 = float(stats.norm.isf(0.025))
-_Z99 = float(stats.norm.isf(0.005))
+_Z90 = float(-special.ndtri(0.05))
+_Z95 = float(-special.ndtri(0.025))
+_Z99 = float(-special.ndtri(0.005))
 
 
 @dataclass(frozen=True)

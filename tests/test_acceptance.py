@@ -30,7 +30,7 @@ from liangflow import (
     simulate,
     theoretical_budget,
 )
-from liangflow.cli import RunConfig, _run_bench, main
+from liangflow.cli import _run_bench, main
 
 from conftest import ACCEPTANCE_RESULTS, record_criterion
 
@@ -248,7 +248,7 @@ def test_c09_chain_recovery(chain5):
 
 
 def test_c10_benchmark_wall_time():
-    report = _run_bench(RunConfig(command="bench", bench_d=30, bench_n=10_000, reps=5))
+    report = _run_bench(30, 10_000, reps=5)
     median = report["median_sec"]
     if median < 1.0:
         ok, note = True, "within the 1s target"

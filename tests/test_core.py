@@ -115,7 +115,7 @@ def test_name_count_mismatch():
 
 def test_bad_dt():
     raw = np.random.default_rng(4).standard_normal((2, 30))
-    for dt in (0.0, -1.0):
+    for dt in (0.0, -1.0, np.inf):
         with pytest.raises(ValidationError):
             validate_series_set(raw, ["a", "b"], dt)
 
@@ -271,8 +271,9 @@ def test_panel_pairs_validation():
         PanelPairs(("a", "b"), x0, x1[:, :10], 0.5)
     with pytest.raises(TooShortError):
         PanelPairs(("a", "b"), x0[:, :4], x1[:, :4], 0.5)
-    with pytest.raises(ValidationError):
-        PanelPairs(("a", "b"), x0, x1, 0.0)
+    for dt_gap in (0.0, np.inf):
+        with pytest.raises(ValidationError):
+            PanelPairs(("a", "b"), x0, x1, dt_gap)
     bad = x1.copy()
     bad[0, 0] = np.inf
     with pytest.raises(NaNsPresentError):

@@ -323,6 +323,13 @@ def test_confidence_intervals_nested():
     assert est.value < est.ci90[1] < est.ci95[1] < est.ci99[1]
 
 
+def test_interval_quantiles_equal_scipy_stats():
+    from liangflow import estimator
+
+    for z, q in ((estimator._Z90, 0.05), (estimator._Z95, 0.025), (estimator._Z99, 0.005)):
+        assert z == float(stats.norm.isf(q))
+
+
 def test_significance_target_mismatch():
     fit = _hand_fit(coeff_var=[0.01], cov_row=[1.0], target=0)
     est = FlowEstimate(kind="self", source=None, target=1, value=0.1,
