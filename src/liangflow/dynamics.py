@@ -176,30 +176,29 @@ def simulate(
         # (floating-point reassociation only).
         block = max(1, math.isqrt(steps))
         n_blocks = steps // block + 1  # always covers state index `steps`
-        pad = n_blocks * block - steps
-        wb = np.concatenate([w, np.zeros((d, pad))], axis=1).T.reshape(n_blocks, block, d)
 
         powers = np.empty((block + 1, d, d))
         powers[0] = np.eye(d)
         for j in range(block):
             powers[j + 1] = step_mat @ powers[j]
 
-        partial = np.zeros((n_blocks, block + 1, d))
+        states = np.empty((n_blocks, block, d))  # s[l] of each block, then x[t0 + l]
         s = np.zeros((n_blocks, d))
         for l in range(block):
-            s = s @ step_mat.T + wb[:, l]
-            partial[:, l + 1] = s
+            states[:, l] = s
+            s = s @ step_mat.T
+            lockstep = w[:, l::block].T  # the last block may stop short: its tail is cut
+            s[: len(lockstep)] += lockstep
+        del w, lockstep  # free the noise before the batched multiply and the output copy
 
         starts = np.empty((n_blocks, d))
         starts[0] = x0
-        advance = powers[block]
         for b in range(n_blocks - 1):
-            starts[b + 1] = advance @ starts[b] + partial[b, block]
+            starts[b + 1] = powers[block] @ starts[b] + s[b]
 
-        states = np.einsum("lij,bj->bli", powers[:block], starts) + partial[:, :block]
-        states = states.reshape(n_blocks * block, d)[:total]
+        states += np.einsum("lij,bj->bli", powers[:block], starts)
 
-    out = states[burn_in:].T.copy()
+    out = states.reshape(-1, d)[burn_in:total].T
     if not np.isfinite(out).all():
         raise NonFiniteStateError(
             "trajectory left the finite range (unstable drift or too-large dt)"

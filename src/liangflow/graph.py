@@ -26,6 +26,7 @@ from .errors import (
 )
 
 _MODES = ("multivariate", "bivariate")
+_ARRAYS = ("T", "P", "TAU", "SE", "noise_share")  # FlowMatrix fields, in JSON key order
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +52,7 @@ class FlowMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(str(n) for n in self.names))
-        for name in ("T", "P", "TAU", "SE", "noise_share"):
+        for name in _ARRAYS:
             a = np.asarray(getattr(self, name), dtype=float).copy()
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -72,7 +73,7 @@ class FlowMatrix:
         )
         return scalars and all(
             np.array_equal(getattr(self, f), getattr(other, f), equal_nan=True)
-            for f in ("T", "P", "TAU", "SE", "noise_share")
+            for f in _ARRAYS
         )
 
 
@@ -203,33 +204,21 @@ def build_graph(
     if min_tau is not None and np.isnan(fm.TAU).all():
         raise ValidationError("min_tau filtering needs a matrix computed with normalize=True")
     threshold = alpha / (d * d) if bonferroni else alpha
+    keep = fm.P < threshold  # NaN p-values and NaN taus compare False: dropped
+    if min_tau is not None:
+        keep &= np.abs(fm.TAU) >= min_tau
+    eye = np.eye(d, dtype=bool)
 
-    def keep(i, j):
-        if not fm.P[i, j] < threshold:
-            return False
-        return min_tau is None or abs(fm.TAU[i, j]) >= min_tau
+    def kept(mask):  # ((i, j), T, tau, p) of each slot in mask, row-major
+        return zip(np.argwhere(mask).tolist(), *(a[mask].tolist() for a in (fm.T, fm.TAU, fm.P)))
 
     edges = tuple(
-        Edge(
-            source=fm.names[j],
-            target=fm.names[i],
-            value=float(fm.T[i, j]),
-            tau=float(fm.TAU[i, j]),
-            p=float(fm.P[i, j]),
-        )
-        for i in range(d)
-        for j in range(d)
-        if i != j and keep(i, j)
+        Edge(source=fm.names[j], target=fm.names[i], value=value, tau=tau, p=p)
+        for (i, j), value, tau, p in kept(keep & ~eye)
     )
     loops = tuple(
-        SelfLoop(
-            node=fm.names[i],
-            value=float(fm.T[i, i]),
-            tau=float(fm.TAU[i, i]),
-            p=float(fm.P[i, i]),
-        )
-        for i in range(d)
-        if keep(i, i)
+        SelfLoop(node=fm.names[i], value=value, tau=tau, p=p)
+        for (i, _), value, tau, p in kept(keep & eye)
     )
     return CausalGraph(
         nodes=fm.names, edges=edges, self_loops=loops, alpha=alpha, min_tau=min_tau
@@ -271,6 +260,24 @@ def _array_out(a: np.ndarray):
     return np.where(np.isnan(a), None, a).tolist()
 
 
+_C_JSON = json.JSONEncoder(allow_nan=False)  # indent None selects json's C encoder
+
+
+def _indented(value, level: int) -> str:
+    """``json.dumps(value, indent=2)`` at nesting ``level``; an innermost float list is
+    C-encoded in one call and its ", " (never inside a float or null) become breaks."""
+    if not isinstance(value, list):
+        return _C_JSON.encode(value)
+    if not value:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    if isinstance(value[0], (list, str)):
+        body = ("," + pad).join(_indented(v, level + 1) for v in value)
+    else:
+        body = _C_JSON.encode(value)[1:-1].replace(", ", "," + pad)
+    return "[" + pad + body + "\n" + "  " * level + "]"
+
+
 def emit_json(obj) -> str:
     """Serialize a FlowMatrix or CausalGraph to JSON (NaN becomes null).
 
@@ -286,12 +293,10 @@ def emit_json(obj) -> str:
             "k": obj.k,
             "alpha": obj.alpha,
             "mode": obj.mode,
-            "T": _array_out(obj.T),
-            "P": _array_out(obj.P),
-            "TAU": _array_out(obj.TAU),
-            "SE": _array_out(obj.SE),
-            "noise_share": _array_out(obj.noise_share),
+            **{f: _array_out(getattr(obj, f)) for f in _ARRAYS},
         }
+        fields = (f"  {_C_JSON.encode(key)}: {_indented(v, 1)}" for key, v in payload.items())
+        return "{\n" + ",\n".join(fields) + "\n}\n"
     elif isinstance(obj, CausalGraph):
         payload = {
             "orientation": "T[target][source]",
@@ -324,7 +329,7 @@ def flow_matrix_from_json(text: str) -> FlowMatrix:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise MalformedError(f"not valid JSON: {e}") from None
-    required = ("orientation", "names", "dt", "k", "alpha", "T", "P", "TAU", "SE", "noise_share")
+    required = ("orientation", "names", "dt", "k", "alpha") + _ARRAYS
     missing = [key for key in required if key not in raw]
     if missing:
         raise MalformedError(f"flow-matrix JSON is missing keys: {missing}")
@@ -340,9 +345,5 @@ def flow_matrix_from_json(text: str) -> FlowMatrix:
         k=int(raw["k"]),
         alpha=float(raw["alpha"]),
         mode=raw.get("mode", "multivariate"),
-        T=arr("T"),
-        P=arr("P"),
-        TAU=arr("TAU"),
-        SE=arr("SE"),
-        noise_share=arr("noise_share"),
+        **{f: arr(f) for f in _ARRAYS},
     )

@@ -1,6 +1,7 @@
 """Simulator, stationary covariance, and exact-rate oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,6 +134,75 @@ def test_simulate_argument_checks(ou2):
         simulate(sde, [0.0, 0.0], 10, dt, seed=0, burn_in=-1)
     with pytest.raises(BadMatrixSpecError):
         simulate(sde, [0.0], 10, dt, seed=0)
+
+
+def _reference_scan(sde, x0, n_steps, dt, seed, burn_in):
+    """The blocked scan as first written: padded noise copy, (block + 1) partial sums."""
+    d = sde.d
+    total = burn_in + n_steps
+    steps = total - 1
+    rng = np.random.default_rng(seed)
+    step_mat = np.eye(d) + dt * sde.A
+    if steps == 0:
+        return np.asarray(x0, dtype=float)[:, None]
+    w = (sde.B @ rng.standard_normal((sde.B.shape[1], steps))) * math.sqrt(dt)
+    w += (sde.f * dt)[:, None]
+    block = max(1, math.isqrt(steps))
+    n_blocks = steps // block + 1
+    pad = n_blocks * block - steps
+    wb = np.concatenate([w, np.zeros((d, pad))], axis=1).T.reshape(n_blocks, block, d)
+    powers = np.empty((block + 1, d, d))
+    powers[0] = np.eye(d)
+    for j in range(block):
+        powers[j + 1] = step_mat @ powers[j]
+    partial = np.zeros((n_blocks, block + 1, d))
+    s = np.zeros((n_blocks, d))
+    for l in range(block):
+        s = s @ step_mat.T + wb[:, l]
+        partial[:, l + 1] = s
+    starts = np.empty((n_blocks, d))
+    starts[0] = x0
+    for b in range(n_blocks - 1):
+        starts[b + 1] = powers[block] @ starts[b] + partial[b, block]
+    states = np.einsum("lij,bj->bli", powers[:block], starts) + partial[:, :block]
+    return states.reshape(n_blocks * block, d)[:total][burn_in:].T
+
+
+def _random_sde(d, n_noise, seed):
+    rng = np.random.default_rng(seed)
+    a = -1.5 * np.eye(d) + 0.3 * rng.standard_normal((d, d))
+    return LinearSDE(A=a, B=rng.standard_normal((d, n_noise)), f=rng.standard_normal(d))
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 30])
+def test_simulate_bits_equal_the_reference_scan(d):
+    dt = 0.01
+    for n_noise in (d, d + 2):
+        sde = _random_sde(d, n_noise, seed=d)
+        x0 = np.linspace(-1.0, 1.0, d)
+        for n in (1, 2, 5, 999, 20_000):
+            for burn_in in (0, 1, None):
+                seed = 31 * d + n
+                got = simulate(sde, x0, n, dt, seed=seed, burn_in=burn_in).values
+                burn = default_burn_in(sde, dt) if burn_in is None else burn_in
+                want = _reference_scan(sde, x0, n, dt, seed, burn)
+                assert got.shape == want.shape == (d, n)
+                assert got.tobytes() == want.tobytes(), (n_noise, n, burn_in)
+
+
+def test_simulate_peak_memory_is_bounded():
+    d, n = 30, 100_000
+    rng = np.random.default_rng(3)
+    sde = LinearSDE(A=-1.5 * np.eye(d) + 0.1 * rng.standard_normal((d, d)), B=np.eye(d))
+    simulate(sde, np.zeros(d), 100, 0.01, seed=1, burn_in=0)  # warm lazy imports
+    tracemalloc.start()
+    try:
+        simulate(sde, np.zeros(d), n, 0.01, seed=1, burn_in=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = peak / (d * n * 8)
+    assert arrays <= 3.5, f"simulate peaked at {arrays:.2f} d x N float64 arrays"
 
 
 def test_default_burn_in_values(ou2):

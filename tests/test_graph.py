@@ -1,9 +1,12 @@
 """All-pairs matrices, graph filtering, and DOT/JSON serialization."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liangflow import (
     CausalGraph,
@@ -23,6 +26,9 @@ from liangflow import (
     flow_matrix_from_json,
     self_contribution,
 )
+
+
+examples = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def _random_set(d, n, seed, dt=1.0):
@@ -204,6 +210,96 @@ def test_bonferroni_tightens_threshold():
             assert kept == (fm.P[i, j] < 0.5 / 16.0)
 
 
+def _reference_graph(fm, alpha=None, min_tau=None, bonferroni=False):
+    """build_graph as a per-pair loop, one keep(i, j) call per slot."""
+    alpha = fm.alpha if alpha is None else float(alpha)
+    d = fm.d
+    if min_tau is not None and np.isnan(fm.TAU).all():
+        raise ValidationError("min_tau filtering needs a matrix computed with normalize=True")
+    threshold = alpha / (d * d) if bonferroni else alpha
+
+    def keep(i, j):
+        if not fm.P[i, j] < threshold:
+            return False
+        return min_tau is None or abs(fm.TAU[i, j]) >= min_tau
+
+    edges = tuple(
+        Edge(source=fm.names[j], target=fm.names[i], value=float(fm.T[i, j]),
+             tau=float(fm.TAU[i, j]), p=float(fm.P[i, j]))
+        for i in range(d)
+        for j in range(d)
+        if i != j and keep(i, j)
+    )
+    loops = tuple(
+        SelfLoop(node=fm.names[i], value=float(fm.T[i, i]), tau=float(fm.TAU[i, i]),
+                 p=float(fm.P[i, i]))
+        for i in range(d)
+        if keep(i, i)
+    )
+    return CausalGraph(nodes=fm.names, edges=edges, self_loops=loops, alpha=alpha,
+                       min_tau=min_tau)
+
+
+def _graph_or_error(build, fm, **kw):
+    try:
+        return repr(build(fm, **kw))  # repr keeps NaN, -0.0 and the float type visible
+    except ValidationError as e:
+        return f"ValidationError: {e}"
+
+
+@st.composite
+def _filter_cases(draw):
+    d = draw(st.integers(1, 6))
+    alpha = draw(st.sampled_from([0.01, 0.05, 0.5, 1.0]))
+    bonferroni = draw(st.booleans())
+    cut = draw(st.sampled_from([0.0, 0.1, 0.25]))
+    threshold = alpha / (d * d) if bonferroni else alpha
+    # P on the threshold is dropped (strict <), |TAU| on the cut is kept (>=)
+    p = st.one_of(st.sampled_from([threshold, 0.0, 1.0, math.nan]), st.floats(0.0, 1.0))
+    tau = st.one_of(st.sampled_from([cut, -cut, 0.0, -0.0, math.nan]), st.floats(-1.0, 1.0))
+    grid = lambda values: np.array(draw(st.lists(values, min_size=d * d, max_size=d * d)))
+    tau_grid = grid(tau).reshape(d, d)
+    for row in draw(st.sets(st.integers(0, d - 1))):
+        tau_grid[row] = math.nan
+    fm = FlowMatrix(
+        names=tuple(f"n{i}" for i in range(d)), dt=1.0, k=1, alpha=alpha, mode="multivariate",
+        T=grid(st.floats(-1e3, 1e3)).reshape(d, d), P=grid(p).reshape(d, d), TAU=tau_grid,
+        SE=np.ones((d, d)), noise_share=np.ones(d),
+    )
+    kw = {"alpha": draw(st.sampled_from([None, alpha])), "bonferroni": bonferroni,
+          "min_tau": draw(st.sampled_from([None, cut]))}
+    return fm, kw
+
+
+@examples
+@given(_filter_cases())
+def test_build_graph_equals_the_per_pair_loop(case):
+    fm, kw = case
+    assert _graph_or_error(build_graph, fm, **kw) == _graph_or_error(_reference_graph, fm, **kw)
+
+
+def test_build_graph_boundaries():
+    nan = math.nan
+    fm = FlowMatrix(
+        names=("a", "b"), dt=1.0, k=1, alpha=0.05, mode="multivariate",
+        T=[[1.0, 2.0], [3.0, 4.0]],
+        P=[[0.05, 0.01], [0.01, 0.0125]],
+        TAU=[[0.2, -0.2], [nan, nan]],
+        SE=np.ones((2, 2)), noise_share=[0.1, 0.1],
+    )
+    g = build_graph(fm, min_tau=0.2)
+    assert [(e.source, e.target) for e in g.edges] == [("b", "a")]  # tau -0.2 sits on the cut
+    assert g.self_loops == ()  # P[0, 0] sits on alpha; row 1 has NaN taus
+    g = build_graph(fm, bonferroni=True)  # threshold 0.0125: P[1, 1] sits on it
+    assert [(e.source, e.target) for e in g.edges] == [("b", "a"), ("a", "b")]
+    assert g.self_loops == ()
+    assert [s.node for s in build_graph(fm).self_loops] == ["b"]
+    unnormalized = FlowMatrix(fm.names, 1.0, 1, 0.05, "multivariate", fm.T, fm.P,
+                              np.full((2, 2), nan), fm.SE, [nan, nan])
+    with pytest.raises(ValidationError, match="normalize=True"):
+        build_graph(unnormalized, min_tau=0.0)
+
+
 def test_default_alpha_comes_from_matrix():
     tss = _random_set(2, 150, seed=16)
     fm = all_pairs(tss, alpha=0.2)
@@ -306,6 +402,65 @@ def test_emit_json_pins_special_values():
         '  "SE": ' + matrix("0.1,\n      1e-300", "3.0,\n      1.7976931348623157e+308") + ',\n'
         '  "noise_share": [\n    null,\n    -0.0\n  ]\n}\n'
     )
+
+
+_SPECIAL = [math.nan, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, 0.1]
+_NAME = st.text(st.sampled_from(['"', "\\", "/", "\n", "\x00", "\x1f", "\x7f", "é", "λ",
+                                 "\u2028", "😀", "a", " ", ","]), max_size=6)
+
+
+@st.composite
+def _flow_matrices(draw):
+    d = draw(st.integers(0, 7))
+    number = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_infinity=False))
+    grid = lambda n: draw(st.lists(number, min_size=n, max_size=n))
+    return FlowMatrix(
+        names=draw(st.lists(_NAME, min_size=d, max_size=d, unique=True)),
+        dt=draw(st.floats(1e-300, 1e300)), k=draw(st.integers(1, 50)),
+        alpha=draw(st.floats(0.0, 1.0)), mode=draw(st.sampled_from(["multivariate", "bivariate"])),
+        **{f: np.reshape(grid(d * d), (d, d)) for f in ("T", "P", "TAU", "SE")},
+        noise_share=grid(draw(st.sampled_from([d, 0]))),
+    )
+
+
+def _dumps_payload(fm):
+    """The text emit_json gives a flow matrix, built by the pure-Python json encoder."""
+    def out(a):
+        return [out(x) for x in a] if isinstance(a, list) else (None if math.isnan(a) else a)
+
+    payload = {"orientation": "T[target][source]", "names": list(fm.names), "dt": fm.dt,
+               "k": fm.k, "alpha": fm.alpha, "mode": fm.mode}
+    for f in ("T", "P", "TAU", "SE", "noise_share"):
+        payload[f] = out(getattr(fm, f).tolist())
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+@examples
+@given(_flow_matrices())
+def test_emit_json_is_byte_identical_to_indented_dumps(fm):
+    assert emit_json(fm) == _dumps_payload(fm)
+
+
+@pytest.mark.parametrize("field", ["T", "P", "TAU", "SE", "noise_share"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_emit_json_rejects_infinity(field, value):
+    fm = all_pairs(_random_set(3, 100, seed=22))
+    arrays = {f: np.array(getattr(fm, f)) for f in ("T", "P", "TAU", "SE", "noise_share")}
+    arrays[field].flat[-1] = value
+    bad = FlowMatrix(fm.names, fm.dt, fm.k, fm.alpha, fm.mode, **arrays)
+    with pytest.raises(ValueError, match="Out of range float"):
+        emit_json(bad)
+
+
+def test_emit_json_flow_matrix_skips_the_python_encoder(monkeypatch):
+    def spy(*args, **kwargs):
+        raise AssertionError("pure-Python json encoder used")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", spy)
+    fm = all_pairs(_random_set(4, 200, seed=23))
+    assert json.loads(emit_json(fm))["names"] == list(fm.names)
+    with pytest.raises(AssertionError, match="pure-Python"):
+        emit_json(build_graph(fm, alpha=1.0))  # the graph keeps json.dumps: the spy is live
 
 
 def test_emit_json_rejects_unknown_types():
