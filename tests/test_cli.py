@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import multiprocessing
+import os
 import statistics
 import subprocess
 import sys
@@ -59,8 +61,17 @@ def test_parse_csv_error_names_the_physical_line(tmp_path):
 
 
 @pytest.fixture
-def row_loop_calls(monkeypatch):
-    """(path, lines) of each piece parse_csv handed to the row-by-row reader."""
+def serial(monkeypatch):
+    """One usable CPU, so ``cli._in_order`` makes every call in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+@pytest.fixture
+def row_loop_calls(monkeypatch, serial):
+    """(path, lines) of each piece parse_csv handed to the row-by-row reader.
+
+    Serial, because a call in a pool worker would append to the worker's copy.
+    """
     calls = []
     rows = cli._parse_rows
 
@@ -200,6 +211,139 @@ def test_simulate_stdout_bytes_equal_file_bytes(tmp_path, capsysbinary):
     capsysbinary.readouterr()
     assert main(argv) == 0
     assert capsysbinary.readouterr().out == path.read_bytes()
+
+
+# ------------------------------------------------- CSV conversion on every CPU
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so ``cli._in_order`` takes its process pool on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.mark.parametrize("cpus, n_tasks, pooled", [({0}, 5, False), ({0, 1}, 1, False),
+                                                    ({0, 1}, 2, True), ({0, 1, 2}, 9, True)])
+def test_in_order_pools_with_two_cpus_and_two_tasks(monkeypatch, cpus, n_tasks, pooled):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    pids = list(cli._in_order(os.getpid, [()] * n_tasks))
+    assert len(pids) == n_tasks
+    assert (os.getpid() not in pids) == pooled
+    assert multiprocessing.active_children() == []
+
+
+def test_in_order_keeps_task_order_and_bounds_the_lookahead(two_cpus):
+    drawn = []
+
+    def tasks():
+        for i in range(40):
+            drawn.append(i)
+            yield i, 7
+
+    for k, got in enumerate(cli._in_order(divmod, tasks()), 1):
+        assert got == divmod(k - 1, 7)
+        assert len(drawn) <= k + 2  # the result handed out, and one waiting per worker
+    assert multiprocessing.active_children() == []
+
+
+def test_in_order_raises_the_first_error_in_task_order(two_cpus):
+    # a task for "b" may fail first in time; the one for "a" comes first in order
+    with pytest.raises(ValueError, match="'a'"):
+        list(cli._in_order(int, [("1",), ("a",)] + [("b",)] * 6))
+    assert multiprocessing.active_children() == []
+
+
+def test_in_order_dead_worker_raises_broken_pool():
+    # in a child interpreter with a deadline, because a pool that waited on the dead worker
+    # would hang
+    code = (
+        "import multiprocessing, os\n"
+        "from concurrent.futures.process import BrokenProcessPool\n"
+        "import liangflow.cli as cli\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "try:\n"
+        "    list(cli._in_order(os._exit, [(3,)] * 4))\n"
+        "except BrokenProcessPool:\n"
+        "    print(multiprocessing.active_children())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_csv_pool_leaves_no_children(tmp_path, monkeypatch, two_cpus):
+    monkeypatch.setattr(cli, "_WRITE_BLOCK", 5)
+    monkeypatch.setattr(cli, "_READ_BLOCK", 5)
+    values = np.random.default_rng(3).standard_normal((3, 40))
+    path = tmp_path / "t.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_csv(("a", "b", "c"), values, fh)
+    assert multiprocessing.active_children() == []
+    assert parse_csv(str(path))[1].tobytes() == values.tobytes()
+    assert multiprocessing.active_children() == []
+    with open(path, "a", encoding="utf-8") as fh:  # the last block, one line, goes to a worker
+        fh.write("1,2,x\n")
+    with pytest.raises(MalformedError, match="line 42: non-numeric value 'x' in column 'c'"):
+        parse_csv(str(path))
+    assert multiprocessing.active_children() == []
+
+
+# in blocks of 3 lines: clean; quoted, its last record open into the next block; gappy;
+# quoted, with a blank line; clean; clean. The quoted ones are read here, the others in the pool.
+MIXED_LINES = ("1,2", "3,4", "5,6", '7,"8"', "9,10", '11,"12', '"', "13,", ",14", "15,16",
+               "", "17,18", '19,"20"', "21,22", "23,24", "25,26", "27,28", "29,30")
+
+
+def _outcome(path):
+    try:
+        names, values = parse_csv(path)
+    except MalformedError as e:
+        return type(e), str(e)
+    return names, values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({}, None),
+        ({16: "27,x"}, "line 18: non-numeric value 'x'"),
+        ({3: '7,"y"', 16: "27,x"}, "line 5: non-numeric value 'y'"),  # a quoted block first
+        ({7: "13,z", 12: '19,"w"'}, "line 9: non-numeric value 'z'"),  # a pooled block first
+        ({16: "27,28,0", 17: "x"}, "line 18: expected 2 cells, got 3"),
+    ],
+)
+def test_parse_csv_pool_gives_the_serial_result(tmp_path, monkeypatch, bad, message):
+    monkeypatch.setattr(cli, "_READ_BLOCK", 3)
+    lines = [bad.get(i, text) for i, text in enumerate(MIXED_LINES)]
+    path = _write(tmp_path, "t.csv", "a,b\n" + "\n".join(lines) + "\n")
+    outcomes = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        outcomes.append(_outcome(path))
+    assert outcomes[0] == outcomes[1]
+    if message is None:
+        want = [[1, 3, 5, 7, 9, 11, 13, np.nan, 15, 17, 19, 21, 23, 25, 27, 29],
+                [2, 4, 6, 8, 10, 12, np.nan, 14, 16, 18, 20, 22, 24, 26, 28, 30]]
+        np.testing.assert_array_equal(parse_csv(path)[1], want)
+    else:
+        assert outcomes[1][0] is MalformedError and message in outcomes[1][1]
+
+
+def test_parse_csv_pool_reports_undecodable_text_as_one_pass(tmp_path, monkeypatch):
+    # a bad cell in the first block, which ends in the text reader's second 8192-byte read
+    # and cuts a 3-byte character there, and a bad byte after the blocks read ahead: the
+    # position in the message counts from where one pass would have gone on reading
+    monkeypatch.setattr(cli, "_READ_BLOCK", 2000)
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"a,b\n1,x\n1,234\n" + "\uff13,4\n".encode() * 20000 + b"3,\xff\n")
+    with open(path, newline="", encoding="utf-8") as fh:  # one pass: stop after the block
+        for _ in range(1 + 2000):
+            next(fh)
+        with pytest.raises(UnicodeDecodeError) as one_pass:
+            fh.read()
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        assert _outcome(str(path)) == (MalformedError, f"{path} is not UTF-8 text: {one_pass.value}")
 
 
 # ----------------------------------------------------------------- presets
@@ -398,6 +542,24 @@ def test_exit_code_unexpected(monkeypatch, tmp_path):
     assert main(["bench", "--d", "2", "--n", "100"]) == 1
 
 
+def test_debug_prints_the_traceback_of_an_unexpected_failure(monkeypatch, tmp_path, capsys):
+    def boom(args):
+        raise RuntimeError("wires crossed")
+
+    monkeypatch.setitem(cli._DISPATCH, "bench", boom)
+    assert main(["bench"]) == 1
+    assert capsys.readouterr().err == "liangflow: unexpected error: wires crossed\n"
+    assert main(["--debug", "bench"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert 'in boom\n    raise RuntimeError("wires crossed")\n' in err
+    assert err.endswith("RuntimeError: wires crossed\nliangflow: unexpected error: wires crossed\n")
+    # other exit codes keep their one line
+    missing = str(tmp_path / "nope.csv")
+    assert main(["--debug", "analyze", "--input", missing]) == 2
+    assert capsys.readouterr().err.startswith(f"liangflow: error: cannot read {missing}: ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -454,12 +616,16 @@ def test_module_entry_point():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats alone costs about half a second of every CLI start
+    # scipy.stats alone costs about half a second of every CLI start. The process pool's
+    # modules load only for a CSV of more than one block (concurrent.futures itself comes
+    # with scipy.linalg, through numpy.testing; its .process part is the pool).
+    modules = ("scipy.stats", "multiprocessing", "concurrent.futures.process")
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, liangflow.cli; print('scipy.stats' in sys.modules)"],
+        [sys.executable, "-c",
+         f"import sys, liangflow.cli; print([m for m in {modules} if m in sys.modules])"],
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"

@@ -9,7 +9,9 @@ run over the whole file.
 """
 
 import csv
+import io
 import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -76,6 +78,21 @@ def test_rates_scale_as_one_over_dt(case, dt, mode):
     assert np.all(np.abs(scaled.noise_share - base.noise_share) <= TOL)
 
 
+@examples
+@given(datasets(), st.data(), st.sampled_from(("multivariate", "bivariate")))
+def test_affine_maps_of_components_leave_rates_unchanged(case, data, mode):
+    tss, k = case
+    scales = st.floats(0.1, 10).flatmap(lambda a: st.sampled_from((a, -a)))
+    a = np.array(data.draw(st.lists(scales, min_size=tss.d, max_size=tss.d)))[:, None]
+    b = np.array(data.draw(st.lists(st.floats(-100, 100), min_size=tss.d, max_size=tss.d)))[:, None]
+    base = all_pairs(tss, k=k, mode=mode)
+    moved = all_pairs(TimeSeriesSet(tss.names, a * tss.values + b, tss.dt), k=k, mode=mode)
+    # relative, except T, which may lie near 0: to 1e-9 of its standard error
+    assert np.all(np.abs(moved.T - base.T) <= TOL * base.SE)
+    assert np.all(np.abs(moved.SE - base.SE) <= TOL * base.SE)
+    assert np.all(np.abs(moved.P - base.P) <= TOL * base.P)
+
+
 EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, np.inf, -np.inf,
                1e308, -1e308, 1.7976931348623157e308)
 values64 = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, width=64))
@@ -121,3 +138,33 @@ def test_block_reader_returns_the_whole_file_row_loop_bits(tmp_path_factory, cas
     assert names == want_names == [f"v{i}" for i in range(d)]
     assert values.shape == want.shape == (d, n)
     assert values.tobytes() == want.tobytes()
+
+
+# write_csv writes every NaN as "nan", which reads back as np.nan: only that NaN keeps its bits
+round_trip_values = st.one_of(values64, st.just(np.nan))
+
+
+@examples
+@given(st.integers(1, 4).flatmap(
+           lambda d: st.lists(st.lists(round_trip_values, min_size=d, max_size=d), min_size=1,
+                              max_size=12)),
+       st.sampled_from((1, 2)), st.sampled_from(BLOCK_SIZES), st.sampled_from(BLOCK_SIZES))
+def test_write_then_parse_returns_the_bits(tmp_path_factory, rows, cpus, write_block, read_block):
+    values = np.array(rows, dtype=float).T
+    names = [f"v{i}" for i in range(values.shape[0])]
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(names)
+    writer.writerows([[repr(v) for v in row] for row in rows])
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    # one CPU takes the builtin map, two the process pool
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))), \
+            mock.patch.object(cli, "_WRITE_BLOCK", write_block), \
+            mock.patch.object(cli, "_READ_BLOCK", read_block):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            cli.write_csv(names, values, fh)
+        got_names, got = parse_csv(str(path))
+    assert path.read_text(encoding="utf-8") == want.getvalue()
+    assert got_names == names
+    assert got.shape == values.shape
+    assert got.tobytes() == values.tobytes()
