@@ -22,6 +22,7 @@ import os
 import statistics
 import sys
 import time
+import traceback
 import warnings
 from importlib import resources
 from typing import Optional
@@ -257,6 +258,11 @@ def _format_block(values: np.ndarray, start: int) -> str:
     return "".join([",".join(map(repr, row)) + "\n" for row in block])
 
 
+# The one interpreter the fork pool was run on. Python 3.12 and later warn
+# when a process with threads (numpy's BLAS starts some) forks, and 3.10's
+# pool may fork after its manager thread has started (cpython gh-90622).
+_FORK_POOL = sys.version_info[:2] == (3, 11)
+
 _shared = ()  # a pool worker's leading arguments, set once as it starts
 
 
@@ -269,17 +275,23 @@ def _call(fn, task):
     return fn(*_shared, *task)
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):  # Linux only
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _in_order(fn, tasks, *shared):
     """``fn(*shared, *task)`` for each argument tuple in ``tasks``, yielded in task order.
 
     With more than one usable CPU and more than one task, the calls run in
-    a pool of forked processes, one per CPU. At most one task more than
-    there are workers waits for its result, so tasks read from a stream
-    stay bounded. ``shared`` reaches each worker once, through fork, not
+    a pool of forked processes, one per CPU but no more than there are
+    tasks. At most one task more than there are workers waits for its
+    result, so tasks read from a stream stay bounded. ``shared`` reaches each worker once, through fork, not
     pickled per task; tasks and results are pickled. The first exception
     in task order is raised, and a worker that dies raises
-    ``BrokenProcessPool``. Otherwise, or where fork is missing, the calls
-    run here, one by one.
+    ``BrokenProcessPool``. Otherwise, where fork is missing, or on an
+    interpreter other than ``_FORK_POOL``'s, the calls run here, one by one.
 
     Fork rather than spawn: a spawned worker imports numpy and scipy again
     and receives ``shared`` by pickle, and a pool of two took 0.7-1.2 s to
@@ -287,11 +299,12 @@ def _in_order(fn, tasks, *shared):
     the workers only convert between numbers and text: they call no BLAS
     and take no lock that another thread of this process may hold.
     """
-    workers = len(os.sched_getaffinity(0))
+    cpus = _usable_cpus()
     tasks = iter(tasks)
-    head = list(itertools.islice(tasks, 2))
+    head = list(itertools.islice(tasks, cpus + 1))
     tasks = itertools.chain(head, tasks)
-    if workers > 1 and len(head) > 1:
+    workers = min(cpus, len(head))
+    if _FORK_POOL and workers > 1:
         import multiprocessing  # here, not at the top: it would add to every CLI start
 
         if "fork" in multiprocessing.get_all_start_methods():
@@ -573,8 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_EPILOG,
         formatter_class=_Fmt,
     )
-    parser.add_argument("--debug", action="store_true",
-                        help="on an unexpected failure (exit 1), also print its traceback")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     sp = sub.add_parser("analyze", formatter_class=_Fmt, epilog=_EPILOG,
@@ -650,10 +661,7 @@ def main(argv=None) -> int:
         print(f"liangflow: numerical error: {e}", file=sys.stderr)
         return 3
     except Exception as e:  # safety net: a defect, or a failure no library error names
-        if args.debug:
-            import traceback
-
-            traceback.print_exc()
+        traceback.print_exc()
         print(f"liangflow: unexpected error: {e}", file=sys.stderr)
         return 1
 

@@ -63,7 +63,7 @@ def test_parse_csv_error_names_the_physical_line(tmp_path):
 @pytest.fixture
 def serial(monkeypatch):
     """One usable CPU, so ``cli._in_order`` makes every call in this process."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
 
 
 @pytest.fixture
@@ -219,16 +219,41 @@ def test_simulate_stdout_bytes_equal_file_bytes(tmp_path, capsysbinary):
 @pytest.fixture
 def two_cpus(monkeypatch):
     """Two usable CPUs, so ``cli._in_order`` takes its process pool on any host."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
 
 
-@pytest.mark.parametrize("cpus, n_tasks, pooled", [({0}, 5, False), ({0, 1}, 1, False),
-                                                    ({0, 1}, 2, True), ({0, 1, 2}, 9, True)])
-def test_in_order_pools_with_two_cpus_and_two_tasks(monkeypatch, cpus, n_tasks, pooled):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+needs_fork_pool = pytest.mark.skipif(not cli._FORK_POOL, reason="no fork pool on this Python")
+
+
+@pytest.mark.parametrize("cpus, n_tasks, fork_pool, pooled",
+                         [(1, 5, True, False), (2, 1, True, False), (2, 2, True, True),
+                          (3, 9, True, True), (2, 2, False, False)])
+def test_in_order_pools_with_two_cpus_and_two_tasks(monkeypatch, cpus, n_tasks, fork_pool, pooled):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "_FORK_POOL", fork_pool and cli._FORK_POOL)
     pids = list(cli._in_order(os.getpid, [()] * n_tasks))
     assert len(pids) == n_tasks
-    assert (os.getpid() not in pids) == pooled
+    assert (os.getpid() not in pids) == (pooled and cli._FORK_POOL)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork_pool
+def test_in_order_forks_no_more_workers_than_tasks(monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    for n_tasks in (2, 3, 4, 5, 20):
+        assert list(cli._in_order(divmod, [(n, 3) for n in range(n_tasks)])) == [
+            divmod(n, 3) for n in range(n_tasks)]
+    assert sizes == [2, 3, 4, 4, 4]
     assert multiprocessing.active_children() == []
 
 
@@ -253,6 +278,7 @@ def test_in_order_raises_the_first_error_in_task_order(two_cpus):
     assert multiprocessing.active_children() == []
 
 
+@needs_fork_pool
 def test_in_order_dead_worker_raises_broken_pool():
     # in a child interpreter with a deadline, because a pool that waited on the dead worker
     # would hang
@@ -260,7 +286,7 @@ def test_in_order_dead_worker_raises_broken_pool():
         "import multiprocessing, os\n"
         "from concurrent.futures.process import BrokenProcessPool\n"
         "import liangflow.cli as cli\n"
-        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "cli._usable_cpus = lambda: 2\n"
         "try:\n"
         "    list(cli._in_order(os._exit, [(3,)] * 4))\n"
         "except BrokenProcessPool:\n"
@@ -285,6 +311,20 @@ def test_csv_pool_leaves_no_children(tmp_path, monkeypatch, two_cpus):
         fh.write("1,2,x\n")
     with pytest.raises(MalformedError, match="line 42: non-numeric value 'x' in column 'c'"):
         parse_csv(str(path))
+    assert multiprocessing.active_children() == []
+
+
+def test_csv_io_without_sched_getaffinity(tmp_path, monkeypatch):
+    # os.sched_getaffinity exists on Linux only; elsewhere the CPU count stands in for it
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(cli, "_WRITE_BLOCK", 5)
+    monkeypatch.setattr(cli, "_READ_BLOCK", 5)
+    assert cli._usable_cpus() == (os.cpu_count() or 1)
+    values = np.random.default_rng(4).standard_normal((2, 23))
+    path = tmp_path / "t.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_csv(("a", "b"), values, fh)
+    assert parse_csv(str(path))[1].tobytes() == values.tobytes()
     assert multiprocessing.active_children() == []
 
 
@@ -317,8 +357,8 @@ def test_parse_csv_pool_gives_the_serial_result(tmp_path, monkeypatch, bad, mess
     lines = [bad.get(i, text) for i, text in enumerate(MIXED_LINES)]
     path = _write(tmp_path, "t.csv", "a,b\n" + "\n".join(lines) + "\n")
     outcomes = []
-    for cpus in ({0}, {0, 1}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         outcomes.append(_outcome(path))
     assert outcomes[0] == outcomes[1]
     if message is None:
@@ -341,8 +381,8 @@ def test_parse_csv_pool_reports_undecodable_text_as_one_pass(tmp_path, monkeypat
             next(fh)
         with pytest.raises(UnicodeDecodeError) as one_pass:
             fh.read()
-    for cpus in ({0}, {0, 1}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         assert _outcome(str(path)) == (MalformedError, f"{path} is not UTF-8 text: {one_pass.value}")
 
 
@@ -542,21 +582,19 @@ def test_exit_code_unexpected(monkeypatch, tmp_path):
     assert main(["bench", "--d", "2", "--n", "100"]) == 1
 
 
-def test_debug_prints_the_traceback_of_an_unexpected_failure(monkeypatch, tmp_path, capsys):
+def test_unexpected_failure_prints_its_traceback(monkeypatch, tmp_path, capsys):
     def boom(args):
         raise RuntimeError("wires crossed")
 
     monkeypatch.setitem(cli._DISPATCH, "bench", boom)
     assert main(["bench"]) == 1
-    assert capsys.readouterr().err == "liangflow: unexpected error: wires crossed\n"
-    assert main(["--debug", "bench"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("Traceback (most recent call last):\n")
     assert 'in boom\n    raise RuntimeError("wires crossed")\n' in err
     assert err.endswith("RuntimeError: wires crossed\nliangflow: unexpected error: wires crossed\n")
     # other exit codes keep their one line
     missing = str(tmp_path / "nope.csv")
-    assert main(["--debug", "analyze", "--input", missing]) == 2
+    assert main(["analyze", "--input", missing]) == 2
     assert capsys.readouterr().err.startswith(f"liangflow: error: cannot read {missing}: ")
 
 

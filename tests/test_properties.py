@@ -11,7 +11,6 @@ run over the whole file.
 import csv
 import io
 import math
-import os
 from unittest import mock
 
 import numpy as np
@@ -158,7 +157,7 @@ def test_write_then_parse_returns_the_bits(tmp_path_factory, rows, cpus, write_b
     writer.writerows([[repr(v) for v in row] for row in rows])
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     # one CPU takes the builtin map, two the process pool
-    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))), \
+    with mock.patch.object(cli, "_usable_cpus", lambda: cpus), \
             mock.patch.object(cli, "_WRITE_BLOCK", write_block), \
             mock.patch.object(cli, "_READ_BLOCK", read_block):
         with open(path, "w", encoding="utf-8", newline="") as fh:
