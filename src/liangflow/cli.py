@@ -10,10 +10,10 @@ configuration, 3 numerical degeneracy, 1 unexpected failure.
 from __future__ import annotations
 
 import argparse
-import codecs
 import collections
 import contextlib
 import csv
+import functools
 import io
 import itertools
 import json
@@ -73,22 +73,36 @@ def parse_csv(path: str):
     Returns (names, values) with values shaped d x N (column-per-variable
     input transposed to row-per-variable).
 
-    The data rows are read in blocks of lines, each by numpy's C reader
-    where it accepts them and otherwise by ``_parse_rows``, which defines
-    what is accepted and which error is raised. A block with a quote goes
-    to ``_parse_rows`` whole, because a quoted cell may span lines. The
-    other blocks are parsed on every usable CPU (``_in_order``). The
-    result is the row loop's over the whole file, bit for bit, and a
-    malformed file raises the error of the row loop's first bad line.
+    The data rows are cut into blocks of whole records, which are parsed
+    on every usable CPU (``_in_order``). The result is the row loop's over
+    the whole file, bit for bit. A malformed regular file is read again in
+    one pass, so it raises the error of the row loop's first bad line; a
+    pipe, which cannot be read again, raises the pooled pass's error.
     """
+    try:
+        return _read_csv(path, _in_order)
+    except MalformedError:
+        if not os.path.isfile(path):
+            raise
+    return _read_csv(path, itertools.starmap)
+
+
+def _read_csv(path: str, starmap):
+    """``parse_csv`` with its blocks parsed by ``starmap(fn, tasks)``, in order."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(filter(None, reader), None)
+            header = next(filter(None, _records(path, reader, 0)), None)
             if header is None:
                 raise EmptyFileError(f"{path}: no content")
             names = [cell.strip() for cell in header]
-            blocks = _parse_blocks(path, names, fh, reader.line_num)
+            parse = functools.partial(_parse_lines, path, names)
+            tasks = _blocks(fh, reader.line_num)
+            try:
+                blocks = [values for rows in starmap(parse, tasks) for values in rows]
+            except MalformedError:
+                fh.read()  # as one pass reads on: undecodable text after the bad line outranks it
+                raise
     except OSError as e:
         raise ValidationError(f"cannot read {path}: {e}") from None
     except UnicodeDecodeError as e:
@@ -98,80 +112,49 @@ def parse_csv(path: str):
     return names, np.concatenate(blocks).T
 
 
-def _parse_blocks(path: str, names, fh, line: int):
-    """The data rows after physical line ``line`` as a list of row blocks, in file order.
+def _blocks(fh, line: int):
+    """The lines of ``fh`` after physical line ``line`` as (lines, line) blocks of whole records.
 
-    Quote-free blocks go to ``_parse_lines`` through ``_in_order``. A block
-    with a quote is read here, because its reader may run on into ``fh``
-    and so decides where the next block starts. Reading stops at the first
-    error met here, which waits until the blocks before it are parsed,
-    since one of them may fail first. Before a ``MalformedError`` leaves,
-    the rest of the file is decoded as one serial pass would decode it, so
-    undecodable text further on is reported instead, with the same message.
+    A block is ``_READ_BLOCK`` lines and, if one holds a quote, the lines
+    its last record runs on into, as ``_parse_rows`` would read them.
     """
-    read = []  # per block: its row blocks if read here, else None; the byte position after it
-    stop = None  # the error that ended the reading here
-    position = fh.buffer.tell if fh.seekable() else lambda: None  # None: a pipe
-
-    def quote_free():
-        nonlocal line, stop
-        try:
-            while lines := list(itertools.islice(fh, _READ_BLOCK)):
-                if any('"' in text for text in lines):
-                    reader = csv.reader(itertools.chain(lines, fh))
-                    rows = _parse_rows(path, names, reader, line, len(lines))
-                    read.append(([rows], position()))
-                    line += reader.line_num
-                else:
-                    read.append((None, position()))
-                    yield lines, line
-                    line += len(lines)
-        except (MalformedError, UnicodeDecodeError) as e:
-            read.append((None, position()))
-            stop = e
-
-    pooled = []
-    try:
-        pooled.extend(_in_order(_parse_lines, quote_free(), path, names))
-        if stop is not None:
-            raise stop
-    except MalformedError:
-        # the failed block is the first not read here whose rows did not arrive
-        _drain(fh, [end for rows, end in read if rows is None][len(pooled)])
-        if isinstance(stop, UnicodeDecodeError):  # met further on, in a pipe read past it
-            raise stop from None
-        raise
-    rest = iter(pooled)
-    return [block for rows, _ in read for block in rows or next(rest)]
+    while lines := list(itertools.islice(fh, _READ_BLOCK)):
+        if any('"' in text for text in lines):
+            more = []
+            reader = csv.reader(itertools.chain(lines, _kept(fh, more)))
+            try:
+                for _ in reader:
+                    if reader.line_num >= len(lines):
+                        break
+            except csv.Error:
+                pass  # the block's own parse raises it, unless a record before it fails first
+            lines += more
+        yield lines, line
+        line += len(lines)
 
 
-def _drain(fh, end: Optional[int]):
-    """Decode the file after byte ``end`` in one call, as ``fh.read()`` would there.
-
-    A serial pass stops right after the bad block and reads the rest; the
-    position in a decoding error counts from where that read began, which
-    includes the bytes of a character cut at ``end`` that the decoder holds.
-    """
-    if end is None:  # a pipe: read on from here
-        fh.read()
-        return
-    fh.buffer.seek(max(end - 3, 0))
-    decoder = codecs.getincrementaldecoder("utf-8")("ignore")
-    decoder.decode(fh.buffer.read(end - fh.buffer.tell()))
-    (decoder.getstate()[0] + fh.buffer.read()).decode("utf-8")
+def _kept(lines, kept: list):
+    """The items of ``lines``, each appended to ``kept`` as it is taken."""
+    for text in lines:
+        kept.append(text)
+        yield text
 
 
 def _parse_lines(path: str, names, lines, line: int):
-    """Quote-free data lines, one record each, as a list of row blocks.
+    """Data lines of whole records as a list of row blocks.
 
-    If the C reader rejects the lines, those with an empty cell (the usual
-    reason) go to the row loop and the runs between them to the C reader
-    again, so a file with gaps is still read once in C. A run rejected
-    again goes to the row loop whole.
+    If the C reader rejects the lines, a block with a quote goes to the
+    row loop whole, since a quoted cell may span lines. Otherwise each
+    line is one record: those with an empty cell (the usual reason) go to
+    the row loop and the runs between them to the C reader again, so a
+    file with gaps is still read once in C. A run rejected again goes to
+    the row loop whole.
     """
     values = _parse_bulk(lines, len(names))
     if values is not None:
         return [values]
+    if any('"' in text for text in lines):
+        return [_parse_rows(path, names, csv.reader(lines), line, len(lines))]
     blocks = []
     for gappy, run in itertools.groupby(lines, _has_empty_cell):
         run = list(run)
@@ -213,7 +196,7 @@ def _parse_rows(path: str, names, reader, line: int, n_lines):
     """
     width = len(names)
     rows = []
-    for row in reader:
+    for row in _records(path, reader, line):
         if row:
             ln = line + reader.line_num
             if len(row) != width:
@@ -234,6 +217,14 @@ def _parse_rows(path: str, names, reader, line: int, n_lines):
         if reader.line_num >= n_lines:
             break
     return np.array(rows, dtype=float).reshape(-1, width)
+
+
+def _records(path: str, reader, line: int):
+    """The rows of ``reader``; a csv error becomes a ``MalformedError`` naming its physical line."""
+    try:
+        yield from reader
+    except csv.Error as e:
+        raise MalformedError(f"{path}: line {line + reader.line_num}: {e}") from None
 
 
 _WRITE_BLOCK = 4096  # samples per tolist() block: bounds the Python floats alive at once
@@ -287,11 +278,12 @@ def _in_order(fn, tasks, *shared):
     With more than one usable CPU and more than one task, the calls run in
     a pool of forked processes, one per CPU but no more than there are
     tasks. At most one task more than there are workers waits for its
-    result, so tasks read from a stream stay bounded. ``shared`` reaches each worker once, through fork, not
-    pickled per task; tasks and results are pickled. The first exception
-    in task order is raised, and a worker that dies raises
-    ``BrokenProcessPool``. Otherwise, where fork is missing, or on an
-    interpreter other than ``_FORK_POOL``'s, the calls run here, one by one.
+    result, so tasks read from a stream stay bounded. ``shared`` reaches
+    each worker once, through fork, not pickled per task; tasks and
+    results are pickled. The first exception in task order is raised, and
+    a worker that dies raises ``BrokenProcessPool``. Otherwise, where fork
+    is missing, or on an interpreter other than ``_FORK_POOL``'s, the
+    calls run here, one by one.
 
     Fork rather than spawn: a spawned worker imports numpy and scipy again
     and receives ``shared`` by pickle, and a pool of two took 0.7-1.2 s to

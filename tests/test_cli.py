@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 import multiprocessing
 import os
@@ -329,7 +330,7 @@ def test_csv_io_without_sched_getaffinity(tmp_path, monkeypatch):
 
 
 # in blocks of 3 lines: clean; quoted, its last record open into the next block; gappy;
-# quoted, with a blank line; clean; clean. The quoted ones are read here, the others in the pool.
+# quoted, with a blank line; clean; clean. All of them are parsed in the pool.
 MIXED_LINES = ("1,2", "3,4", "5,6", '7,"8"', "9,10", '11,"12', '"', "13,", ",14", "15,16",
                "", "17,18", '19,"20"', "21,22", "23,24", "25,26", "27,28", "29,30")
 
@@ -384,6 +385,90 @@ def test_parse_csv_pool_reports_undecodable_text_as_one_pass(tmp_path, monkeypat
     for cpus in (1, 2):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         assert _outcome(str(path)) == (MalformedError, f"{path} is not UTF-8 text: {one_pass.value}")
+
+
+@needs_fork_pool
+def test_parse_csv_pool_parses_quoted_blocks_in_the_workers(tmp_path, monkeypatch, two_cpus):
+    monkeypatch.setattr(cli, "_READ_BLOCK", 3)
+    path = _write(tmp_path, "t.csv", "a,b\n" + "\n".join(MIXED_LINES) + "\n")
+    with open(path, newline="", encoding="utf-8") as fh:  # the whole-file row loop
+        reader = csv.reader(fh)
+        next(reader)
+        want = cli._parse_rows(path, ["a", "b"], reader, 0, float("inf")).T
+    calls = []
+    rows = cli._parse_rows
+
+    def spy(path, names, reader, line, n_lines):
+        calls.append(line)  # in a worker, to the worker's copy of the list
+        return rows(path, names, reader, line, n_lines)
+
+    monkeypatch.setattr(cli, "_parse_rows", spy)
+    np.testing.assert_array_equal(parse_csv(path)[1], want)
+    assert calls == []
+    assert multiprocessing.active_children() == []
+
+
+# an unterminated quote on line 2 opens a field that runs on through the 4-character lines
+# after it, until csv gives up at 131072 characters, on line 32770
+LONG_FIELD = 'a,b\n1,"2\n' + "3,4\n" * 40000
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (LONG_FIELD, "line 32770: field larger than field limit (131072)"),
+        # a bad record before it in the same block comes first
+        (LONG_FIELD.replace("\n", "\n1x,2\n", 1), "line 2: non-numeric value '1x' in column 'a'"),
+        ('a,"b\n' + "3,4\n" * 40000, "line 32769: field larger than field limit (131072)"),
+    ],
+    ids=["record", "bad record first", "header"],
+)
+def test_parse_csv_csv_error_is_malformed(tmp_path, monkeypatch, text, message):
+    # in blocks of 5 lines, so the quoted block runs on far into the file and the pool has
+    # blocks after it
+    monkeypatch.setattr(cli, "_READ_BLOCK", 5)
+    path = _write(tmp_path, "t.csv", text)
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        for starmap in (cli._in_order, itertools.starmap):  # the pooled and the one-pass read
+            with pytest.raises(MalformedError) as caught:
+                cli._read_csv(path, starmap)
+            assert str(caught.value) == f"{path}: {message}"
+    assert main(["analyze", "--input", path]) == 2
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_analyze_reads_a_pipe(tmp_path):
+    # in a child interpreter with a deadline, in blocks of 500 lines on two CPUs, so the pipe
+    # goes through the pool on any host
+    code = (
+        "import sys\n"
+        "import liangflow.cli as cli\n"
+        "cli._READ_BLOCK = 500\n"
+        "cli._usable_cpus = lambda: 2\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+
+    def analyze(path, text=""):
+        return subprocess.run([sys.executable, "-c", code, "analyze", "--input", path],
+                              input=text, capture_output=True, text=True, timeout=60)
+
+    sim = tmp_path / "sim.csv"
+    assert main(["simulate", "--preset", "chain5", "--n", "3000", "--seed", "8",
+                 "--output", str(sim)]) == 0
+    lines = sim.read_text(encoding="utf-8").splitlines()
+    lines[700] = '"%s",%s' % tuple(lines[700].split(",", 1))  # a quoted cell in block 2
+    sim.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    from_file = analyze(str(sim))
+    from_pipe = analyze("/dev/stdin", sim.read_text(encoding="utf-8"))
+    assert from_file.returncode == from_pipe.returncode == 0, from_pipe.stderr
+    assert from_pipe.stdout == from_file.stdout
+    lines[1500] += ",0"
+    lines[2600] = "x," + lines[2600]
+    bad = analyze("/dev/stdin", "\n".join(lines) + "\n")
+    assert bad.returncode == 2
+    assert bad.stderr == "liangflow: error: /dev/stdin: line 1501: expected 5 cells, got 6\n"
 
 
 # ----------------------------------------------------------------- presets

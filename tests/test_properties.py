@@ -5,11 +5,12 @@ are not all null. Tolerances are fixed beforehand from double precision:
 a reordered or rescaled regression changes the rounding of every
 quantity, never more than 1e-9 of a standard error here. CSV parsing
 has no tolerance: the block reader must return the bits of the row loop
-run over the whole file.
+run over the whole file, or raise its error.
 """
 
 import csv
 import io
+import itertools
 import math
 from unittest import mock
 
@@ -17,7 +18,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liangflow import TimeSeriesSet, all_pairs
+from liangflow import MalformedError, TimeSeriesSet, all_pairs
 import liangflow.cli as cli
 from liangflow.cli import _parse_rows, parse_csv
 
@@ -101,8 +102,12 @@ BLOCK_SIZES = (4096, 1, 2, 3, 7)
 
 
 @st.composite
-def csv_texts(draw):
-    """(text, n_rows, d): a float64 matrix, with gaps, in one of the layouts parse_csv reads."""
+def csv_texts(draw, faulty=False):
+    """(text, n_rows, d): a float64 matrix, with gaps, in one of the layouts parse_csv reads.
+
+    ``faulty`` draws at most one fault in a data line: a bad cell, a ragged row, or a stray
+    or unterminated quote.
+    """
     d = draw(st.integers(1, 4))
     # None is an empty cell; with d = 1 it could be a blank line, which is no row
     cells = st.one_of(values64, st.none()) if d > 1 else values64
@@ -118,6 +123,15 @@ def csv_texts(draw):
         lines.append(end * blank + ",".join(
             quote + pad + ("" if v is None else fmt(v)) + pad + tail + quote for v in row
         ))
+    fault = draw(st.sampled_from((None, "x", ",0", '"', "unterminated"))) if faulty else None
+    if fault is not None:
+        k = draw(st.integers(1, len(rows)))  # each item of lines starts a record
+        if fault == "unterminated":  # a quote that no quote after it closes
+            lines[k:] = ['"' + line.replace('"', "") if i == k else line.replace('"', "")
+                         for i, line in enumerate(lines[k:], k)]
+        else:  # a bad cell, a ragged row, or a stray quote
+            at = draw(st.integers(0, len(lines[k])))
+            lines[k] = lines[k][:at] + fault + lines[k][at:]
     return end.join(lines) + end * (1 + blanks[-1]), len(rows), d
 
 
@@ -137,6 +151,36 @@ def test_block_reader_returns_the_whole_file_row_loop_bits(tmp_path_factory, cas
     assert names == want_names == [f"v{i}" for i in range(d)]
     assert values.shape == want.shape == (d, n)
     assert values.tobytes() == want.tobytes()
+
+
+def _outcome(parse):
+    try:
+        names, values = parse()
+    except MalformedError as e:
+        return str(e)
+    return names, values.shape, values.tobytes()
+
+
+@examples
+@given(csv_texts(faulty=True))
+def test_block_reader_gives_the_whole_file_row_loop_outcome(tmp_path_factory, case):
+    path = str(tmp_path_factory.mktemp("csv") / "t.csv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(case[0])
+
+    def row_loop():
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            names = [cell.strip() for cell in next(filter(None, reader))]
+            return names, _parse_rows(path, names, reader, 0, math.inf).T
+
+    want = _outcome(row_loop)
+    # one CPU reads in one pass; two take the pool, whose pass alone is what a pipe gets
+    for cpus, block in itertools.product((1, 2), BLOCK_SIZES):
+        with mock.patch.object(cli, "_usable_cpus", lambda: cpus), \
+                mock.patch.object(cli, "_READ_BLOCK", block):
+            assert _outcome(lambda: parse_csv(path)) == want
+            assert _outcome(lambda: cli._read_csv(path, cli._in_order)) == want
 
 
 # write_csv writes every NaN as "nan", which reads back as np.nan: only that NaN keeps its bits
