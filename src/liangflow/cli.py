@@ -79,16 +79,21 @@ def parse_csv(path: str):
     one pass, so it raises the error of the row loop's first bad line; a
     pipe, which cannot be read again, raises the pooled pass's error.
     """
+    regular = os.path.isfile(path)
     try:
-        return _read_csv(path, _in_order)
+        return _read_csv(path, _in_order, final=not regular)
     except MalformedError:
-        if not os.path.isfile(path):
+        if not regular:
             raise
     return _read_csv(path, itertools.starmap)
 
 
-def _read_csv(path: str, starmap):
-    """``parse_csv`` with its blocks parsed by ``starmap(fn, tasks)``, in order."""
+def _read_csv(path: str, starmap, final: bool = True):
+    """``parse_csv`` with its blocks parsed by ``starmap(fn, tasks)``, in order.
+
+    After a malformed block a ``final`` pass, whose error is the one
+    raised, reads on to the end of the file, as one pass would.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -101,7 +106,8 @@ def _read_csv(path: str, starmap):
             try:
                 blocks = [values for rows in starmap(parse, tasks) for values in rows]
             except MalformedError:
-                fh.read()  # as one pass reads on: undecodable text after the bad line outranks it
+                if final:  # undecodable text after the bad line outranks it
+                    fh.read()
                 raise
     except OSError as e:
         raise ValidationError(f"cannot read {path}: {e}") from None
@@ -285,7 +291,7 @@ def _in_order(fn, tasks, *shared):
     is missing, or on an interpreter other than ``_FORK_POOL``'s, the
     calls run here, one by one.
 
-    Fork rather than spawn: a spawned worker imports numpy and scipy again
+    Fork rather than spawn: a spawned worker imports numpy again
     and receives ``shared`` by pickle, and a pool of two took 0.7-1.2 s to
     start on a 2-core VM, against 0.02 s forked. Fork is safe here because
     the workers only convert between numbers and text: they call no BLAS

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .core import TimeSeriesSet
 from .errors import (
@@ -213,6 +212,8 @@ def stationary_covariance(sde: LinearSDE) -> StationaryCovariance:
     residual bound ||A S + S A' + Q||_max <= 1e-12 ||Q||_max, otherwise a
     LyapunovResidualError reports the achieved residual.
     """
+    from scipy import linalg  # here, not at the top: only the oracle needs scipy
+
     _require_hurwitz(sde)
     q = sde.noise_cov
     sigma = linalg.solve_continuous_lyapunov(sde.A, -q)

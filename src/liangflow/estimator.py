@@ -22,12 +22,12 @@ to original units.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import linalg, special
 
 from .core import PanelPairs, TimeSeriesSet, check_k, forward_difference
 from .errors import (
@@ -45,9 +45,11 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 _BLOCK = 4096  # columns per residual product
 # two-sided standard-normal quantiles for the 90/95/99% intervals
-_Z90 = float(-special.ndtri(0.05))
-_Z95 = float(-special.ndtri(0.025))
-_Z99 = float(-special.ndtri(0.005))
+_Z90 = 1.6448536269514729
+_Z95 = 1.9599639845400545
+_Z99 = 2.575829303548901
+# numpy has no erfc; the two-sided normal tail 2 Phi(-|z|) is erfc(|z| / sqrt 2)
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -174,14 +176,14 @@ class _Design:
             raise SingularCovarianceError(f"zero-variance series make C singular: {flat}")
         self.sd = sd
         try:
-            cho = linalg.cho_factor(self.C / np.outer(sd, sd), lower=True, check_finite=False)
-        except linalg.LinAlgError:
+            low = np.linalg.cholesky(self.C / np.outer(sd, sd))
+        except np.linalg.LinAlgError:
             raise SingularCovarianceError(
                 "covariance matrix is numerically singular (correlation matrix is not "
                 "positive definite); inputs are collinear"
             ) from None
-        rinv = linalg.cho_solve(cho, np.eye(d), check_finite=False)
-        rinv = (rinv + rinv.T) / 2.0
+        linv = np.linalg.inv(low)
+        rinv = linv.T @ linv
         # 1 / diag(R^-1) is 1 - R^2 of each component regressed on the others:
         # scale-free, independent of the variable order, and equal to the
         # correlation determinant at d = 2; tolerance machine epsilon x d
@@ -195,7 +197,7 @@ class _Design:
                 f"given the other series); inputs are collinear"
             )
         self.s = (rinv / np.outer(sd, sd)) / den
-        self.A = linalg.cho_solve(cho, self.Cd / sd[:, None], check_finite=False) / sd[:, None]
+        self.A = rinv @ (self.Cd / sd[:, None]) / sd[:, None]
         for lo in range(0, n_eff, _BLOCK):  # a d x _BLOCK temporary, not a third d x n_eff
             ydot[:, lo : lo + _BLOCK] -= self.A.T @ xc[:, lo : lo + _BLOCK]
         self.resid_var = np.einsum("ij,ij->i", ydot, ydot) / self.dof
@@ -257,7 +259,8 @@ def _p_values(value, std_err):
     value = np.asarray(value, dtype=float)
     std_err = np.asarray(std_err, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        p = 2.0 * special.ndtr(-np.abs(value) / std_err)
+        z = np.abs(value) / std_err
+    p = np.asarray(_ERFC(z * math.sqrt(0.5)), dtype=float)
     zero = std_err == 0.0
     pinned = zero & (value != 0.0)
     if pinned.any():

@@ -315,6 +315,34 @@ def test_csv_pool_leaves_no_children(tmp_path, monkeypatch, two_cpus):
     assert multiprocessing.active_children() == []
 
 
+def test_parse_csv_reads_a_malformed_file_to_its_end_once(tmp_path, monkeypatch, two_cpus):
+    # the pooled pass stops a few blocks in; only the one-pass re-read, whose error is
+    # raised, reads on to the end of the file
+    path = _write(tmp_path, "t.csv", "a,b\n1,x\n" + "1,2\n" * 100_000)
+    read = []
+
+    class Counted(io.FileIO):
+        def readinto(self, buffer):
+            n = super().readinto(buffer)
+            read.append(n)
+            return n
+
+        def readall(self):
+            data = super().readall()
+            read.append(len(data))
+            return data
+
+    def counted_open(file, newline=None, encoding=None):
+        return io.TextIOWrapper(io.BufferedReader(Counted(file)), encoding=encoding,
+                                newline=newline)
+
+    monkeypatch.setattr(cli, "open", counted_open, raising=False)
+    with pytest.raises(MalformedError, match="line 2: non-numeric value 'x' in column 'b'"):
+        parse_csv(path)
+    size = os.path.getsize(path)
+    assert size <= sum(read) < 1.5 * size
+
+
 def test_csv_io_without_sched_getaffinity(tmp_path, monkeypatch):
     # os.sched_getaffinity exists on Linux only; elsewhere the CPU count stands in for it
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -739,16 +767,43 @@ def test_module_entry_point():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats alone costs about half a second of every CLI start. The process pool's
-    # modules load only for a CSV of more than one block (concurrent.futures itself comes
-    # with scipy.linalg, through numpy.testing; its .process part is the pool).
-    modules = ("scipy.stats", "multiprocessing", "concurrent.futures.process")
+    # scipy, and numpy.testing, which it pulls in, cost about 0.3 s of every CLI start, and
+    # only the oracle needs scipy. The process pool's modules load only for a CSV of more
+    # than one block.
+    prefixes = ("scipy", "numpy.testing", "concurrent.futures", "multiprocessing")
     proc = subprocess.run(
         [sys.executable, "-c",
-         f"import sys, liangflow.cli; print([m for m in {modules} if m in sys.modules])"],
+         "import sys, liangflow, liangflow.cli\n"
+         f"print(sorted(m for m in sys.modules if m.startswith({prefixes})))"],
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_commands_other_than_oracle_load_no_scipy(tmp_path):
+    # in one child interpreter: simulate, analyze of a CSV of three blocks, graph and bench
+    # run on numpy alone; the oracle then imports scipy for its Lyapunov solve
+    sim = str(tmp_path / "sim.csv")
+    code = (
+        "import sys\n"
+        "import liangflow.cli as cli\n"
+        "def run(*argv):\n"
+        "    assert cli.main(list(argv)) == 0, argv\n"
+        f"sim = {sim!r}\n"
+        "run('simulate', '--preset', 'chain5', '--n', '10000', '--seed', '3', '--output', sim)\n"
+        "run('analyze', '--input', sim, '--output', sim + '.json')\n"
+        "run('graph', '--input', sim, '--output', sim + '.dot')\n"
+        "run('bench', '--d', '5', '--n', '500', '--reps', '1', '--output', sim + '.bench')\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "run('oracle', '--preset', 'chain5', '--output', sim + '.oracle')\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\nTrue\n"
+    with open(sim, encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) > 2 * cli._READ_BLOCK

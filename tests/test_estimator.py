@@ -330,6 +330,27 @@ def test_interval_quantiles_equal_scipy_stats():
         assert z == float(stats.norm.isf(q))
 
 
+def test_p_values_equal_scipy_stats():
+    from liangflow import estimator
+
+    z = np.array([0.0, 1e-300, 0.5, 1.0, 3.0, 8.0, 20.0, 37.5, 38.5, np.inf])
+    value = np.concatenate([z, -z, z * 0.25, [np.nan, 1.0]])
+    std_err = np.concatenate([np.ones(2 * z.size), np.full(z.size, 0.25), [1.0, np.nan]])
+    p, pinned = estimator._p_values(value, std_err)
+    ref = 2.0 * stats.norm.sf(np.abs(value) / std_err)
+    assert not pinned.any()
+    assert np.array_equal(np.isnan(p), np.isnan(ref)) and np.isnan(ref[-2:]).all()
+    known = ~np.isnan(ref)
+    assert np.abs(p - ref)[known].max() <= 1e-15
+    above = ref > 1e-300
+    assert np.abs(p[above] / ref[above] - 1.0).max() <= 1e-12
+    # a zero standard error pins p to 1 for a zero estimate and to 0 otherwise
+    with pytest.warns(ZeroVarianceWarning):
+        p, pinned = estimator._p_values([0.0, 2.0, -np.inf], [0.0, 0.0, 0.0])
+    assert p.tolist() == [1.0, 0.0, 0.0]
+    assert pinned.tolist() == [False, True, True]
+
+
 def test_significance_target_mismatch():
     fit = _hand_fit(coeff_var=[0.01], cov_row=[1.0], target=0)
     est = FlowEstimate(kind="self", source=None, target=1, value=0.1,
