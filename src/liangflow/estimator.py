@@ -43,11 +43,7 @@ from .errors import (
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
-_BLOCK_BYTES = 1 << 23  # bytes of one d-row block of the moment passes
-_PILOT = 1024  # leading columns whose mean of later - window the moment passes subtract
-_NON_FINITE = (
-    "sample covariances are not finite (the values overflow when multiplied); rescale the data"
-)
+_BLOCK = 4096  # columns per residual product
 # two-sided standard-normal quantiles for the 90/95/99% intervals
 _Z90 = 1.6448536269514729
 _Z95 = 1.9599639845400545
@@ -137,25 +133,20 @@ class NormalizedBudget:
 class _Design:
     """The moment engine: every target of one window regressed on all components at once.
 
-    ``window`` is the d x n_eff matrix of regressors and ``later`` the
-    states ``step`` time later, so that the difference series, one row per
-    target, is ``ydot = (later - window) / step``. Construction computes,
-    once for all targets, ``C = cov(W)``, ``Cd = cov(W, ydot)`` (column t
-    is target t), the Cholesky factor of the correlation matrix, the
-    coefficients ``A`` (column t is target t's fit), the residual
+    ``window`` is the d x n_eff matrix of regressors and ``ydot`` the
+    difference series, one row per target; ``ydot`` is centred and then
+    overwritten by the residuals, so pass a fresh array. Construction
+    computes, once for all targets, ``C = cov(W)``, ``Cd = cov(W, ydot)``
+    (column t is target t), the Cholesky factor of the correlation matrix,
+    the coefficients ``A`` (column t is target t's fit), the residual
     variances, and ``s``, the coefficient covariance per unit residual
-    variance. The centred window, ``later - window`` and the residuals
-    exist one block of columns at a time (see ``_blocks``): two passes
-    over the data, each of whose blocks stays in cache, so the cost grows
-    linearly with n_eff. The scalar estimators also fit every target and
-    keep one: a one-column product rounds differently, and this keeps each
-    of them bit-identical to its ``all_pairs`` entry.
+    variance. The scalar estimators also fit every target and keep one: a
+    one-column product rounds differently, and this keeps each of them
+    bit-identical to its ``all_pairs`` entry.
     """
 
-    def __init__(self, window: np.ndarray, later: np.ndarray, step: float, names,
-                 dt: float, k: int):
+    def __init__(self, window: np.ndarray, ydot: np.ndarray, names, dt: float, k: int):
         window = np.asarray(window, dtype=float)
-        later = np.asarray(later, dtype=float)
         d, n_eff = window.shape
         if n_eff < d + 2:
             raise TooShortError(f"{n_eff} aligned samples cannot fit {d + 1} parameters")
@@ -167,28 +158,18 @@ class _Design:
         self.dof = n_eff - (d + 1)
         den = n_eff - 1
         self.mu = window.mean(axis=1)
-        # the blocks hold dy = later - window less a pilot mean from its first
-        # columns, so that a drift much larger than dy's spread cancels before
-        # the products; the moments of dy are scaled by 1 / step as they leave
-        pilot = (later[:, :_PILOT] - window[:, :_PILOT]).mean(axis=1)
-        blocks = _blocks(window, later, self.mu, pilot)
-        gram = np.zeros((d, d))
-        cross = np.zeros((d, d))
-        xc_sum = np.zeros(d)
-        dy_sum = np.zeros(d)
+        self.ymean = ydot.mean(axis=1)
+        xc = window - self.mu[:, None]
+        ydot -= self.ymean[:, None]
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            for xc, dy in blocks():
-                gram += xc @ xc.T
-                cross += xc @ dy.T
-                xc_sum += xc.sum(axis=1)
-                dy_sum += dy.sum(axis=1)
-            dy_mean = dy_sum / n_eff
-            self.ymean = (pilot + dy_mean) / step
-            self.C = gram / den
-            # sum xc (dy - dy_mean) = cross - xc_sum dy_mean; xc_sum is zero up to rounding
-            self.Cd = (cross - np.outer(xc_sum, dy_mean)) / den / step
-        if not (np.isfinite(self.C).all() and np.isfinite(self.Cd).all()):
-            raise NonFiniteMomentsError(_NON_FINITE)
+            self.C = (xc @ xc.T) / den
+            self.Cd = (xc @ ydot.T) / den
+            self.cdd = np.einsum("ij,ij->i", ydot, ydot) / den
+        if not all(np.isfinite(m).all() for m in (self.C, self.Cd, self.cdd)):
+            raise NonFiniteMomentsError(
+                "sample covariances are not finite (the values overflow when multiplied); "
+                "rescale the data"
+            )
         sd = np.sqrt(np.diag(self.C))
         if np.any(sd == 0.0):
             flat = [self.names[i] for i in np.flatnonzero(sd == 0.0)]
@@ -217,19 +198,9 @@ class _Design:
             )
         self.s = (rinv / np.outer(sd, sd)) / den
         self.A = rinv @ (self.Cd / sd[:, None]) / sd[:, None]
-        a_dy = (self.A * step).T  # the fits on dy's scale, one row per target
-        dy_sq = np.zeros(d)
-        rss = np.zeros(d)
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            for xc, dy in blocks():
-                dy -= dy_mean[:, None]
-                dy_sq += np.einsum("ij,ij->i", dy, dy)
-                dy -= a_dy @ xc
-                rss += np.einsum("ij,ij->i", dy, dy)
-            self.cdd = dy_sq / den / step / step
-        if not np.isfinite(self.cdd).all():
-            raise NonFiniteMomentsError(_NON_FINITE)
-        self.resid_var = rss / self.dof / step / step
+        for lo in range(0, n_eff, _BLOCK):  # a d x _BLOCK temporary, not a third d x n_eff
+            ydot[:, lo : lo + _BLOCK] -= self.A.T @ xc[:, lo : lo + _BLOCK]
+        self.resid_var = np.einsum("ij,ij->i", ydot, ydot) / self.dof
 
     def fit(self, target: int) -> LinearModelFit:
         """The fit of one target, with the full covariance of [intercept, coeffs]."""
@@ -260,40 +231,10 @@ class _Design:
         )
 
 
-def _blocks(window: np.ndarray, later: np.ndarray, mu: np.ndarray, pilot: np.ndarray):
-    """A generator function over the columns of ``window``, a block at a time.
-
-    Each call yields ``(window - mu, later - window - pilot)`` for each
-    block of about ``_BLOCK_BYTES`` per array, as d x width arrays that
-    share two buffers: the next block overwrites them. If one block holds
-    every column, later calls yield it as the previous call left it
-    instead of recomputing it, so every pass but the last must leave the
-    blocks as they are.
-    """
-    d, n = window.shape
-    width = min(n, max(1, _BLOCK_BYTES // (8 * d)))
-    bufs = np.empty((2, d * width))
-    kept = False
-
-    def each():
-        nonlocal kept
-        for lo in range(0, n, width):
-            m = min(width, n - lo)
-            xc, dy = bufs[0, : d * m].reshape(d, m), bufs[1, : d * m].reshape(d, m)
-            if not kept:
-                np.subtract(window[:, lo : lo + m], mu[:, None], out=xc)
-                np.subtract(later[:, lo : lo + m], window[:, lo : lo + m], out=dy)
-                dy -= pilot[:, None]
-                kept = m == n
-            yield xc, dy
-
-    return each
-
-
 def _design_for(tss: TimeSeriesSet, k: int) -> _Design:
     check_k(tss.n_samples, tss.d, k)
-    x = tss.values
-    return _Design(x[:, : tss.n_samples - k], x[:, k:], k * tss.dt, tss.names, tss.dt, k)
+    ydot = forward_difference(tss.values, k, tss.dt)
+    return _Design(tss.values[:, : tss.n_samples - k], ydot, tss.names, tss.dt, k)
 
 
 def fit_linear_model(tss: TimeSeriesSet, target: int, k: int = 1) -> LinearModelFit:
@@ -500,7 +441,7 @@ def flow_panel(pairs: PanelPairs, source: int, target: int) -> FlowEstimate:
         raise IndexError(f"source {source} / target {target} out of range for d = {d}")
     if source == target:
         raise SameIndexError("source and target must differ for a pairwise flow")
-    design = _Design(pairs.x0, pairs.x1, pairs.dt_gap, pairs.names, pairs.dt_gap, 1)
+    design = _Design(pairs.x0, (pairs.x1 - pairs.x0) / pairs.dt_gap, pairs.names, pairs.dt_gap, 1)
     return _pair_estimate(design.fit(target), source)
 
 
