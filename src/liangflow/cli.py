@@ -13,7 +13,6 @@ import argparse
 import collections
 import contextlib
 import csv
-import functools
 import io
 import itertools
 import json
@@ -74,45 +73,31 @@ def parse_csv(path: str):
     input transposed to row-per-variable).
 
     The data rows are cut into blocks of whole records, which are parsed
-    on every usable CPU (``_in_order``). The result is the row loop's over
-    the whole file, bit for bit. A malformed regular file is read again in
-    one pass, so it raises the error of the row loop's first bad line; a
-    pipe, which cannot be read again, raises the pooled pass's error.
-    """
-    regular = os.path.isfile(path)
-    try:
-        return _read_csv(path, _in_order, final=not regular)
-    except MalformedError:
-        if not regular:
-            raise
-    return _read_csv(path, itertools.starmap)
-
-
-def _read_csv(path: str, starmap, final: bool = True):
-    """``parse_csv`` with its blocks parsed by ``starmap(fn, tasks)``, in order.
-
-    After a malformed block a ``final`` pass, whose error is the one
-    raised, reads on to the end of the file, as one pass would.
+    on every usable CPU (``_in_order``), from a file or a pipe alike. The
+    result is the row loop's over the whole input, bit for bit, and so is
+    the error: the first bad record, unless undecodable text comes
+    anywhere in the input, which is read to its end after a bad record.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(filter(None, _records(path, reader, 0)), None)
-            if header is None:
-                raise EmptyFileError(f"{path}: no content")
-            names = [cell.strip() for cell in header]
-            parse = functools.partial(_parse_lines, path, names)
-            tasks = _blocks(fh, reader.line_num)
             try:
-                blocks = [values for rows in starmap(parse, tasks) for values in rows]
-            except MalformedError:
-                if final:  # undecodable text after the bad line outranks it
-                    fh.read()
+                reader = csv.reader(fh)
+                header = next(filter(None, _records(path, reader, 0)), None)
+                if header is None:
+                    raise EmptyFileError(f"{path}: no content")
+                names = [cell.strip() for cell in header]
+                tasks = _blocks(fh, reader.line_num)
+                blocks = [values for rows in _in_order(_parse_lines, tasks, path, names)
+                          for values in rows]
+            except MalformedError:  # undecodable text after the bad record outranks it
+                while fh.read(1 << 20):  # in chunks, so the rest is never held at once
+                    pass
                 raise
     except OSError as e:
         raise ValidationError(f"cannot read {path}: {e}") from None
-    except UnicodeDecodeError as e:
-        raise MalformedError(f"{path} is not UTF-8 text: {e}") from None
+    except UnicodeDecodeError as e:  # no position: it counts from the text reader's chunk
+        raise MalformedError(f"{path} is not UTF-8 text: "
+                             f"can't decode {e.object[e.start:e.end]!r}: {e.reason}") from None
     if not any(len(block) for block in blocks):
         raise EmptyFileError(f"{path}: header only, no data rows")
     return names, np.concatenate(blocks).T
@@ -160,13 +145,13 @@ def _parse_lines(path: str, names, lines, line: int):
     if values is not None:
         return [values]
     if any('"' in text for text in lines):
-        return [_parse_rows(path, names, csv.reader(lines), line, len(lines))]
+        return [_parse_rows(path, names, csv.reader(lines), line)]
     blocks = []
     for gappy, run in itertools.groupby(lines, _has_empty_cell):
         run = list(run)
         values = None if gappy or len(run) == len(lines) else _parse_bulk(run, len(names))
         if values is None:
-            values = _parse_rows(path, names, csv.reader(run), line, len(run))
+            values = _parse_rows(path, names, csv.reader(run), line)
         blocks.append(values)
         line += len(run)
     return blocks
@@ -193,12 +178,11 @@ def _parse_bulk(lines, width: int):
     return values if values.shape[1] == width else None
 
 
-def _parse_rows(path: str, names, reader, line: int, n_lines):
+def _parse_rows(path: str, names, reader, line: int):
     """Row-by-row reader of ``parse_csv``'s format, as an N x d array.
 
-    Reads the records that start in the reader's first ``n_lines`` lines
-    (a quoted record may run past them). ``line`` is the physical line
-    before the reader's first, so errors name physical lines.
+    ``line`` is the physical line before the reader's first, so errors
+    name physical lines.
     """
     width = len(names)
     rows = []
@@ -220,17 +204,22 @@ def _parse_rows(path: str, names, reader, line: int, n_lines):
                             f"{path}: line {ln}: non-numeric value {cell!r} in column {name!r}"
                         ) from None
             rows.append(values)
-        if reader.line_num >= n_lines:
-            break
     return np.array(rows, dtype=float).reshape(-1, width)
 
 
 def _records(path: str, reader, line: int):
-    """The rows of ``reader``; a csv error becomes a ``MalformedError`` naming its physical line."""
+    """The rows of ``reader``; a csv error becomes a ``MalformedError``.
+
+    The error names the physical line its record starts on, not the one
+    where ``csv.reader`` gave up (a quoted cell may run on for many lines).
+    """
+    start = line + reader.line_num + 1
     try:
-        yield from reader
+        for row in reader:
+            yield row
+            start = line + reader.line_num + 1
     except csv.Error as e:
-        raise MalformedError(f"{path}: line {line + reader.line_num}: {e}") from None
+        raise MalformedError(f"{path}: line {start}: {e}") from None
 
 
 _WRITE_BLOCK = 4096  # samples per tolist() block: bounds the Python floats alive at once

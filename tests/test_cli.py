@@ -2,13 +2,13 @@
 
 import csv
 import io
-import itertools
 import json
 import multiprocessing
 import os
 import statistics
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -76,9 +76,11 @@ def row_loop_calls(monkeypatch, serial):
     calls = []
     rows = cli._parse_rows
 
-    def spy(path, names, reader, line, n_lines):
-        calls.append((path, n_lines))
-        return rows(path, names, reader, line, n_lines)
+    def spy(path, names, reader, line):
+        try:
+            return rows(path, names, reader, line)
+        finally:
+            calls.append((path, reader.line_num))
 
     monkeypatch.setattr(cli, "_parse_rows", spy)
     return calls
@@ -316,8 +318,7 @@ def test_csv_pool_leaves_no_children(tmp_path, monkeypatch, two_cpus):
 
 
 def test_parse_csv_reads_a_malformed_file_to_its_end_once(tmp_path, monkeypatch, two_cpus):
-    # the pooled pass stops a few blocks in; only the one-pass re-read, whose error is
-    # raised, reads on to the end of the file
+    # the pooled pass stops a few blocks in, then reads on to the end of the file
     path = _write(tmp_path, "t.csv", "a,b\n1,x\n" + "1,2\n" * 100_000)
     read = []
 
@@ -341,6 +342,19 @@ def test_parse_csv_reads_a_malformed_file_to_its_end_once(tmp_path, monkeypatch,
         parse_csv(path)
     size = os.path.getsize(path)
     assert size <= sum(read) < 1.5 * size
+
+
+def test_parse_csv_drains_a_malformed_file_in_bounded_memory(tmp_path, two_cpus):
+    # the rest of the file after a bad line 2 is read for undecodable text, not held
+    path = _write(tmp_path, "t.csv", "a,b\n1,x\n" + "1,2\n" * 8_000_000)  # 32 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedError, match="line 2: non-numeric value 'x'"):
+            parse_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < os.path.getsize(path) / 4
 
 
 def test_csv_io_without_sched_getaffinity(tmp_path, monkeypatch):
@@ -398,21 +412,28 @@ def test_parse_csv_pool_gives_the_serial_result(tmp_path, monkeypatch, bad, mess
         assert outcomes[1][0] is MalformedError and message in outcomes[1][1]
 
 
+UNDECODABLE = (
+    # a bad cell in the first block, which ends in the text reader's second 8192-byte read and
+    # cuts a 3-byte character there, and a bad byte after the blocks read ahead
+    b"a,b\n1,x\n1,234\n" + "\uff13,4\n".encode() * 20000 + b"3,\xff\n",
+    # an unterminated quote that runs on into the bad byte, and one that csv gives up on (at
+    # 131072 characters) before it
+    b'a,b\n1,"2\n' + b"3,4\n" * 100 + b"3,\xff\n",
+    b'a,b\n1,"2\n' + b"3,4\n" * 40000 + b"3,\xff\n",
+)
+
+
 def test_parse_csv_pool_reports_undecodable_text_as_one_pass(tmp_path, monkeypatch):
-    # a bad cell in the first block, which ends in the text reader's second 8192-byte read
-    # and cuts a 3-byte character there, and a bad byte after the blocks read ahead: the
-    # position in the message counts from where one pass would have gone on reading
+    # the message names the bytes, not a position that depends on how far the reader got
     monkeypatch.setattr(cli, "_READ_BLOCK", 2000)
     path = tmp_path / "t.csv"
-    path.write_bytes(b"a,b\n1,x\n1,234\n" + "\uff13,4\n".encode() * 20000 + b"3,\xff\n")
-    with open(path, newline="", encoding="utf-8") as fh:  # one pass: stop after the block
-        for _ in range(1 + 2000):
-            next(fh)
-        with pytest.raises(UnicodeDecodeError) as one_pass:
-            fh.read()
-    for cpus in (1, 2):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        assert _outcome(str(path)) == (MalformedError, f"{path} is not UTF-8 text: {one_pass.value}")
+    for data in UNDECODABLE:
+        path.write_bytes(data)
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            assert _outcome(str(path)) == (
+                MalformedError, f"{path} is not UTF-8 text: can't decode b'\\xff': invalid start "
+                                "byte")
 
 
 @needs_fork_pool
@@ -422,13 +443,13 @@ def test_parse_csv_pool_parses_quoted_blocks_in_the_workers(tmp_path, monkeypatc
     with open(path, newline="", encoding="utf-8") as fh:  # the whole-file row loop
         reader = csv.reader(fh)
         next(reader)
-        want = cli._parse_rows(path, ["a", "b"], reader, 0, float("inf")).T
+        want = cli._parse_rows(path, ["a", "b"], reader, 0).T
     calls = []
     rows = cli._parse_rows
 
-    def spy(path, names, reader, line, n_lines):
+    def spy(path, names, reader, line):
         calls.append(line)  # in a worker, to the worker's copy of the list
-        return rows(path, names, reader, line, n_lines)
+        return rows(path, names, reader, line)
 
     monkeypatch.setattr(cli, "_parse_rows", spy)
     np.testing.assert_array_equal(parse_csv(path)[1], want)
@@ -437,17 +458,18 @@ def test_parse_csv_pool_parses_quoted_blocks_in_the_workers(tmp_path, monkeypatc
 
 
 # an unterminated quote on line 2 opens a field that runs on through the 4-character lines
-# after it, until csv gives up at 131072 characters, on line 32770
+# after it, until csv gives up at 131072 characters, on line 32770; the error names line 2,
+# where the record starts
 LONG_FIELD = 'a,b\n1,"2\n' + "3,4\n" * 40000
 
 
 @pytest.mark.parametrize(
     "text, message",
     [
-        (LONG_FIELD, "line 32770: field larger than field limit (131072)"),
+        (LONG_FIELD, "line 2: field larger than field limit (131072)"),
         # a bad record before it in the same block comes first
         (LONG_FIELD.replace("\n", "\n1x,2\n", 1), "line 2: non-numeric value '1x' in column 'a'"),
-        ('a,"b\n' + "3,4\n" * 40000, "line 32769: field larger than field limit (131072)"),
+        ('a,"b\n' + "3,4\n" * 40000, "line 1: field larger than field limit (131072)"),
     ],
     ids=["record", "bad record first", "header"],
 )
@@ -458,10 +480,9 @@ def test_parse_csv_csv_error_is_malformed(tmp_path, monkeypatch, text, message):
     path = _write(tmp_path, "t.csv", text)
     for cpus in (1, 2):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        for starmap in (cli._in_order, itertools.starmap):  # the pooled and the one-pass read
-            with pytest.raises(MalformedError) as caught:
-                cli._read_csv(path, starmap)
-            assert str(caught.value) == f"{path}: {message}"
+        with pytest.raises(MalformedError) as caught:
+            parse_csv(path)
+        assert str(caught.value) == f"{path}: {message}"
     assert main(["analyze", "--input", path]) == 2
     assert multiprocessing.active_children() == []
 
@@ -478,9 +499,9 @@ def test_analyze_reads_a_pipe(tmp_path):
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
 
-    def analyze(path, text=""):
+    def analyze(path, data=b""):
         return subprocess.run([sys.executable, "-c", code, "analyze", "--input", path],
-                              input=text, capture_output=True, text=True, timeout=60)
+                              input=data, capture_output=True, timeout=60)
 
     sim = tmp_path / "sim.csv"
     assert main(["simulate", "--preset", "chain5", "--n", "3000", "--seed", "8",
@@ -489,14 +510,25 @@ def test_analyze_reads_a_pipe(tmp_path):
     lines[700] = '"%s",%s' % tuple(lines[700].split(",", 1))  # a quoted cell in block 2
     sim.write_text("\n".join(lines) + "\n", encoding="utf-8")
     from_file = analyze(str(sim))
-    from_pipe = analyze("/dev/stdin", sim.read_text(encoding="utf-8"))
+    from_pipe = analyze("/dev/stdin", sim.read_bytes())
     assert from_file.returncode == from_pipe.returncode == 0, from_pipe.stderr
     assert from_pipe.stdout == from_file.stdout
     lines[1500] += ",0"
     lines[2600] = "x," + lines[2600]
-    bad = analyze("/dev/stdin", "\n".join(lines) + "\n")
+    bad = analyze("/dev/stdin", "\n".join(lines).encode() + b"\n")
     assert bad.returncode == 2
-    assert bad.stderr == "liangflow: error: /dev/stdin: line 1501: expected 5 cells, got 6\n"
+    assert bad.stderr == b"liangflow: error: /dev/stdin: line 1501: expected 5 cells, got 6\n"
+    # a bad cell on line 2 and, past the blocks read ahead, a byte that is not UTF-8: the
+    # file and the pipe give the same error
+    lines = sim.read_bytes().splitlines(keepends=True)
+    lines[1] = b"x," + lines[1]
+    lines[2900] = b"\xff" + lines[2900]
+    sim.write_bytes(b"".join(lines))
+    from_file = analyze(str(sim))
+    from_pipe = analyze("/dev/stdin", sim.read_bytes())
+    assert from_file.returncode == from_pipe.returncode == 2
+    assert b"is not UTF-8 text" in from_pipe.stderr
+    assert from_file.stderr.replace(bytes(sim), b"/dev/stdin") == from_pipe.stderr
 
 
 # ----------------------------------------------------------------- presets

@@ -11,7 +11,6 @@ run over the whole file, or raise its error.
 import csv
 import io
 import itertools
-import math
 from unittest import mock
 
 import numpy as np
@@ -147,7 +146,7 @@ def test_block_reader_returns_the_whole_file_row_loop_bits(tmp_path_factory, cas
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         want_names = [cell.strip() for cell in next(filter(None, reader))]
-        want = _parse_rows(path, want_names, reader, 0, math.inf).T
+        want = _parse_rows(path, want_names, reader, 0).T
     assert names == want_names == [f"v{i}" for i in range(d)]
     assert values.shape == want.shape == (d, n)
     assert values.tobytes() == want.tobytes()
@@ -172,15 +171,14 @@ def test_block_reader_gives_the_whole_file_row_loop_outcome(tmp_path_factory, ca
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             names = [cell.strip() for cell in next(filter(None, reader))]
-            return names, _parse_rows(path, names, reader, 0, math.inf).T
+            return names, _parse_rows(path, names, reader, 0).T
 
     want = _outcome(row_loop)
-    # one CPU reads in one pass; two take the pool, whose pass alone is what a pipe gets
+    # one CPU reads the blocks one by one, two take the pool, as a pipe does too
     for cpus, block in itertools.product((1, 2), BLOCK_SIZES):
         with mock.patch.object(cli, "_usable_cpus", lambda: cpus), \
                 mock.patch.object(cli, "_READ_BLOCK", block):
             assert _outcome(lambda: parse_csv(path)) == want
-            assert _outcome(lambda: cli._read_csv(path, cli._in_order)) == want
 
 
 # write_csv writes every NaN as "nan", which reads back as np.nan: only that NaN keeps its bits
