@@ -28,6 +28,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import floattext
 from .core import TimeSeriesSet, validate_series_set
 from .dynamics import (
     LinearSDE,
@@ -222,11 +223,12 @@ def _records(path: str, reader, line: int):
         raise MalformedError(f"{path}: line {start}: {e}") from None
 
 
-_WRITE_BLOCK = 4096  # samples per tolist() block: bounds the Python floats alive at once
+_WRITE_BLOCK = 4096  # samples per task of the pool: bounds the text in flight
 
 
 def write_csv(names, values: np.ndarray, fh):
-    """Write the parse_csv format; floats via repr so bytes are reproducible.
+    """Write the parse_csv format; each float as ``repr`` writes it, so the bytes
+    are reproducible and read back as the same bits.
 
     Blocks of samples are formatted on every usable CPU (``_in_order``) and
     written in order.
@@ -240,8 +242,7 @@ def write_csv(names, values: np.ndarray, fh):
 
 
 def _format_block(values: np.ndarray, start: int) -> str:
-    block = values[:, start:start + _WRITE_BLOCK].T.tolist()
-    return "".join([",".join(map(repr, row)) + "\n" for row in block])
+    return floattext.join(values[:, start:start + _WRITE_BLOCK].T, ",", "\n")
 
 
 # The one interpreter the fork pool was run on. Python 3.12 and later warn
@@ -392,24 +393,23 @@ def _load_series(args: argparse.Namespace) -> TimeSeriesSet:
     return validate_series_set(values, names, args.dt, nan_policy=args.nan_policy)
 
 
-def _num_cell(x: float) -> str:
-    return "" if np.isnan(x) else repr(float(x))
+def _cells(values: np.ndarray, nan: str = "nan") -> list:
+    """The text of each value, row-major, as ``repr`` writes it; a NaN as ``nan``."""
+    return floattext.join(values.reshape(-1, 1), "", "\n", nan).split("\n")[:-1]
 
 
 def _flow_matrix_csv(fm) -> str:
     """Long-format table: one row per directed relation (self rows have
-    source == target); per-target noise shares follow with an empty source."""
+    source == target); per-target noise shares follow with an empty source.
+    Empty tau cells mean no shares (``--no-normalize``)."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["target", "source", "T", "se", "p", "tau"])
-    for i, tgt in enumerate(fm.names):
-        for j, src in enumerate(fm.names):
-            writer.writerow(
-                [tgt, src, repr(float(fm.T[i, j])), repr(float(fm.SE[i, j])),
-                 repr(float(fm.P[i, j])), _num_cell(fm.TAU[i, j])]
-            )
-    for i, tgt in enumerate(fm.names):
-        writer.writerow([tgt, "", "", "", "", _num_cell(fm.noise_share[i])])
+    targets = [tgt for tgt in fm.names for _ in fm.names]
+    writer.writerows(zip(targets, fm.names * fm.d, _cells(fm.T), _cells(fm.SE), _cells(fm.P),
+                         _cells(fm.TAU, nan="")))
+    writer.writerows([tgt, "", "", "", "", tau]
+                     for tgt, tau in zip(fm.names, _cells(fm.noise_share, nan="")))
     return out.getvalue()
 
 

@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import estimator as _est
+from . import floattext
 from .core import TimeSeriesSet
 from .errors import (
     DegenerateBudgetError,
@@ -255,27 +256,39 @@ def _null_nan(x: float):
     return None if np.isnan(x) else x
 
 
-def _array_out(a: np.ndarray):
-    """Nested lists of floats with NaN as None; the floats are those of ``a.tolist()``."""
-    return np.where(np.isnan(a), None, a).tolist()
-
-
 _C_JSON = json.JSONEncoder(allow_nan=False)  # indent None selects json's C encoder
 
 
 def _indented(value, level: int) -> str:
-    """``json.dumps(value, indent=2)`` at nesting ``level``; an innermost float list is
-    C-encoded in one call and its ", " (never inside a float or null) become breaks."""
+    """``json.dumps(value, indent=2)`` at nesting ``level``, NaN as null; a non-empty
+    float array is laid out by ``floattext.join`` in one call."""
+    if isinstance(value, np.ndarray):
+        if value.size:
+            return _float_array(value, level)
+        value = value.tolist()
     if not isinstance(value, list):
         return _C_JSON.encode(value)
     if not value:
         return "[]"
     pad = "\n" + "  " * (level + 1)
-    if isinstance(value[0], (list, str)):
-        body = ("," + pad).join(_indented(v, level + 1) for v in value)
-    else:
-        body = _C_JSON.encode(value)[1:-1].replace(", ", "," + pad)
+    body = ("," + pad).join(_indented(v, level + 1) for v in value)
     return "[" + pad + body + "\n" + "  " * level + "]"
+
+
+def _float_array(a: np.ndarray, level: int) -> str:
+    """``_indented`` of a non-empty 1-D or 2-D float array: its rows' values at
+    the innermost level, NaN as null; infinities raise as in json."""
+    if np.isinf(a).any():
+        raise ValueError("Out of range float values are not JSON compliant")
+    row_level = level + a.ndim - 1
+    pad = "\n" + "  " * (row_level + 1)
+    close = "\n" + "  " * row_level + "]"
+    if a.ndim == 1:
+        return "[" + pad + floattext.join(a[None], "," + pad, close, nan="null")
+    outer = "\n" + "  " * (level + 1)
+    following = "," + outer + "[" + pad  # after a row's close, the next row's opening
+    text = floattext.join(a, "," + pad, close + following, nan="null")
+    return "[" + outer + "[" + pad + text[:-len(following)] + "\n" + "  " * level + "]"
 
 
 def emit_json(obj) -> str:
@@ -293,7 +306,7 @@ def emit_json(obj) -> str:
             "k": obj.k,
             "alpha": obj.alpha,
             "mode": obj.mode,
-            **{f: _array_out(getattr(obj, f)) for f in _ARRAYS},
+            **{f: getattr(obj, f) for f in _ARRAYS},
         }
         fields = (f"  {_C_JSON.encode(key)}: {_indented(v, 1)}" for key, v in payload.items())
         return "{\n" + ",\n".join(fields) + "\n}\n"

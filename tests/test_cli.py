@@ -595,6 +595,32 @@ def test_analyze_csv_format(tmp_path, capsys):
     assert float(noise_row[5]) > 0.0
 
 
+@pytest.mark.parametrize("normalize", [False, True])
+def test_analyze_csv_bytes_match_per_element_repr(tmp_path, capsys, normalize):
+    names = ("a", "b,c", 'q"')
+    values = np.random.default_rng(8).standard_normal((3, 400)).cumsum(axis=1) * 1e-3
+    path = tmp_path / "in.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_csv(names, values, fh)
+    flag = "--normalize" if normalize else "--no-normalize"
+    assert main(["analyze", "--input", str(path), flag, "--format", "csv"]) == 0
+    got = capsys.readouterr().out
+    fm = all_pairs(validate_series_set(parse_csv(str(path))[1], names, 1.0), normalize=normalize)
+    cell = lambda x: "" if np.isnan(x) else repr(float(x))  # noqa: E731
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["target", "source", "T", "se", "p", "tau"])
+    for i, tgt in enumerate(names):
+        for j, src in enumerate(names):
+            writer.writerow([tgt, src, repr(float(fm.T[i, j])), repr(float(fm.SE[i, j])),
+                             repr(float(fm.P[i, j])), cell(fm.TAU[i, j])])
+    for i, tgt in enumerate(names):
+        writer.writerow([tgt, "", "", "", "", cell(fm.noise_share[i])])
+    assert got == want.getvalue()
+    assert '"b,c","q""",' in got  # the names were quoted
+    assert (",\n" in got) != normalize  # tau cells are empty exactly without shares
+
+
 def test_simulate_deterministic_bytes(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
