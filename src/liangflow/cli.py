@@ -80,7 +80,7 @@ def parse_csv(path: str):
     anywhere in the input, which is read to its end after a bad record.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             try:
                 reader = csv.reader(fh)
                 header = next(filter(None, _records(path, reader, 0)), None)

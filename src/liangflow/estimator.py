@@ -14,10 +14,11 @@ maximum-likelihood estimate has a closed form built from three pieces:
 
 The pairwise rate is ``a_hat[source] * C[target, source] / C[target,
 target]``; the self rate is simply ``a_hat[target]``. One moment engine
-(``_Design``) fits every target at once on the correlation matrix, which
-keeps the estimates invariant under per-component affine rescaling of the
-data to near machine precision; all reported quantities are mapped back
-to original units.
+(``_Design``) fits every target at once on the correlation matrix and
+holds every rate and standard error that the scalar and matrix APIs
+report; fitting on correlations keeps the estimates invariant under
+per-component affine rescaling of the data to near machine precision, and
+all reported quantities are mapped back to original units.
 """
 
 from __future__ import annotations
@@ -48,52 +49,8 @@ _BLOCK = 4096  # columns per residual product
 _Z90 = 1.6448536269514729
 _Z95 = 1.9599639845400545
 _Z99 = 2.575829303548901
-# Cody's rational approximations to erf on [0, 0.5] and to erfc on [0.5, 4] and
-# [4, inf) (Cody 1969, Math. Comp. 23:631; the coefficients of his CALERF)
-_ERF_A = (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
-          3.20937758913846947e03, 1.85777706184603153e-1)
-_ERF_B = (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
-          2.84423683343917062e03)
-_ERFC_C = (5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
-           2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03,
-           2.05107837782607147e03, 1.23033935479799725e03, 2.15311535474403846e-8)
-_ERFC_D = (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
-           1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
-           3.43936767414372164e03, 1.23033935480374942e03)
-_ERFC_P = (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
-           1.60837851487422766e-2, 6.58749161529837803e-4, 1.63153871373020978e-2)
-_ERFC_Q = (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
-           6.05183413124413191e-2, 2.33520497626869185e-3)
-
-
-def _rational(x, num, den):
-    """Cody's num(x) / den(x): the last numerator coefficient leads, the
-    denominator's leading coefficient is 1."""
-    top, bottom = num[-1] * x, x
-    for a, b in zip(num[:len(den) - 1], den):
-        top, bottom = (top + a) * x, (bottom + b) * x
-    return (top + num[len(den) - 1]) / (bottom + den[-1])
-
-
-def _erfc(x):
-    """erfc of each x >= 0 (NaN stays NaN), elementwise in numpy.
-
-    exp(-x**2) is exp(-u**2) exp(-(x - u)(x + u)) with u = x rounded down
-    to a sixteenth, so the tail keeps its relative accuracy down to 1e-300.
-    erfc is 0 in floats from x = 27.3 on, so x is capped at 40 (infinity too).
-    """
-    x = np.minimum(x, 40.0)
-    out = np.full_like(x, np.nan)
-    near = x <= 0.46875
-    out[near] = 1.0 - x[near] * _rational(x[near] ** 2, _ERF_A, _ERF_B)
-    mid = (x > 0.46875) & (x <= 4.0)
-    out[mid] = _rational(x[mid], _ERFC_C, _ERFC_D)
-    far = x > 4.0
-    y = 1.0 / x[far] ** 2
-    out[far] = (1.0 / math.sqrt(math.pi) - y * _rational(y, _ERFC_P, _ERFC_Q)) / x[far]
-    u = np.floor(x * 16.0) / 16.0
-    scale = np.exp(-u * u) * np.exp(-(x - u) * (x + u))
-    return np.where(near, out, out * scale)
+# numpy has no erfc; the two-sided normal tail 2 Phi(-|z|) is erfc(|z| / sqrt 2)
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -184,9 +141,11 @@ class _Design:
     (column t is target t), the Cholesky factor of the correlation matrix,
     the coefficients ``A`` (column t is target t's fit), the residual
     variances, and ``s``, the coefficient covariance per unit residual
-    variance. The scalar estimators also fit every target and keep one: a
-    one-column product rounds differently, and this keeps each of them
-    bit-identical to its ``all_pairs`` entry.
+    variance. From these come the rates and their errors, the one place
+    they are computed: ``scale[t, j] = C[t, j] / C[t, t]``, the rates
+    ``T = A.T * scale`` (self rates on the diagonal) and their standard
+    errors ``SE``. The scalar estimators read one entry of these arrays, so
+    each is bit-identical to its ``all_pairs`` entry.
     """
 
     def __init__(self, window: np.ndarray, ydot: np.ndarray, names, dt: float, k: int):
@@ -245,6 +204,10 @@ class _Design:
         for lo in range(0, n_eff, _BLOCK):  # a d x _BLOCK temporary, not a third d x n_eff
             ydot[:, lo : lo + _BLOCK] -= self.A.T @ xc[:, lo : lo + _BLOCK]
         self.resid_var = np.einsum("ij,ij->i", ydot, ydot) / self.dof
+        # an exactly-zero sample covariance annihilates its flow exactly
+        self.scale = self.C / np.diag(self.C)[:, None]
+        self.T = self.A.T * self.scale
+        self.SE = _std_err(self.scale, self.resid_var[:, None] * np.diag(self.s))
 
     def fit(self, target: int) -> LinearModelFit:
         """The fit of one target, with the full covariance of [intercept, coeffs]."""
@@ -293,6 +256,12 @@ def fit_linear_model(tss: TimeSeriesSet, target: int, k: int = 1) -> LinearModel
     return _design_for(tss, k).fit(target)
 
 
+def _std_err(scale, var):
+    """Standard error of ``scale`` times a coefficient of variance ``var``
+    (a negative rounding residue counts as zero), elementwise."""
+    return np.abs(scale) * np.sqrt(np.maximum(var, 0.0))
+
+
 def _p_values(value, std_err):
     """Two-sided normal p-values of value / std_err, elementwise.
 
@@ -304,7 +273,7 @@ def _p_values(value, std_err):
     std_err = np.asarray(std_err, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.abs(value) / std_err
-    p = _erfc(z * math.sqrt(0.5))  # the two-sided normal tail 2 Phi(-|z|)
+    p = np.asarray(_ERFC(z * math.sqrt(0.5)), dtype=float)
     zero = std_err == 0.0
     pinned = zero & (value != 0.0)
     if pinned.any():
@@ -316,11 +285,13 @@ def _p_values(value, std_err):
     return np.where(zero, np.where(pinned, 0.0, 1.0), p), pinned
 
 
-def _normal_inference(value: float, std_err: float):
-    """Two-sided p-value and central normal CIs for value/std_err."""
+def _inference(value: float, std_err: float) -> dict:
+    """The FlowEstimate fields of value/std_err: the standard error, the
+    two-sided p-value and the central 90/95/99% normal intervals."""
     p, pinned = _p_values(value, std_err)
-    cis = tuple((value - z * std_err, value + z * std_err) for z in (_Z90, _Z95, _Z99))
-    return float(p), cis[0], cis[1], cis[2], bool(pinned)
+    ci90, ci95, ci99 = ((value - z * std_err, value + z * std_err) for z in (_Z90, _Z95, _Z99))
+    return dict(std_err=std_err, p_value=float(p), ci90=ci90, ci95=ci95, ci99=ci99,
+                zero_variance=bool(pinned))
 
 
 def significance(flow: FlowEstimate, fit: LinearModelFit) -> FlowEstimate:
@@ -334,39 +305,23 @@ def significance(flow: FlowEstimate, fit: LinearModelFit) -> FlowEstimate:
         raise ValueError(
             f"flow targets index {flow.target} but the fit is for index {fit.target}"
         )
-    var = float(fit.coeff_cov[flow.coef_index + 1, flow.coef_index + 1])
-    std_err = abs(flow.coef_scale) * float(np.sqrt(max(var, 0.0)))
-    p, ci90, ci95, ci99, zv = _normal_inference(flow.value, std_err)
-    return replace(
-        flow, std_err=std_err, p_value=p, ci90=ci90, ci95=ci95, ci99=ci99, zero_variance=zv
-    )
+    var = fit.coeff_cov[flow.coef_index + 1, flow.coef_index + 1]
+    return replace(flow, **_inference(flow.value, float(_std_err(flow.coef_scale, var))))
 
 
-def _pair_estimate(fit: LinearModelFit, source: int) -> FlowEstimate:
-    # scale = C[target, source] / C[target, target]; an exactly-zero sample
-    # covariance therefore annihilates the flow exactly
-    scale = float(fit.cov_row[source] / fit.cov_row[fit.target])
-    est = FlowEstimate(
-        kind="pairwise",
-        source=int(source),
-        target=fit.target,
-        value=float(fit.coeffs[source] * scale),
+def _entry(eng: _Design, target: int, source: int) -> FlowEstimate:
+    """The engine's rate from ``source`` into ``target`` with its inference;
+    ``source == target`` gives the target's self rate."""
+    value = float(eng.T[target, source])
+    return FlowEstimate(
+        kind="self" if source == target else "pairwise",
+        source=None if source == target else int(source),
+        target=int(target),
+        value=value,
         coef_index=int(source),
-        coef_scale=scale,
+        coef_scale=float(eng.scale[target, source]),
+        **_inference(value, float(eng.SE[target, source])),
     )
-    return significance(est, fit)
-
-
-def _self_estimate(fit: LinearModelFit) -> FlowEstimate:
-    est = FlowEstimate(
-        kind="self",
-        source=None,
-        target=fit.target,
-        value=float(fit.coeffs[fit.target]),
-        coef_index=fit.target,
-        coef_scale=1.0,
-    )
-    return significance(est, fit)
 
 
 def flow_multivariate(
@@ -383,7 +338,7 @@ def flow_multivariate(
         raise IndexError(f"source {source} / target {target} out of range for d = {d}")
     if source == target:
         raise SameIndexError("source and target must differ; use self_contribution")
-    return _pair_estimate(fit_linear_model(tss, target, k), source)
+    return _entry(_design_for(tss, k), target, source)
 
 
 def self_contribution(tss: TimeSeriesSet, target: int, k: int = 1) -> FlowEstimate:
@@ -392,7 +347,9 @@ def self_contribution(tss: TimeSeriesSet, target: int, k: int = 1) -> FlowEstima
     Equals the target's own fitted coefficient; the standard error is that
     coefficient's standard error.
     """
-    return _self_estimate(fit_linear_model(tss, target, k))
+    if not 0 <= target < tss.d:
+        raise IndexError(f"target {target} out of range for d = {tss.d}")
+    return _entry(_design_for(tss, k), target, target)
 
 
 def flow_bivariate(x1, x2, dt: float = 1.0, k: int = 1) -> FlowEstimate:
@@ -427,8 +384,7 @@ def flow_bivariate(x1, x2, dt: float = 1.0, k: int = 1) -> FlowEstimate:
     )
     if not ok:
         raise SingularCovarianceError(_PAIR_SINGULAR)
-    value, std_err = float(value), float(std_err)
-    p, ci90, ci95, ci99, zv = _normal_inference(value, std_err)
+    value = float(value)
     return FlowEstimate(
         kind="pairwise",
         source=1,
@@ -436,12 +392,7 @@ def flow_bivariate(x1, x2, dt: float = 1.0, k: int = 1) -> FlowEstimate:
         value=value,
         coef_index=1,
         coef_scale=float(scale),
-        std_err=std_err,
-        ci90=ci90,
-        ci95=ci95,
-        ci99=ci99,
-        p_value=p,
-        zero_variance=zv,
+        **_inference(value, float(std_err)),
     )
 
 
@@ -468,8 +419,7 @@ def _bivariate_from_moments(c11, c22, c12, c1d, c2d, cdd, n_eff):
         resid_var = rss / (n_eff - 3)
         var_a2 = resid_var * c11 / ((n_eff - 1) * det_c)
         scale = c12 / c11
-        std_err = np.abs(scale) * np.sqrt(np.maximum(var_a2, 0.0))
-    return value, std_err, scale, ok
+        return value, _std_err(scale, var_a2), scale, ok
 
 
 def flow_panel(pairs: PanelPairs, source: int, target: int) -> FlowEstimate:
@@ -486,7 +436,7 @@ def flow_panel(pairs: PanelPairs, source: int, target: int) -> FlowEstimate:
     if source == target:
         raise SameIndexError("source and target must differ for a pairwise flow")
     design = _Design(pairs.x0, (pairs.x1 - pairs.x0) / pairs.dt_gap, pairs.names, pairs.dt_gap, 1)
-    return _pair_estimate(design.fit(target), source)
+    return _entry(design, target, source)
 
 
 def budget_shares(rates: np.ndarray, noise):

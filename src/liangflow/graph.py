@@ -119,8 +119,8 @@ def all_pairs(
 ) -> FlowMatrix:
     """Every directed rate (plus self rates on the diagonal) in one pass.
 
-    One moment engine fits every target at once (see
-    ``estimator._Design``); T, SE, P and the shares then follow by
+    One moment engine fits every target at once and holds T and SE (see
+    ``estimator._Design``); P and the shares then follow by
     broadcasting. ``mode="bivariate"`` computes off-diagonal entries from
     pair moments only (no conditioning on the remaining components); the
     diagonal and the noise share always come from the full fit. A
@@ -138,9 +138,7 @@ def all_pairs(
 
     d = tss.d
     c_ii = np.diag(eng.C)
-    scale = eng.C / c_ii[:, None]  # C[target, source] / C[target, target]; 1 on the diagonal
-    t = eng.A.T * scale
-    se = np.abs(scale) * np.sqrt(np.maximum(eng.resid_var[:, None] * np.diag(eng.s), 0.0))
+    t, se = eng.T, eng.SE
     pair_bad = np.zeros(d, dtype=bool)
     if mode == "bivariate":
         cd_own = np.diag(eng.Cd)

@@ -42,6 +42,21 @@ def test_parse_csv_basic(tmp_path):
     np.testing.assert_array_equal(values, [[1.0, 3.0], [2.0, 4.0]])
 
 
+def test_parse_csv_drops_a_byte_order_mark(tmp_path, monkeypatch, capsys):
+    # Excel's "CSV UTF-8" starts the file with U+FEFF, which must not end up in the first name
+    monkeypatch.setattr(cli, "_READ_BLOCK", 100)
+    rows = np.random.default_rng(3).standard_normal((500, 2)).tolist()
+    path = tmp_path / "bom.csv"
+    text = "x1,x2\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows)
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        names, values = parse_csv(str(path))
+        assert names == ["x1", "x2"] and values.T.tolist() == rows
+        assert main(["analyze", "--input", str(path), "--dt", "0.1"]) == 0
+        assert json.loads(capsys.readouterr().out)["names"] == ["x1", "x2"]
+
+
 def test_parse_csv_ragged_row_reports_line(tmp_path):
     path = _write(tmp_path, "t.csv", "a,b\n1,2\n3\n")
     with pytest.raises(MalformedError, match="line 3"):
@@ -513,6 +528,8 @@ def test_analyze_reads_a_pipe(tmp_path):
     from_pipe = analyze("/dev/stdin", sim.read_bytes())
     assert from_file.returncode == from_pipe.returncode == 0, from_pipe.stderr
     assert from_pipe.stdout == from_file.stdout
+    with_bom = analyze("/dev/stdin", b"\xef\xbb\xbf" + sim.read_bytes())
+    assert with_bom.returncode == 0 and with_bom.stdout == from_file.stdout
     lines[1500] += ",0"
     lines[2600] = "x," + lines[2600]
     bad = analyze("/dev/stdin", "\n".join(lines).encode() + b"\n")

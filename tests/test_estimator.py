@@ -1,5 +1,6 @@
 """Closed-form flow estimation, inference, and normalization."""
 
+import math
 import warnings
 
 import numpy as np
@@ -352,6 +353,9 @@ def test_p_values_equal_scipy_stats():
     assert np.abs(p - ref)[known].max() <= 1e-15
     above = ref > 1e-300
     assert np.abs(p[above] / ref[above] - 1.0).max() <= 1e-12
+    # and exactly the C library's erfc of |z| / sqrt 2
+    erfc = [math.erfc(abs(v) / s * math.sqrt(0.5)) for v, s in zip(value, std_err)]
+    assert np.array_equal(p, erfc, equal_nan=True)
     # a zero standard error pins p to 1 for a zero estimate and to 0 otherwise
     with pytest.warns(ZeroVarianceWarning):
         p, pinned = estimator._p_values([0.0, 2.0, -np.inf], [0.0, 0.0, 0.0])

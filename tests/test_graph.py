@@ -14,6 +14,7 @@ from liangflow import (
     Edge,
     FlowMatrix,
     MalformedError,
+    PanelPairs,
     SelfLoop,
     SingularCovarianceError,
     TimeSeriesSet,
@@ -24,8 +25,11 @@ from liangflow import (
     emit_json,
     flow_bivariate,
     flow_matrix_from_json,
+    flow_multivariate,
+    flow_panel,
     self_contribution,
 )
+from liangflow import estimator
 
 
 examples = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -66,6 +70,34 @@ def test_diagonal_holds_self_rates():
         est = self_contribution(tss, target=i, k=1)
         assert fm.T[i, i] == est.value
         assert fm.SE[i, i] == est.std_err
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_scalar_routes_are_the_engine_entries(k):
+    rng = np.random.default_rng(20 + k)
+    values = rng.standard_normal((4, 600))
+    values[1, 1:] += 0.6 * values[0, :-1]  # one coupled pair, so some P are tiny
+    tss = TimeSeriesSet(tuple("abcd"), values, 0.5)
+    fm = all_pairs(tss, k=k)
+    for i in range(4):
+        for j in range(4):
+            est = self_contribution(tss, i, k) if i == j else flow_multivariate(tss, j, i, k)
+            assert (est.value, est.std_err, est.p_value) == (fm.T[i, j], fm.SE[i, j], fm.P[i, j])
+
+
+def test_panel_route_is_the_engine_entry():
+    rng = np.random.default_rng(24)
+    x0 = rng.standard_normal((3, 200))
+    x1 = x0 + 0.1 * rng.standard_normal((3, 200))
+    x1[0] += 0.05 * x0[2]
+    pairs = PanelPairs(("a", "b", "c"), x0, x1, 0.1)
+    eng = estimator._Design(x0, (x1 - x0) / 0.1, pairs.names, 0.1, 1)
+    p, _ = estimator._p_values(eng.T, eng.SE)
+    for i in range(3):
+        for j in range(3):
+            if i != j:
+                est = flow_panel(pairs, j, i)
+                assert (est.value, est.std_err, est.p_value) == (eng.T[i, j], eng.SE[i, j], p[i, j])
 
 
 def test_variable_permutation_symmetry():
