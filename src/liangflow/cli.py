@@ -32,7 +32,7 @@ from . import floattext
 from .core import TimeSeriesSet, validate_series_set
 from .dynamics import (
     LinearSDE,
-    _budget_from_sigma,
+    _exact_rates,
     simulate,
     stationary_covariance,
 )
@@ -88,8 +88,7 @@ def parse_csv(path: str):
                     raise EmptyFileError(f"{path}: no content")
                 names = [cell.strip() for cell in header]
                 tasks = _blocks(fh, reader.line_num)
-                blocks = [values for rows in _in_order(_parse_lines, tasks, path, names)
-                          for values in rows]
+                blocks = list(_in_order(_parse_lines, tasks, path, names))
             except MalformedError:  # undecodable text after the bad record outranks it
                 while fh.read(1 << 20):  # in chunks, so the rest is never held at once
                     pass
@@ -133,34 +132,33 @@ def _kept(lines, kept: list):
 
 
 def _parse_lines(path: str, names, lines, line: int):
-    """Data lines of whole records as a list of row blocks.
-
-    If the C reader rejects the lines, a block with a quote goes to the
-    row loop whole, since a quoted cell may span lines. Otherwise each
-    line is one record: those with an empty cell (the usual reason) go to
-    the row loop and the runs between them to the C reader again, so a
-    file with gaps is still read once in C. A run rejected again goes to
-    the row loop whole.
+    """Data lines of whole records as an N x d array: by the C reader, else by
+    the C reader with each empty cell written ``nan`` (``np.nan``'s bits), else
+    by the row loop. A quote fails both C reads, as ``_parse_bulk`` has no
+    quote character, so only the row loop reads a quoted cell.
     """
     values = _parse_bulk(lines, len(names))
-    if values is not None:
-        return [values]
-    if any('"' in text for text in lines):
-        return [_parse_rows(path, names, csv.reader(lines), line)]
-    blocks = []
-    for gappy, run in itertools.groupby(lines, _has_empty_cell):
-        run = list(run)
-        values = None if gappy or len(run) == len(lines) else _parse_bulk(run, len(names))
-        if values is None:
-            values = _parse_rows(path, names, csv.reader(run), line)
-        blocks.append(values)
-        line += len(run)
-    return blocks
+    if values is None:
+        values = _parse_bulk([_nan_filled(text) for text in lines], len(names))
+    if values is None:
+        values = _parse_rows(path, names, csv.reader(lines), line)
+    return values
 
 
-def _has_empty_cell(text: str) -> bool:
+def _nan_filled(text: str) -> str:
+    """The line without its line end, with ``nan`` in each empty cell.
+
+    Per line, not on a block's joined text, where finding a comma beside a
+    line end costs two more full scans of the text.
+    """
     cells = text.rstrip("\r\n")
-    return ",," in cells or cells.startswith(",") or cells.endswith(",")
+    if ",," in cells:
+        cells = cells.replace(",,", ",nan,").replace(",,", ",nan,")  # once leaves ",,," half done
+    if cells.startswith(","):
+        cells = "nan" + cells
+    if cells.endswith(","):
+        cells += "nan"
+    return cells
 
 
 def _parse_bulk(lines, width: int):
@@ -451,18 +449,16 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     """Exact rates and entropy budget for a linear system (no estimation)."""
     sde, _ = _resolve_sde(args)
     sc = stationary_covariance(sde)
-    budgets = [_budget_from_sigma(sde, sc.Sigma, i) for i in range(sde.d)]
-    rates = np.array([b.flows for b in budgets])
-    np.fill_diagonal(rates, [b.self_rate for b in budgets])
-    tau, noise_share, _ = budget_shares(rates, np.array([b.noise_rate for b in budgets]))
+    rates, noise, residual = _exact_rates(sde, sc.Sigma)
+    tau, noise_share, _ = budget_shares(rates, noise)
     payload = {
         "orientation": "T[target][source]",
         "names": list(sde.names),
         "T": rates.tolist(),
         "TAU": tau.tolist(),
         "noise_share": noise_share.tolist(),
-        "noise_rate": [b.noise_rate for b in budgets],
-        "budget_residual": [b.residual for b in budgets],
+        "noise_rate": noise.tolist(),
+        "budget_residual": residual.tolist(),
         "lyapunov_residual": sc.residual,
     }
     _write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.output)

@@ -183,13 +183,14 @@ def validate_series_set(raw, names, dt: float, nan_policy: str = "reject") -> Ti
         values = values[None, :]
     if values.ndim != 2:
         raise NonRectangularError(f"expected a 2-D matrix, got ndim={values.ndim}")
+    names = _check_names(names, values.shape[0])  # before the NaN policy, whose errors name them
 
     finite = np.isfinite(values)
     if not finite.all():
         if nan_policy == "reject":
             bad = int((~finite).sum())
             raise NaNsPresentError(f"{bad} non-finite values present (nan_policy='reject')")
-        values = _interpolate_gaps(values, finite)
+        values = _interpolate_gaps(values, finite, names)
 
     tss = TimeSeriesSet(names=names, values=values, dt=dt)
     if tss.n_samples < tss.d + 3:
@@ -203,14 +204,14 @@ def validate_series_set(raw, names, dt: float, nan_policy: str = "reject") -> Ti
     return tss
 
 
-def _interpolate_gaps(values: np.ndarray, finite: np.ndarray):
+def _interpolate_gaps(values: np.ndarray, finite: np.ndarray, names):
     """Fill interior gaps linearly, trim non-finite edges across all rows."""
     d, n = values.shape
     starts, stops = [], []
     for i in range(d):
         idx = np.flatnonzero(finite[i])
         if idx.size == 0:
-            raise NaNsPresentError(f"series {i} has no finite values to interpolate from")
+            raise NaNsPresentError(f"series {names[i]!r} has no finite values to interpolate from")
         starts.append(idx[0])
         stops.append(idx[-1] + 1)
     lo, hi = max(starts), min(stops)

@@ -242,15 +242,29 @@ def theoretical_flow(sde: LinearSDE, source: int, target: int) -> float:
     a = float(sde.A[target, source])
     if a == 0.0:
         return 0.0
-    sigma = stationary_covariance(sde).Sigma
-    return a * _ratio(sigma, target, source)
+    rates, _, _ = _exact_rates(sde, stationary_covariance(sde).Sigma)
+    return float(rates[target, source])
 
 
-def _ratio(sigma: np.ndarray, i: int, j: int) -> float:
-    sii = float(sigma[i, i])
-    if not sii > 0.0:
-        raise NumericalError(f"stationary variance of component {i} is not positive")
-    return float(sigma[i, j]) / sii
+def _exact_rates(sde: LinearSDE, sigma: np.ndarray):
+    """Exact rates, noise rates and budget residuals of every target, from ``sigma``.
+
+    ``rates[i, j]`` is the rate from j into i, A[i, j] * S[i, j] / S[i, i]
+    (exactly zero where A[i, j] is), with the self rate A[i, i] on the
+    diagonal; ``noise[i]`` is Q[i, i] / (2 S[i, i]); ``residual[i]`` is the
+    budget sum, incoming flows + self rate + noise rate.
+    """
+    var = np.diag(sigma)
+    bad = np.flatnonzero(~(var > 0.0))
+    if bad.size:
+        raise NumericalError(f"stationary variance of component {bad[0]} is not positive")
+    self_rates = np.diag(sde.A)
+    rates = np.where(sde.A == 0.0, 0.0, sde.A * (sigma / var[:, None]))
+    np.fill_diagonal(rates, 0.0)
+    noise = np.diag(sde.noise_cov) / (2.0 * var)
+    residual = rates.sum(axis=1) + self_rates + noise
+    np.fill_diagonal(rates, self_rates)
+    return rates, noise, residual
 
 
 @dataclass(frozen=True)
@@ -272,26 +286,6 @@ class TheoreticalBudget:
         object.__setattr__(self, "flows", _frozen(self.flows, None, "flows"))
 
 
-def _budget_from_sigma(sde: LinearSDE, sigma: np.ndarray, target: int) -> TheoreticalBudget:
-    d = sde.d
-    flows = np.zeros(d)
-    for j in range(d):
-        if j == target:
-            continue
-        a = float(sde.A[target, j])
-        flows[j] = 0.0 if a == 0.0 else a * _ratio(sigma, target, j)
-    self_rate = float(sde.A[target, target])
-    noise_rate = float(sde.noise_cov[target, target]) / (2.0 * float(sigma[target, target]))
-    residual = float(flows.sum() + self_rate + noise_rate)
-    return TheoreticalBudget(
-        target=int(target),
-        flows=flows,
-        self_rate=self_rate,
-        noise_rate=noise_rate,
-        residual=residual,
-    )
-
-
 def theoretical_budget(sde: LinearSDE, target: int) -> TheoreticalBudget:
     """Exact budget triple (incoming flows, self rate, noise rate) for one target.
 
@@ -302,5 +296,11 @@ def theoretical_budget(sde: LinearSDE, target: int) -> TheoreticalBudget:
     d = sde.d
     if not 0 <= target < d:
         raise IndexError(f"target {target} out of range for d = {d}")
-    sigma = stationary_covariance(sde).Sigma
-    return _budget_from_sigma(sde, sigma, target)
+    rates, noise, residual = _exact_rates(sde, stationary_covariance(sde).Sigma)
+    return TheoreticalBudget(
+        target=int(target),
+        flows=np.where(np.arange(d) == target, 0.0, rates[target]),
+        self_rate=float(rates[target, target]),
+        noise_rate=float(noise[target]),
+        residual=float(residual[target]),
+    )

@@ -167,15 +167,54 @@ def test_parse_csv_empty_and_header_only(tmp_path):
         assert caught == []  # the bulk reader's "input contained no data" stays inside
 
 
-def test_parse_csv_gaps_alone_take_the_row_loop(tmp_path, row_loop_calls):
+def _row_loop_bits(path, names):
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        return cli._parse_rows(path, names, reader, 1).T.tobytes()
+
+
+def test_parse_csv_gaps_take_the_filled_bulk_reader(tmp_path, row_loop_calls):
     rows = ["%d,%d,%d" % (i, -i, i) for i in range(10000)]
     rows[50], rows[9000], rows[9001] = ",-50,50", "9000,,", "9001,-9001,"
     path = _write(tmp_path, "t.csv", "a,b,c\n" + "\n".join(rows) + "\n")
     _, values = parse_csv(path)
-    assert [n for _, n in row_loop_calls] == [1, 2]  # the gappy lines, not the file or a block
+    assert row_loop_calls == []
     want = np.array([np.arange(10000.0), -np.arange(10000.0), np.arange(10000.0)])
     want[0, 50] = want[1, 9000] = want[2, 9000] = want[2, 9001] = np.nan
     np.testing.assert_array_equal(values, want)
+    assert values.tobytes() == _row_loop_bits(path, ["a", "b", "c"])
+
+
+@pytest.mark.parametrize("text", [
+    "a,b,c,d\n1,,,4\n,,,8\n9,,11,\n",  # runs of two and three empty cells
+    "a,b,c\n,2,3\n4,5,\n,,\n",  # an empty first and an empty last cell
+    "a,b,c\r\n,2,3\r\n4,5,\r\n7,,9\r\n",  # CRLF line ends
+    "a,b,c\n1,,3\n4,5,",  # a last line without a newline
+    "a,b\n1,2\n,\n3,\n",  # a d=2 line that is just ","
+])
+def test_parse_csv_gap_shapes_take_the_filled_bulk_reader(tmp_path, row_loop_calls, text):
+    path = _write(tmp_path, "t.csv", text)
+    names, values = parse_csv(path)
+    assert row_loop_calls == []
+    assert np.isnan(values).any()
+    assert values.tobytes() == _row_loop_bits(path, names)
+
+
+def test_parse_csv_gaps_with_python_float_syntax_give_the_row_loop_bits(tmp_path,
+                                                                       row_loop_calls):
+    path = _write(tmp_path, "t.csv", "a,b,c\n1_0,,3\n,5,\n7,8,9\n")
+    names, values = parse_csv(path)
+    assert {p for p, _ in row_loop_calls} == {path}
+    assert values.tobytes() == _row_loop_bits(path, names)
+    assert values[0, 0] == 10.0 and np.isnan(values[1, 0])
+
+
+def test_parse_csv_gaps_with_a_bad_cell_give_the_row_loop_error(tmp_path, row_loop_calls):
+    path = _write(tmp_path, "t.csv", "a,b,c\n1,,3\n,5,\n7,x,9\n10,,\n")
+    with pytest.raises(MalformedError, match="line 4: non-numeric value 'x' in column 'b'"):
+        parse_csv(path)
+    assert {p for p, _ in row_loop_calls} == {path}
 
 
 def test_parse_csv_blocks_keep_physical_lines_and_quoted_records(tmp_path, monkeypatch):
@@ -716,6 +755,12 @@ def test_oracle_not_hurwitz():
     assert main(["oracle", "--A", "1", "--B", "1"]) == 3
 
 
+def test_oracle_component_without_noise_is_numerical(capsys):
+    # no noise reaches x2, so its stationary variance is 0 and its budget divides by it
+    assert main(["oracle", "--A=-1,0.5;0,-1", "--B", "1,0;0,0"]) == 3
+    assert "stationary variance of component 1 is not positive" in capsys.readouterr().err
+
+
 def test_bench_smallest_case(capsys):
     assert main(["bench", "--d", "2", "--n", "100", "--reps", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -744,6 +789,14 @@ def test_exit_code_validation(tmp_path):
                  "interpolate"]) == 0
     # bench's n >= d + 3 is the library's rule, not a flag's
     assert main(["bench", "--d", "2", "--n", "4"]) == 2
+
+
+def test_interpolate_names_an_all_empty_column(tmp_path, capsys):
+    rows = "".join(f"{i},,{i * i % 7}\n" for i in range(10))
+    path = _write(tmp_path, "t.csv", "temp,rain,wind\n" + rows)
+    assert main(["analyze", "--input", path, "--nan-policy", "interpolate"]) == 2
+    assert capsys.readouterr().err == (
+        "liangflow: error: series 'rain' has no finite values to interpolate from\n")
 
 
 def test_exit_code_numerical(tmp_path):
