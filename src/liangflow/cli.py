@@ -132,33 +132,21 @@ def _kept(lines, kept: list):
 
 
 def _parse_lines(path: str, names, lines, line: int):
-    """Data lines of whole records as an N x d array: by the C reader, else by
-    the C reader with each empty cell written ``nan`` (``np.nan``'s bits), else
-    by the row loop. A quote fails both C reads, as ``_parse_bulk`` has no
-    quote character, so only the row loop reads a quoted cell.
+    """Data lines of whole records as an N x d array: by orjson
+    (``floattext.read_rows``, which reads empty cells too), else by the C
+    reader, else by the C reader with each empty cell written ``nan``
+    (``np.nan``'s bits), else by the row loop. A quote fails all three bulk
+    reads, as ``_parse_bulk`` has no quote character, so only the row loop
+    reads a quoted cell.
     """
-    values = _parse_bulk(lines, len(names))
+    values = floattext.read_rows(lines, len(names))
     if values is None:
-        values = _parse_bulk([_nan_filled(text) for text in lines], len(names))
+        values = _parse_bulk(lines, len(names))
+    if values is None:
+        values = _parse_bulk([floattext.filled(text, "nan") for text in lines], len(names))
     if values is None:
         values = _parse_rows(path, names, csv.reader(lines), line)
     return values
-
-
-def _nan_filled(text: str) -> str:
-    """The line without its line end, with ``nan`` in each empty cell.
-
-    Per line, not on a block's joined text, where finding a comma beside a
-    line end costs two more full scans of the text.
-    """
-    cells = text.rstrip("\r\n")
-    if ",," in cells:
-        cells = cells.replace(",,", ",nan,").replace(",,", ",nan,")  # once leaves ",,," half done
-    if cells.startswith(","):
-        cells = "nan" + cells
-    if cells.endswith(","):
-        cells += "nan"
-    return cells
 
 
 def _parse_bulk(lines, width: int):

@@ -196,6 +196,7 @@ def simulate(
             starts[b + 1] = powers[block] @ starts[b] + s[b]
 
         states += np.einsum("lij,bj->bli", powers[:block], starts)
+        states[0, 0] = x0  # not 0 + x0, which turns a -0.0 into 0.0
 
     out = states.reshape(-1, d)[burn_in:total].T
     if not np.isfinite(out).all():

@@ -1,15 +1,20 @@
-"""Text of float64 arrays: for every value, the bytes of ``repr``, in numpy.
+"""Decimal text <-> float64 arrays: every value as ``repr`` writes it and
+``float`` reads it.
 
-``join`` lays out a whole 2-D array at once. Each value gets the
-shortest decimal digits that read back as the same float, and the
-closest such digits to it, by Giulietti's Schubfach algorithm ("The
-Schubfach way to render doubles", 2020), the digits Ryu (Adams, PLDI
-2018) and ``repr`` give too. It runs on ``uint64`` arrays, with each
-64 x 64 -> 128-bit product taken from four products of 32-bit halves.
-Two rules of the Java reference code differ from Python's and are left
-out: the two-digit rule for the three smallest subnormals (Java prints
-``4.9E-324``), and the lower bound of 100 on the digits for the
-one-digit-shorter test (10 here, so ``8e-323`` is not ``7.9e-323``).
+``read_rows`` reads CSV lines and ``join`` writes arrays through orjson,
+which reads the correctly rounded value of a decimal and writes the
+shortest round-trip digits (Ryu). Where its values or its text could
+differ from Python's, ``read_rows`` gives up and ``join`` uses the
+kernel below. The kernel gives each value the shortest decimal digits
+that read back as the same float, and the closest such digits to it, by
+Giulietti's Schubfach algorithm ("The Schubfach way to render doubles",
+2020), the digits Ryu (Adams, PLDI 2018) and ``repr`` give too. It runs
+on ``uint64`` arrays, with each 64 x 64 -> 128-bit product taken from
+four products of 32-bit halves. Two rules of the Java reference code
+differ from Python's and are left out: the two-digit rule for the three
+smallest subnormals (Java prints ``4.9E-324``), and the lower bound of
+100 on the digits for the one-digit-shorter test (10 here, so ``8e-323``
+is not ``7.9e-323``).
 
 The digits are laid out as ``repr`` lays them out: fixed notation when
 the decimal point falls at -4 < decpt <= 16 (``.0`` after an integer),
@@ -23,8 +28,11 @@ zeros out.
 from __future__ import annotations
 
 import functools
+import itertools
+import re
 
 import numpy as np
+import orjson
 
 _U64 = np.uint64
 _M32 = _U64(0xFFFFFFFF)
@@ -209,14 +217,11 @@ def _slots(values: np.ndarray, nan: str, tail: int) -> np.ndarray:
     return out
 
 
-def join(values, sep: str, end: str, nan: str = "nan") -> str:
-    """The rows of the 2-D float array ``values`` as text: each value as ``repr``
-    writes it, followed by ``sep``, or by ``end`` after the last of a row,
-    and a NaN as ``nan``. The rows must not be empty; the text is ASCII."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
+def _kernel_join(values: np.ndarray, sep: bytes, end: bytes, nan: str) -> bytes:
+    """``join`` of a C-contiguous float64 array by the kernel alone."""
     n_cols = values.shape[1]
     tail = max(len(sep), len(end))
-    ends = [list(text.encode().ljust(tail, b"\0")) for text in (sep, end)]
+    ends = [list(text.ljust(tail, b"\0")) for text in (sep, end)]
     ends = np.array(ends[:1] * (n_cols - 1) + ends[1:], dtype=np.uint8).reshape(n_cols, tail).T
     step = max(1, _CHUNK // n_cols)
     parts = []
@@ -226,4 +231,110 @@ def join(values, sep: str, end: str, nan: str = "nan") -> str:
         out[_SLOTS:] = np.tile(ends, len(block))
         text = out.T.reshape(-1)
         parts.append(text[text != 0].tobytes())
-    return b"".join(parts).decode("ascii")
+    return b"".join(parts)
+
+
+def _texts(values: np.ndarray, nan: str) -> list:
+    """The kernel's text of each value of the flat array ``values``, as bytes."""
+    out = _slots(values, nan, 0)
+    stops = np.cumsum(np.count_nonzero(out, axis=0)).tolist()
+    text = out.T.reshape(-1)
+    text = text[text != 0].tobytes()
+    return [text[start:stop] for start, stop in zip([0] + stops, stops)]
+
+
+# The largest share of odd values at which join writes through orjson. Above
+# it, splicing in the odd values' text costs more than the kernel saves.
+_ODD_SHARE = 0.1
+_MARK = b"1e300"  # orjson's text of 1e300, which stands in for each odd value
+
+
+def join(values, sep: str, end: str, nan: str = "nan") -> str:
+    """The rows of the 2-D float array ``values`` as text: each value as ``repr``
+    writes it, followed by ``sep``, or by ``end`` after the last of a row,
+    and a NaN as ``nan``. The rows must not be empty; the text is ASCII.
+
+    orjson writes the shortest round-trip digits in ``repr``'s layout for
+    every value but the odd ones (non-finite, nonzero below 1e-4 or at least
+    1e16 in magnitude), so it writes the array with 1e300 for each odd value,
+    and the kernel's text of the odd values replaces those, in order. With
+    more than ``_ODD_SHARE`` of the values odd, or one column, the kernel
+    writes them all.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if not values.size:
+        return ""
+    magnitude = np.abs(values)
+    odd = ((magnitude < 1e-4) & (values != 0)) | ~(magnitude < 1e16)
+    n_odd = np.count_nonzero(odd)
+    sep, end = sep.encode(), end.encode()
+    # one value a row costs orjson more in brackets than it saves; the layout below
+    # marks row ends with "]", and a digit or "e" beside a value could spell the marker
+    if (n_odd > _ODD_SHARE * values.size or values.shape[1] == 1 or b"]" in sep
+            or re.search(b"[0-9e]", sep + end)):
+        return _kernel_join(values, sep, end, nan).decode("ascii")
+    text = orjson.dumps(np.where(odd, 1e300, values), option=orjson.OPT_SERIALIZE_NUMPY)
+    # "]" is left at each row end only, then written as end
+    text = text[2:-2].replace(b"],[", b"]").replace(b",", sep).replace(b"]", end) + end
+    if n_odd:
+        pieces = text.split(_MARK)
+        spliced = itertools.chain.from_iterable(zip(pieces, _texts(values[odd], nan)))
+        text = b"".join(spliced) + pieces[-1]
+    return text.decode("ascii")
+
+
+_NUMBER_BYTES = b"0123456789+-.eE, \t\r\n"
+_INTEGER_MINUS_ZERO = re.compile(rb"-0(?![.0-9eE])")
+
+
+def read_rows(lines, width: int):
+    """The CSV lines as an N x ``width`` float array, each cell as ``float``
+    reads it and an empty cell as NaN, or None.
+
+    orjson reads the lines as one JSON array of rows; where it stops at a
+    missing value, it reads them again with each empty cell written
+    ``null``, which numpy reads as ``np.nan``'s bits. Any other cell that is
+    not a JSON number (``+1``, ``.5``, ``01``, ``nan``, a blank), a ragged
+    line, a blank line before the last row, a lone CR and a number too
+    large for a float give None. So does ``-0``, which orjson reads as the
+    integer 0; it is looked for only where a zero was read.
+    """
+    try:
+        text = "".join(lines).encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    if text.translate(None, _NUMBER_BYTES):
+        return None
+    wrapped = b"[[" + text.rstrip(b"\r\n").replace(b"\n", b"],[") + b"]]"
+    try:
+        try:
+            rows = orjson.loads(wrapped)
+        except orjson.JSONDecodeError as e:
+            if wrapped[e.pos:e.pos + 1] not in b",]":  # not where a value is missing
+                return None
+            cells = "\n".join(filled(line, "null") for line in lines).rstrip("\n")
+            rows = orjson.loads(b"[[" + cells.encode().replace(b"\n", b"],[") + b"]]")
+        values = np.array(rows, dtype=float)
+    except ValueError:  # orjson's JSONDecodeError, or numpy's on ragged rows
+        return None
+    if values.shape[1:] != (width,):
+        return None
+    if not values.all() and _INTEGER_MINUS_ZERO.search(text):
+        return None
+    return values
+
+
+def filled(line: str, cell: str) -> str:
+    """The CSV line without its line end, with ``cell`` in each empty cell.
+
+    Per line, not on a block's joined text, where finding a comma beside a
+    line end costs two more full scans of the text.
+    """
+    cells = line.rstrip("\r\n")
+    if ",," in cells:
+        cells = cells.replace(",,", f",{cell},").replace(",,", f",{cell},")  # once leaves ",,,"
+    if cells.startswith(","):
+        cells = cell + cells
+    if cells.endswith(","):
+        cells += cell
+    return cells

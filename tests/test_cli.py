@@ -217,6 +217,99 @@ def test_parse_csv_gaps_with_a_bad_cell_give_the_row_loop_error(tmp_path, row_lo
     assert {p for p, _ in row_loop_calls} == {path}
 
 
+@pytest.fixture
+def bulk_calls(monkeypatch, serial):
+    """The number of lines of each block parse_csv handed to the C reader."""
+    calls = []
+    bulk = cli._parse_bulk
+
+    def spy(lines, width):
+        calls.append(len(lines))
+        return bulk(lines, width)
+
+    monkeypatch.setattr(cli, "_parse_bulk", spy)
+    return calls
+
+
+def test_parse_csv_plain_decimals_take_the_orjson_reader(tmp_path, bulk_calls, row_loop_calls):
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((300, 3)) * 10.0 ** rng.integers(-3, 12, (300, 3))
+    text = "a,b,c\r\n" + "".join("%r, %.17g,\t%r\r\n" % tuple(row) for row in rows.tolist())
+    names, values = parse_csv(_write(tmp_path, "t.csv", text))
+    assert bulk_calls == [] and row_loop_calls == []
+    assert values.T.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("text", [
+    "a,b,c,d\n1,,,4\n,,,8\n9,,11,\n",  # runs of two and three empty cells
+    "a,b,c\r\n,2,3\r\n4,5,\r\n7,,9\r\n",  # CRLF, an empty first and an empty last cell
+    "a,b,c\n1,,3\n4,5,",  # a last line without a newline
+    "a,b\n1,2\n,\n3,\n\n\n",  # a d=2 line that is just ",", blank lines at the end
+    "a,b\n1.5,-0.0\n2.5e-3 ,\n,\t7\n",  # whitespace beside a gap
+])
+def test_parse_csv_gaps_take_the_orjson_reader(tmp_path, bulk_calls, row_loop_calls, text):
+    path = _write(tmp_path, "t.csv", text)
+    names, values = parse_csv(path)
+    assert bulk_calls == [] and row_loop_calls == []
+    assert np.isnan(values).any()
+    assert values.tobytes() == _row_loop_bits(path, names)
+
+
+@pytest.mark.parametrize("text", [
+    "a,b\n1,\n+2,3\n",  # a cell orjson rejects, after a gap
+    "a,b\n+1,2\n3,\n",  # and before one
+    "a,b\n-0,\n1,2\n",  # the integer -0
+])
+def test_parse_csv_gaps_orjson_rejects_take_the_filled_c_reader(tmp_path, bulk_calls,
+                                                                row_loop_calls, text):
+    path = _write(tmp_path, "t.csv", text)
+    names, values = parse_csv(path)
+    assert len(bulk_calls) == 2 and row_loop_calls == []
+    assert values.tobytes() == _row_loop_bits(path, names)
+
+
+# Cells that orjson reads otherwise than float, or not at all, among plain ones
+@pytest.mark.parametrize("cell", [
+    "-0", "0", "-0.0", "-0e0", "9007199254740993", "18446744073709551615",
+    "18446744073709551617", "18446744073709553665", "-9223372036854775809", "1e400",
+    "-1e400", "1e-400", "+1", ".5", "5.", "01", "-01", "1_0", " 1.5", "1.5 ", "\t-0",
+    "-0\t", " \t2.5e-3 \t", "nan", "inf", "-inf", "1E5", "1e+05",
+])
+def test_parse_csv_cells_give_the_row_loop_bits(tmp_path, cell):
+    path = _write(tmp_path, "t.csv", "a,b\n0.5,1.25\n%s,-2.0\n3.5,%s\n" % (cell, cell))
+    names, values = parse_csv(path)
+    assert values.tobytes() == _row_loop_bits(path, names)
+
+
+@pytest.mark.parametrize("text", [
+    "a,b\r\n1,2\r\n3,-0\r\n",  # CRLF
+    "a,b\n1,2\r3,4\n",  # a lone CR ends a line
+    "a,b\n1,2\r3,4\r",
+    "a,b\n1,2\n\n3,4\n\n\n",  # blank lines, inside and at the end
+    "a,b\n\r\n1,2\n3,4\n",
+    "a,b\n 1 ,\t2\t\n  3,4  \n",  # spaces and tabs around cells
+    "a,b\n1,2\n3,4",  # no newline at the end
+])
+def test_parse_csv_line_shapes_give_the_row_loop_bits(tmp_path, text):
+    path = _write(tmp_path, "t.csv", text)
+    names, values = parse_csv(path)
+    assert values.tobytes() == _row_loop_bits(path, names)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a,b\n1,2\ntrue,4\n", "line 3: non-numeric value 'true' in column 'a'"),
+    ("a,b\n1,2\n3,null\n", "line 3: non-numeric value 'null' in column 'b'"),
+    ("a,b\n1,2\n \n3,4\n", "line 3: expected 2 cells, got 1"),  # a whitespace-only line
+    ("a,b\n1,2\n\t\n3,4\n", "line 3: expected 2 cells, got 1"),
+    ("a,b\n1,2\n3,4,5\n", "line 3: expected 2 cells, got 3"),
+    ("a,b\n1,2\n[3],4\n", "line 3: non-numeric value '[3]' in column 'a'"),
+])
+def test_parse_csv_cells_orjson_rejects_give_the_row_loop_error(tmp_path, capsys, text, message):
+    path = _write(tmp_path, "t.csv", text)
+    assert main(["analyze", "--input", path]) == 2
+    assert capsys.readouterr().err == f"liangflow: error: {path}: {message}\n"
+
+
 def test_parse_csv_blocks_keep_physical_lines_and_quoted_records(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_READ_BLOCK", 2)
     # the quoted cell "4\n" is one record over lines 3-4, across a block boundary

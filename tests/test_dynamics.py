@@ -19,6 +19,7 @@ from liangflow import (
     theoretical_budget,
     theoretical_flow,
 )
+from liangflow.cli import main
 
 OU2_SIGMA = np.array([[0.5625, 0.125], [0.125, 0.5]])
 
@@ -116,6 +117,18 @@ def test_single_sample():
     sde = LinearSDE(A=[[-1.0]], B=[[1.0]])
     tss = simulate(sde, [2.5], 1, 0.1, seed=0, burn_in=0)
     np.testing.assert_array_equal(tss.values, [[2.5]])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_first_sample_keeps_the_bits_of_x0(ou2, n, tmp_path):
+    sde, dt = ou2
+    x0 = np.array([-0.0, 0.0])
+    tss = simulate(sde, x0, n, dt, seed=4, burn_in=0)
+    assert tss.values[:, 0].tobytes() == x0.tobytes()
+    path = tmp_path / "sim.csv"
+    assert main(["simulate", "--preset", "ou2", "--x0=-0.0,0", "--burn-in", "0",
+                 "--n", str(n), "--output", str(path)]) == 0
+    assert path.read_text().splitlines()[1] == "-0.0,0.0"
 
 
 def test_divergent_trajectory():

@@ -4,8 +4,12 @@ A property over every 64-bit pattern (NaNs, infinities and subnormals
 included), and a sweep of the classes where shortest-digit printers go
 wrong: powers of two and of ten and their neighbours, subnormals, short
 decimals across every exponent, integers, signed zeros and the switch
-points between fixed and exponent notation.
+points between fixed and exponent notation. The same classes through
+the orjson path, on both sides of its odd-share cutoff; and
+floattext.read_rows against ``float``, bit for bit.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -81,3 +85,121 @@ def test_separators_and_row_ends():
     text = floattext.join(values, ", ", "]\n[")
     assert text == "1.0, -0.5, nan]\n[2e-07, 3.0, 1e+300]\n["
     assert floattext.join(values[:, :1], ",", "\n") == "1.0\n2e-07\n"
+
+
+# --------------------------------------------------- the orjson write path
+
+_ODD = [np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308, 1e300, -1e300, 1e16,
+        -1.7976931348623157e308, 9.999999999999999e-05, -1e-5]
+_PLAIN = [0.0, -0.0, 1.0, -0.5, 1e-4, -999999999999999.9, 0.1, 123.456, 1e15, 2.5e-3]
+
+
+def _repr_join(values, sep, end, nan):
+    text = (nan if v != v else repr(v) for v in values.reshape(-1).tolist())
+    cells = [list(itertools.islice(text, values.shape[1])) for _ in range(len(values))]
+    return "".join(sep.join(row) + end for row in cells)
+
+
+@pytest.mark.parametrize("above", [False, True])
+@pytest.mark.parametrize("sep, end, n_cols", [
+    (",", "\n", 10),  # write_csv
+    (",\n      ", "\n    ],\n    [\n      ", 10),  # emit_json's rows
+    (", ", "],[", 2),  # orjson's own separators
+    ("", "],\n", 4),
+])
+def test_join_on_both_sides_of_the_odd_share_cutoff(monkeypatch, above, sep, end, n_cols):
+    kernel_calls = []
+    kernel = floattext._kernel_join
+    monkeypatch.setattr(floattext, "_kernel_join", lambda *a: kernel_calls.append(1) or kernel(*a))
+    rng = np.random.default_rng(n_cols + 2 * above)
+    size = 400
+    n_odd = int(floattext._ODD_SHARE * size) + above
+    values = rng.choice(_PLAIN, size) * rng.choice([1.0, -1.0, 7.0], size)
+    values[:n_odd] = np.resize(_ODD, n_odd)
+    values = rng.permutation(values).reshape(-1, n_cols)
+    for nan in ("nan", "null", ""):
+        assert floattext.join(values, sep, end, nan) == _repr_join(values, sep, end, nan)
+    assert len(kernel_calls) == 3 * above
+
+
+def test_join_without_odd_values_and_of_no_rows():
+    values = np.array([[1.0, -0.0], [0.25, 1e15]])
+    assert floattext.join(values, ";", "|") == "1.0;-0.0|0.25;1000000000000000.0|"
+    assert floattext.join(np.empty((0, 3)), ",", "\n") == ""
+
+
+def test_orjson_path_on_the_hard_classes(monkeypatch):
+    monkeypatch.setattr(floattext, "_kernel_join", None)  # every value below is not odd
+    powers = np.ldexp(1.0, np.arange(-14, 54))
+    tens = np.array([float(f"1e{e}") for e in range(-4, 16)])
+    short = np.array([float(f"{m}e{e}") for m in (1, 3, 7, 99, 12345678, 123456789012345)
+                      for e in range(-20, 16)])
+    values = _with_neighbours(np.concatenate([powers, tens, short, np.arange(1.0, 10001.0)]))
+    values = values[(values >= 1e-4) & (values < 1e16)]
+    values = np.concatenate([values, -values, [0.0, -0.0]])
+    for n_cols in (2, 7):
+        rows = values[: len(values) // n_cols * n_cols].reshape(-1, n_cols)
+        assert floattext.join(rows, ",", "\n") == _repr_join(rows, ",", "\n", "nan")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(1e-4, 1e16, exclude_max=True), min_size=2, max_size=60),
+       st.integers(2, 6), st.randoms(use_true_random=False))
+def test_values_orjson_writes_read_as_repr(magnitudes, n_cols, random):
+    values = np.array([m if random.random() < 0.5 else -m for m in magnitudes])
+    values = np.resize(values, (-(-len(values) // n_cols), n_cols))
+    assert floattext.join(values, ",", "\n") == _repr_join(values, ",", "\n", "nan")
+
+
+# --------------------------------------------------- the orjson read path
+
+def _float_rows(lines):
+    return np.array([[float(c) for c in line.split(",")] for line in lines]).reshape(len(lines), -1)
+
+
+@pytest.mark.parametrize("cell", [
+    "2.2250738585072011e-308", "2.2250738585072012e-308", "4.9406564584124654e-324",
+    "2.4703282292062327e-324", "2.4703282292062328e-324", "1.7976931348623158e308",
+    "1.00000000000000011102230246251565404236316680908203125",  # 1 + ulp/2: ties to even
+    "1.00000000000000011102230246251565404236316680908203126",
+    "0.1000000000000000055511151231257827021181583404541015625", "9007199254740993",
+    "18446744073709553665", "123456789012345678901234567890e-300", "1e23", "8.41e21",
+    "7.2057594037927933e16", "1" + "0" * 400 + "e-400", "0." + "0" * 400 + "1e400", "-0.0",
+])
+def test_hard_decimals_read_as_float(cell):
+    values = floattext.read_rows([cell + "," + cell + "\n"], 2)
+    assert values.tobytes() == _float_rows([cell + "," + cell]).tobytes()
+
+
+@pytest.mark.parametrize("lines", [["-0\n"], ["1,-0\n"], ["-0,1e-400\n"], ["1e400\n"], ["+1\n"],
+                                   ["\n", "1\n"], ["1\n", " \n", "2\n"], ["1,2\n"], ["nan\n"],
+                                   ["1\r2\n"], ["１\n"], ["1_0\n"]])
+def test_read_rows_gives_up(lines):
+    assert floattext.read_rows(lines, 1) is None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=60),
+       st.integers(1, 5), st.sampled_from(["%r", "%.17g"]))
+def test_written_rows_read_back_with_the_same_bits(values, n_cols, form):
+    values = np.resize(values, (-(-len(values) // n_cols), n_cols))
+    lines = [",".join(form % v for v in row) + "\n" for row in values.tolist()]
+    got = floattext.read_rows(lines, n_cols)
+    if got is None:  # only the integer token -0, which %.17g writes for -0.0
+        assert form == "%.17g" and np.signbit(values[values == 0]).any()
+    else:
+        assert got.tobytes() == values.tobytes()
+
+
+def test_read_rows_reads_empty_cells_as_nan():
+    values = floattext.read_rows([",1\n", "2,\r\n", ",\n", "3,\n"], 2)
+    nan = np.array([np.nan]).view(np.uint64)[0]
+    assert values.view(np.uint64).tolist() == [[nan, 0x3FF0000000000000], [0x4000000000000000, nan],
+                                               [nan, nan], [0x4008000000000000, nan]]
+    assert floattext.read_rows(["1, \n"], 2) is None  # a blank cell is not empty
+
+
+@pytest.mark.parametrize("sep, end", [("]", "\n"), ("1e", "\n"), (",", "e3"), ("0", "00")])
+def test_join_with_separators_the_orjson_layout_cannot_hold(sep, end):
+    values = np.array([[1.0, 300.0]] * 9 + [[0.1, 1e300]])  # one odd value in 20
+    assert floattext.join(values, sep, end) == _repr_join(values, sep, end, "nan")
