@@ -134,14 +134,11 @@ def _kept(lines, kept: list):
 def _parse_lines(path: str, names, lines, line: int):
     """Data lines of whole records as an N x d array: by orjson
     (``floattext.read_rows``, which reads empty cells too), else by the C
-    reader, else by the C reader with each empty cell written ``nan``
-    (``np.nan``'s bits), else by the row loop. A quote fails all three bulk
-    reads, as ``_parse_bulk`` has no quote character, so only the row loop
-    reads a quoted cell.
+    reader with each empty cell written ``nan`` (``np.nan``'s bits), else
+    by the row loop. A quote fails both bulk reads, as ``_parse_bulk`` has
+    no quote character, so only the row loop reads a quoted cell.
     """
     values = floattext.read_rows(lines, len(names))
-    if values is None:
-        values = _parse_bulk(lines, len(names))
     if values is None:
         values = _parse_bulk([floattext.filled(text, "nan") for text in lines], len(names))
     if values is None:
@@ -152,9 +149,9 @@ def _parse_lines(path: str, names, lines, line: int):
 def _parse_bulk(lines, width: int):
     """The lines as an N x width array by numpy's C reader, or None if it rejects them.
 
-    ``comments=None`` keeps a leading '#' data, not a comment. Empty
-    cells, Python-only float syntax (``1_0``, non-ASCII digits), ragged
-    rows and lines without data all end here as None.
+    ``comments=None`` keeps a leading '#' data, not a comment. Empty and
+    whitespace-only cells, Python-only float syntax (``1_0``, non-ASCII
+    digits), ragged rows and lines without data all end here as None.
     """
     try:
         with warnings.catch_warnings():

@@ -234,15 +234,6 @@ def _kernel_join(values: np.ndarray, sep: bytes, end: bytes, nan: str) -> bytes:
     return b"".join(parts)
 
 
-def _texts(values: np.ndarray, nan: str) -> list:
-    """The kernel's text of each value of the flat array ``values``, as bytes."""
-    out = _slots(values, nan, 0)
-    stops = np.cumsum(np.count_nonzero(out, axis=0)).tolist()
-    text = out.T.reshape(-1)
-    text = text[text != 0].tobytes()
-    return [text[start:stop] for start, stop in zip([0] + stops, stops)]
-
-
 # The largest share of odd values at which join writes through orjson. Above
 # it, splicing in the odd values' text costs more than the kernel saves.
 _ODD_SHARE = 0.1
@@ -277,13 +268,13 @@ def join(values, sep: str, end: str, nan: str = "nan") -> str:
     # "]" is left at each row end only, then written as end
     text = text[2:-2].replace(b"],[", b"]").replace(b",", sep).replace(b"]", end) + end
     if n_odd:
-        pieces = text.split(_MARK)
-        spliced = itertools.chain.from_iterable(zip(pieces, _texts(values[odd], nan)))
-        text = b"".join(spliced) + pieces[-1]
+        # one text a line, and after the last line b"", which follows the last piece
+        odd_texts = _kernel_join(values[odd][:, None], b"", b"\n", nan).split(b"\n")
+        text = b"".join(itertools.chain.from_iterable(zip(text.split(_MARK), odd_texts)))
     return text.decode("ascii")
 
 
-_NUMBER_BYTES = b"0123456789+-.eE, \t\r\n"
+_NUMBER_BYTES = b"0123456789+-.eE, \t\n"
 _INTEGER_MINUS_ZERO = re.compile(rb"-0(?![.0-9eE])")
 
 
@@ -303,9 +294,13 @@ def read_rows(lines, width: int):
         text = "".join(lines).encode("ascii")
     except UnicodeEncodeError:
         return None
+    if b"\r" in text:
+        text = text.replace(b"\r\n", b"\n")
+        if b"\r" in text:  # a lone CR ends a line, where JSON reads whitespace
+            return None
     if text.translate(None, _NUMBER_BYTES):
         return None
-    wrapped = b"[[" + text.rstrip(b"\r\n").replace(b"\n", b"],[") + b"]]"
+    wrapped = b"[[" + text.rstrip(b"\n").replace(b"\n", b"],[") + b"]]"
     try:
         try:
             rows = orjson.loads(wrapped)

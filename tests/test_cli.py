@@ -264,7 +264,7 @@ def test_parse_csv_gaps_orjson_rejects_take_the_filled_c_reader(tmp_path, bulk_c
                                                                 row_loop_calls, text):
     path = _write(tmp_path, "t.csv", text)
     names, values = parse_csv(path)
-    assert len(bulk_calls) == 2 and row_loop_calls == []
+    assert len(bulk_calls) == 1 and row_loop_calls == []
     assert values.tobytes() == _row_loop_bits(path, names)
 
 
@@ -272,7 +272,7 @@ def test_parse_csv_gaps_orjson_rejects_take_the_filled_c_reader(tmp_path, bulk_c
 @pytest.mark.parametrize("cell", [
     "-0", "0", "-0.0", "-0e0", "9007199254740993", "18446744073709551615",
     "18446744073709551617", "18446744073709553665", "-9223372036854775809", "1e400",
-    "-1e400", "1e-400", "+1", ".5", "5.", "01", "-01", "1_0", " 1.5", "1.5 ", "\t-0",
+    "-1e400", "1e-400", "-1e-400", "-2e-324", "+1", ".5", "5.", "01", "-01", "1_0", " 1.5", "1.5 ", "\t-0",
     "-0\t", " \t2.5e-3 \t", "nan", "inf", "-inf", "1E5", "1e+05",
 ])
 def test_parse_csv_cells_give_the_row_loop_bits(tmp_path, cell):
@@ -285,6 +285,7 @@ def test_parse_csv_cells_give_the_row_loop_bits(tmp_path, cell):
     "a,b\r\n1,2\r\n3,-0\r\n",  # CRLF
     "a,b\n1,2\r3,4\n",  # a lone CR ends a line
     "a,b\n1,2\r3,4\r",
+    "a,b\n1,\r3,4\n",  # and JSON would read it as whitespace after an empty cell
     "a,b\n1,2\n\n3,4\n\n\n",  # blank lines, inside and at the end
     "a,b\n\r\n1,2\n3,4\n",
     "a,b\n 1 ,\t2\t\n  3,4  \n",  # spaces and tabs around cells
@@ -303,6 +304,7 @@ def test_parse_csv_line_shapes_give_the_row_loop_bits(tmp_path, text):
     ("a,b\n1,2\n\t\n3,4\n", "line 3: expected 2 cells, got 1"),
     ("a,b\n1,2\n3,4,5\n", "line 3: expected 2 cells, got 3"),
     ("a,b\n1,2\n[3],4\n", "line 3: non-numeric value '[3]' in column 'a'"),
+    ("a,b,c\n1,\r3,4\n", "line 2: expected 3 cells, got 2"),  # not one row 1,3,4
 ])
 def test_parse_csv_cells_orjson_rejects_give_the_row_loop_error(tmp_path, capsys, text, message):
     path = _write(tmp_path, "t.csv", text)
