@@ -276,20 +276,35 @@ def join(values, sep: str, end: str, nan: str = "nan") -> str:
 
 _NUMBER_BYTES = b"0123456789+-.eE, \t\n"
 _INTEGER_MINUS_ZERO = re.compile(rb"-0(?![.0-9eE])")
+# Lines per orjson call. A piece's text and lists fit in memory that the last
+# piece freed; a 4096-line call makes about 13 MB of copies and lists in
+# fresh pages, some 3,200 page faults a call.
+_PIECE = 256
 
 
 def read_rows(lines, width: int):
     """The CSV lines as an N x ``width`` float array, each cell as ``float``
     reads it and an empty cell as NaN, or None.
 
-    orjson reads the lines as one JSON array of rows; where it stops at a
-    missing value, it reads them again with each empty cell written
-    ``null``, which numpy reads as ``np.nan``'s bits. Any other cell that is
-    not a JSON number (``+1``, ``.5``, ``01``, ``nan``, a blank), a ragged
-    line, a blank line before the last row, a lone CR and a number too
-    large for a float give None. So does ``-0``, which orjson reads as the
-    integer 0; it is looked for only where a zero was read.
+    orjson reads the lines ``_PIECE`` at a time, each piece as one JSON
+    array of rows; where it stops at a missing value, it reads the piece
+    again with each empty cell written ``null``, which numpy reads as
+    ``np.nan``'s bits. Any other cell that is not a JSON number (``+1``,
+    ``.5``, ``01``, ``nan``, a blank), a ragged line, a blank line before
+    the last row of a piece, a lone CR and a number too large for a float
+    give None. So does ``-0``, which orjson reads as the integer 0; it is
+    looked for only where a zero was read.
     """
+    pieces = []
+    for start in range(0, len(lines), _PIECE):
+        values = _read_piece(lines[start:start + _PIECE], width)
+        if values is None:
+            return None
+        pieces.append(values)
+    return np.concatenate(pieces) if pieces else None
+
+
+def _read_piece(lines, width: int):
     try:
         text = "".join(lines).encode("ascii")
     except UnicodeEncodeError:

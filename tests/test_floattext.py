@@ -201,6 +201,30 @@ def test_read_rows_reads_empty_cells_as_nan():
     assert floattext.read_rows(["1, \n"], 2) is None  # a blank cell is not empty
 
 
+def test_read_rows_reads_a_block_in_pieces(monkeypatch):
+    rng = np.random.default_rng(5)
+    lines = [",".join(map(repr, row)) + "\n" for row in rng.standard_normal((4096, 3)).tolist()]
+    sizes = []
+    loads = floattext.orjson.loads
+    monkeypatch.setattr(floattext.orjson, "loads", lambda text: sizes.append(len(loads(text))) or loads(text))
+    values = floattext.read_rows(lines, 3)
+    assert values.tobytes() == _float_rows([line.rstrip("\n") for line in lines]).tobytes()
+    assert sizes == [floattext._PIECE] * (4096 // floattext._PIECE)
+
+
+def test_read_rows_takes_each_piece_on_its_own(monkeypatch):
+    monkeypatch.setattr(floattext, "_PIECE", 2)
+    nan = float("nan")
+    values = floattext.read_rows(["1,2\n", "3,\n", ",4e-400\n", "5.5,6\n", "7,-0.0\n"], 2)
+    want = np.array([[1, 2], [3, nan], [nan, 0.0], [5.5, 6], [7, -0.0]])
+    assert values.tobytes() == want.tobytes()
+    # a blank line at a piece's end is no row, as in the row loop
+    assert floattext.read_rows(["1,2\n", "\n", "3,4\n"], 2).tolist() == [[1, 2], [3, 4]]
+    # a fault in the last piece alone gives up on the lines
+    for last in ("7,-0\n", "7\n", "7,\r8\n", "7,nan\n"):
+        assert floattext.read_rows(["1,2\n", "3,4\n", last], 2) is None
+
+
 @pytest.mark.parametrize("sep, end", [("]", "\n"), ("1e", "\n"), (",", "e3"), ("0", "00")])
 def test_join_with_separators_the_orjson_layout_cannot_hold(sep, end):
     values = np.array([[1.0, 300.0]] * 9 + [[0.1, 1e300]])  # one odd value in 20
