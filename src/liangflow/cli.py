@@ -64,6 +64,9 @@ class _Fmt(argparse.ArgumentDefaultsHelpFormatter, argparse.RawDescriptionHelpFo
 
 
 _READ_BLOCK = 4096  # data lines per bulk read: a fault costs one block, not the file
+# Characters per text read. A block is sent to the pool as its reads, not joined:
+# one 2.5 MB string took about 1,200 fresh pages a block to pickle.
+_READ_PART = 1 << 16
 
 
 def parse_csv(path: str):
@@ -71,7 +74,7 @@ def parse_csv(path: str):
 
     Empty cells become NaN, to be resolved by the NaN policy downstream.
     Returns (names, values) with values shaped d x N (column-per-variable
-    input transposed to row-per-variable).
+    input transposed to row-per-variable), in C order.
 
     The data rows are cut into blocks of whole records, which are parsed
     on every usable CPU (``_in_order``), from a file or a pipe alike. The
@@ -88,7 +91,7 @@ def parse_csv(path: str):
                     raise EmptyFileError(f"{path}: no content")
                 names = [cell.strip() for cell in header]
                 tasks = _blocks(fh, reader.line_num)
-                blocks = list(_in_order(_parse_lines, tasks, path, names))
+                blocks = list(_in_order(_parse_block, tasks, path, names))
             except MalformedError:  # undecodable text after the bad record outranks it
                 while fh.read(1 << 20):  # in chunks, so the rest is never held at once
                     pass
@@ -98,30 +101,55 @@ def parse_csv(path: str):
     except UnicodeDecodeError as e:  # no position: it counts from the text reader's chunk
         raise MalformedError(f"{path} is not UTF-8 text: "
                              f"can't decode {e.object[e.start:e.end]!r}: {e.reason}") from None
-    if not any(len(block) for block in blocks):
+    if not any(block.shape[1] for block in blocks):
         raise EmptyFileError(f"{path}: header only, no data rows")
-    return names, np.concatenate(blocks).T
+    return names, np.concatenate(blocks, axis=1)
 
 
 def _blocks(fh, line: int):
-    """The lines of ``fh`` after physical line ``line`` as (lines, line) blocks of whole records.
+    """The text of ``fh`` after physical line ``line`` as (parts, line) blocks of
+    whole records, each block's text the strings ``parts`` joined.
 
-    A block is ``_READ_BLOCK`` lines and, if one holds a quote, the lines
-    its last record runs on into, as ``_parse_rows`` would read them.
+    The first block is ``_READ_BLOCK`` lines. Each later one reads as many
+    characters as ``_READ_BLOCK`` lines of the block before took, in reads
+    of ``_READ_PART``, then the rest of its last line, so it holds about
+    ``_READ_BLOCK`` lines while line lengths hold. Shorter lines pack more:
+    an empty cell takes one character with its comma, a float as ``repr``
+    writes it up to 25, so after 17-digit rows a block of empty-cell rows
+    can hold 25 times as many lines. A block that holds a quote runs on to
+    the end of its last record, as ``_parse_rows`` would read it.
     """
-    while lines := list(itertools.islice(fh, _READ_BLOCK)):
-        if any('"' in text for text in lines):
+    parts = list(itertools.islice(fh, _READ_BLOCK))
+    while parts:
+        n_lines = _line_count(parts)
+        if any('"' in part for part in parts):
             more = []
+            lines = io.StringIO("".join(parts), newline="")
             reader = csv.reader(itertools.chain(lines, _kept(fh, more)))
             try:
                 for _ in reader:
-                    if reader.line_num >= len(lines):
+                    if reader.line_num >= n_lines:
                         break
             except csv.Error:
                 pass  # the block's own parse raises it, unless a record before it fails first
-            lines += more
-        yield lines, line
-        line += len(lines)
+            parts += more
+            n_lines += len(more)
+        yield parts, line
+        line += n_lines
+        size = sum(map(len, parts)) * _READ_BLOCK // n_lines
+        parts = [fh.read(min(size - at, _READ_PART)) for at in range(0, size, _READ_PART)]
+        parts = [part for part in parts + [fh.readline()] if part]
+
+
+def _line_count(parts) -> int:
+    """The physical lines of the joined ``parts``, none empty, as a text reader
+    with ``newline=""`` splits them: at LF, CRLF and a lone CR, and a last
+    line without its end."""
+    n = sum(part.count("\n") for part in parts) + (not parts[-1].endswith(("\n", "\r")))
+    if any("\r" in part for part in parts):
+        n += sum(part.count("\r") - part.count("\r\n") for part in parts)
+        n -= sum(a.endswith("\r") and b.startswith("\n") for a, b in zip(parts, parts[1:]))
+    return n
 
 
 def _kept(lines, kept: list):
@@ -131,19 +159,22 @@ def _kept(lines, kept: list):
         yield text
 
 
-def _parse_lines(path: str, names, lines, line: int):
-    """Data lines of whole records as an N x d array: by orjson
-    (``floattext.read_rows``, which reads empty cells too), else by the C
-    reader with each empty cell written ``nan`` (``np.nan``'s bits), else
-    by the row loop. A quote fails both bulk reads, as ``_parse_bulk`` has
-    no quote character, so only the row loop reads a quoted cell.
+def _parse_block(path: str, names, parts, line: int):
+    """The joined ``parts``, text of whole records, as a d x N C-ordered array:
+    by orjson (``floattext.read_rows``, which reads empty cells too), else
+    by the C reader with each empty cell written ``nan`` (``np.nan``'s
+    bits), else by the row loop. A quote fails both bulk reads, as
+    ``_parse_bulk`` has no quote character, so only the row loop reads a
+    quoted cell.
     """
-    values = floattext.read_rows(lines, len(names))
+    text = "".join(parts)
+    values = floattext.read_rows(text, len(names))
     if values is None:
-        values = _parse_bulk([floattext.filled(text, "nan") for text in lines], len(names))
+        lines = io.StringIO(text, newline="")
+        values = _parse_bulk([floattext.filled(row, "nan") for row in lines], len(names))
     if values is None:
-        values = _parse_rows(path, names, csv.reader(lines), line)
-    return values
+        values = _parse_rows(path, names, csv.reader(io.StringIO(text, newline="")), line)
+    return np.ascontiguousarray(values.T)
 
 
 def _parse_bulk(lines, width: int):

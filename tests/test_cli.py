@@ -19,6 +19,7 @@ from liangflow import (
     MalformedError,
     ValidationError,
     all_pairs,
+    emit_json,
     flow_matrix_from_json,
     validate_series_set,
 )
@@ -322,6 +323,90 @@ def test_parse_csv_blocks_keep_physical_lines_and_quoted_records(tmp_path, monke
         parse_csv(_write(tmp_path, "u.csv", text + "\n8,x\n"))
     with pytest.raises(MalformedError, match="line 9: expected 2 cells, got 1"):
         parse_csv(_write(tmp_path, "v.csv", text + "\n8\n"))
+
+
+def _block_lines(monkeypatch):
+    """The physical lines of each block parse_csv cuts, in order."""
+    sizes = []
+    blocks = cli._blocks
+
+    def spy(fh, line):
+        for parts, start in blocks(fh, line):
+            sizes.append(cli._line_count(parts))
+            yield parts, start
+
+    monkeypatch.setattr(cli, "_blocks", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("part", [2, 1 << 16])
+def test_parse_csv_read_ends_between_a_cr_and_its_lf(tmp_path, monkeypatch, part):
+    # blocks of 2 lines: the first, of 10 + pad characters, sets the next block to 10 + pad
+    # characters, which end pad characters into a 5-character line; pad 4 ends them on the
+    # CR. Reads of 2 characters also end on a CR inside blocks.
+    monkeypatch.setattr(cli, "_READ_BLOCK", 2)
+    monkeypatch.setattr(cli, "_READ_PART", part)
+    reads = []
+
+    class Recorded(io.TextIOWrapper):
+        def read(self, size=-1):
+            text = super().read(size)
+            reads.append(text)
+            return text
+
+    monkeypatch.setattr(cli, "open", lambda file, newline=None, encoding=None: Recorded(
+        io.BufferedReader(io.FileIO(file)), encoding=encoding, newline=newline), raising=False)
+    for pad in range(5):
+        text = "a,b\r\n1,2" + " " * pad + "\r\n3,4\r\n" + "5,6\r\n" * 20
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            values = parse_csv(_write(tmp_path, "t.csv", text))[1]
+            np.testing.assert_array_equal(values, [[1, 3] + [5] * 20, [2, 4] + [6] * 20])
+            with pytest.raises(MalformedError, match="line 24: non-numeric value 'x'"):
+                parse_csv(_write(tmp_path, "u.csv", text + "7,x\r\n"))
+    assert any(text.endswith("\r") for text in reads)
+
+
+def test_parse_csv_lone_cr_error_names_the_physical_line(tmp_path, monkeypatch):
+    # in blocks of about 5 lines, with a blank line before the bad cell, which is many blocks in
+    monkeypatch.setattr(cli, "_READ_BLOCK", 5)
+    lines = ["a,b"] + ["1,2"] * 30 + [""] + ["3,4"] * 10 + ["5,x"] + ["6,7"] * 10
+    path = _write(tmp_path, "t.csv", "\r".join(lines) + "\r")
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        with pytest.raises(MalformedError, match="line 43: non-numeric value 'x' in column 'b'"):
+            parse_csv(path)
+
+
+@pytest.mark.parametrize("d", [2, 200])
+def test_parse_csv_blocks_hold_about_read_block_lines(tmp_path, monkeypatch, d):
+    # every block but the first, of exactly _READ_BLOCK lines, and the last is read by
+    # characters, sized from the block before it
+    monkeypatch.setattr(cli, "_READ_BLOCK", 64)
+    sizes = _block_lines(monkeypatch)
+    values = np.random.default_rng(d).standard_normal((d, 1000))
+    path = tmp_path / "t.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_csv([f"x{i}" for i in range(d)], values, fh)
+    assert parse_csv(str(path))[1].tobytes() == values.tobytes()
+    assert sizes[0] == 64 and sum(sizes) == 1000 and len(sizes) > 10
+    assert all(32 <= n <= 128 for n in sizes[1:-1]), sizes
+
+
+def test_parse_csv_returns_c_order_and_analyze_the_library_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_READ_BLOCK", 100)
+    names = [f"x{i}" for i in range(5)]
+    values = np.random.default_rng(6).standard_normal((5, 1000))
+    path = tmp_path / "t.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_csv(names, values, fh)
+    assert parse_csv(str(path))[1].flags.c_contiguous
+    want = emit_json(all_pairs(validate_series_set(values, names, 1.0), k=1, alpha=0.05,
+                               normalize=True, mode="multivariate"))
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        assert main(["analyze", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == want
 
 
 def test_parse_csv_missing_file(tmp_path):

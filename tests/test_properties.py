@@ -98,6 +98,8 @@ values64 = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, wi
 # lines per bulk read: the default and sizes small enough that blocks,
 # runs between gaps and quoted records cross each other
 BLOCK_SIZES = (4096, 1, 2, 3, 7)
+# characters per text read: the default and sizes that cut lines, and CRLFs, inside blocks
+READ_PARTS = (1 << 16, 1, 3)
 
 
 @st.composite
@@ -112,7 +114,7 @@ def csv_texts(draw, faulty=False):
     cells = st.one_of(values64, st.none()) if d > 1 else values64
     rows = draw(st.lists(st.lists(cells, min_size=d, max_size=d), min_size=1, max_size=12))
     fmt = draw(st.sampled_from((repr, lambda v: "%.17g" % v)))
-    end = draw(st.sampled_from(("\n", "\r\n")))
+    end = draw(st.sampled_from(("\n", "\r\n", "\r")))
     pad = " " * draw(st.integers(0, 2))
     # none, quoted, or quoted with the line end inside the quotes
     quote, tail = draw(st.sampled_from((("", ""), ('"', ""), ('"', end))))
@@ -135,13 +137,13 @@ def csv_texts(draw, faulty=False):
 
 
 @examples
-@given(csv_texts(), st.sampled_from(BLOCK_SIZES))
-def test_block_reader_returns_the_whole_file_row_loop_bits(tmp_path_factory, case, block):
+@given(csv_texts(), st.sampled_from(BLOCK_SIZES), st.sampled_from(READ_PARTS))
+def test_block_reader_returns_the_whole_file_row_loop_bits(tmp_path_factory, case, block, part):
     text, n, d = case
     path = str(tmp_path_factory.mktemp("csv") / "t.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
-    with mock.patch.object(cli, "_READ_BLOCK", block):
+    with mock.patch.object(cli, "_READ_BLOCK", block), mock.patch.object(cli, "_READ_PART", part):
         names, values = parse_csv(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -175,9 +177,11 @@ def test_block_reader_gives_the_whole_file_row_loop_outcome(tmp_path_factory, ca
 
     want = _outcome(row_loop)
     # one CPU reads the blocks one by one, two take the pool, as a pipe does too
-    for cpus, block in itertools.product((1, 2), BLOCK_SIZES):
+    sizes = zip(itertools.product((1, 2), BLOCK_SIZES), itertools.cycle(READ_PARTS))
+    for (cpus, block), part in sizes:
         with mock.patch.object(cli, "_usable_cpus", lambda: cpus), \
-                mock.patch.object(cli, "_READ_BLOCK", block):
+                mock.patch.object(cli, "_READ_BLOCK", block), \
+                mock.patch.object(cli, "_READ_PART", part):
             assert _outcome(lambda: parse_csv(path)) == want
 
 
