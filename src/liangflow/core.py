@@ -20,7 +20,7 @@ Covariance conventions used throughout the package:
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass
 
 import numpy as np
 
@@ -67,8 +67,10 @@ class TimeSeriesSet:
     names: tuple[str, ...]
     values: np.ndarray
     dt: float
+    _: KW_ONLY
+    _finite: InitVar[bool] = False  # the caller has already found every value finite
 
-    def __post_init__(self):
+    def __post_init__(self, _finite):
         values = _readonly(np.atleast_2d(self.values))
         object.__setattr__(self, "values", values)
         if values.ndim != 2:
@@ -80,7 +82,7 @@ class TimeSeriesSet:
         if not 0.0 < float(self.dt) < np.inf:
             raise ValidationError(f"dt must be finite and positive, got {self.dt}")
         object.__setattr__(self, "dt", float(self.dt))
-        if not np.isfinite(values).all():
+        if not (_finite or np.isfinite(values).all()):
             raise NaNsPresentError("non-finite values in series set")
 
     @property
@@ -186,13 +188,15 @@ def validate_series_set(raw, names, dt: float, nan_policy: str = "reject") -> Ti
     names = _check_names(names, values.shape[0])  # before the NaN policy, whose errors name them
 
     finite = np.isfinite(values)
-    if not finite.all():
+    all_finite = bool(finite.all())
+    if not all_finite:
         if nan_policy == "reject":
             bad = int((~finite).sum())
             raise NaNsPresentError(f"{bad} non-finite values present (nan_policy='reject')")
         values = _interpolate_gaps(values, finite, names)
 
-    tss = TimeSeriesSet(names=names, values=values, dt=dt)
+    # interpolation can overflow to inf, so only untouched data skip the second scan
+    tss = TimeSeriesSet(names=names, values=values, dt=dt, _finite=all_finite)
     if tss.n_samples < tss.d + 3:
         raise TooShortError(f"N = {tss.n_samples} samples < d + 3 = {tss.d + 3}")
     spans = tss.values.max(axis=1) - tss.values.min(axis=1)
@@ -243,7 +247,10 @@ def forward_difference(x: np.ndarray, k: int, dt: float) -> np.ndarray:
         raise ValueError(f"k must be >= 1, got {k}")
     if k >= x.shape[-1]:
         raise KTooLargeError(f"k = {k} leaves no aligned samples (N = {x.shape[-1]})")
-    return (x[..., k:] - x[..., :-k]) / (k * dt)
+    out = x[..., k:] - x[..., :-k]
+    if k * dt != 1.0:  # dividing by 1.0 is exact, so skipping it changes no bits
+        out /= k * dt
+    return out
 
 
 def check_k(n: int, d: int, k: int) -> None:

@@ -45,6 +45,8 @@ from .errors import (
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 _BLOCK = 4096  # columns per residual product
+# largest relative error a residual variance may take from the moments alone
+_MOMENT_TOL = 1e-14
 # two-sided standard-normal quantiles for the 90/95/99% intervals
 _Z90 = 1.6448536269514729
 _Z95 = 1.9599639845400545
@@ -135,14 +137,17 @@ class _Design:
     """The moment engine: every target of one window regressed on all components at once.
 
     ``window`` is the d x n_eff matrix of regressors and ``ydot`` the
-    difference series, one row per target; ``ydot`` is centred and then
-    overwritten by the residuals, so pass a fresh array. Construction
+    difference series, one row per target; ``ydot`` is centred in place and
+    may be overwritten by the residuals, so pass a fresh array. Construction
     computes, once for all targets, ``C = cov(W)``, ``Cd = cov(W, ydot)``
     (column t is target t), the Cholesky factor of the correlation matrix,
     the coefficients ``A`` (column t is target t's fit), the residual
     variances, and ``s``, the coefficient covariance per unit residual
-    variance. From these come the rates and their errors, the one place
-    they are computed: ``scale[t, j] = C[t, j] / C[t, t]``, the rates
+    variance. A residual variance comes from the moments, ``cdd - A.Cd``,
+    unless that subtraction could lose more than ``_MOMENT_TOL`` of its
+    relative precision; only then are the residuals formed explicitly.
+    From these come the rates and their errors, the one place they are
+    computed: ``scale[t, j] = C[t, j] / C[t, t]``, the rates
     ``T = A.T * scale`` (self rates on the diagonal) and their standard
     errors ``SE``. The scalar estimators read one entry of these arrays, so
     each is bit-identical to its ``all_pairs`` entry.
@@ -201,9 +206,16 @@ class _Design:
             )
         self.s = (rinv / np.outer(sd, sd)) / den
         self.A = rinv @ (self.Cd / sd[:, None]) / sd[:, None]
-        for lo in range(0, n_eff, _BLOCK):  # a d x _BLOCK temporary, not a third d x n_eff
-            ydot[:, lo : lo + _BLOCK] -= self.A.T @ xc[:, lo : lo + _BLOCK]
-        self.resid_var = np.einsum("ij,ij->i", ydot, ydot) / self.dof
+        # r = cdd - A.Cd is the residual sum of squares over den. It loses about
+        # eps * max diag(R^-1) * cdd / r of relative precision: R's conditioning
+        # amplifies the rounding of A.Cd, and cdd / r is the cancellation
+        r = self.cdd - np.einsum("jt,jt->t", self.A, self.Cd)
+        with np.errstate(over="ignore"):
+            lost = _EPS * np.diag(rinv).max() * (self.cdd / r).max() if (r > 0.0).all() else np.inf
+        if lost <= _MOMENT_TOL:
+            self.resid_var = r * den / self.dof
+        else:
+            self.resid_var = _residual_variance(ydot, self.A, xc, self.dof)
         # an exactly-zero sample covariance annihilates its flow exactly
         self.scale = self.C / np.diag(self.C)[:, None]
         self.T = self.A.T * self.scale
@@ -236,6 +248,13 @@ class _Design:
             dt=self.dt,
             cov_row=self.C[target],
         )
+
+
+def _residual_variance(ydot, A, xc, dof):
+    """Each target's residual variance from its explicit residuals; overwrites ``ydot``."""
+    for lo in range(0, ydot.shape[1], _BLOCK):  # a d x _BLOCK temporary, not a third d x n_eff
+        ydot[:, lo : lo + _BLOCK] -= A.T @ xc[:, lo : lo + _BLOCK]
+    return np.einsum("ij,ij->i", ydot, ydot) / dof
 
 
 def _design_for(tss: TimeSeriesSet, k: int) -> _Design:

@@ -49,6 +49,10 @@ def test_validate_rejects_nan_by_default():
         validate_series_set(raw, ["a", "b"], dt=1.0)
     with pytest.raises(NaNsPresentError):
         validate_series_set(raw, ["a", "b"], dt=1.0, nan_policy="reject")
+    # the non-finite values outrank a bad dt, and the message counts them
+    raw[1, 3] = np.inf
+    with pytest.raises(NaNsPresentError, match="^2 non-finite values"):
+        validate_series_set(raw, ["a", "b"], dt=-1.0)
 
 
 def test_validate_bad_policy():
@@ -63,6 +67,15 @@ def test_interpolate_fills_interior_gap():
     assert tss.n_samples == 8
     assert tss.values[0, 3] == 3.0  # linear between 2.0 and 4.0
     np.testing.assert_array_equal(tss.values[1], raw[1])
+    with pytest.raises(ValidationError, match="dt must be"):
+        validate_series_set(raw, ["a", "b"], 0.0, nan_policy="interpolate")
+
+
+def test_interpolation_that_overflows_is_rejected():
+    raw = np.vstack([np.arange(8.0), np.arange(8.0) ** 2])
+    raw[0, 2:5] = -1.7e308, np.nan, 1.7e308  # the line between them overflows to inf
+    with pytest.raises(NaNsPresentError, match="non-finite values in series set"):
+        validate_series_set(raw, ["a", "b"], 1.0, nan_policy="interpolate")
 
 
 def test_interpolate_trims_edges_consistently():

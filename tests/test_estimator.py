@@ -21,6 +21,7 @@ from liangflow import (
     SingularCovarianceError,
     TimeSeriesSet,
     ZeroVarianceWarning,
+    all_pairs,
     cofactor,
     fit_linear_model,
     flow_bivariate,
@@ -32,6 +33,7 @@ from liangflow import (
     significance,
     simulate,
 )
+from liangflow import estimator
 
 
 def _random_set(d, n, seed, dt=1.0):
@@ -300,6 +302,107 @@ def test_panel_same_index():
     pairs = PanelPairs(("a", "b"), rng.standard_normal((2, 30)), rng.standard_normal((2, 30)), 1.0)
     with pytest.raises(SameIndexError):
         flow_panel(pairs, source=0, target=0)
+
+
+# ------------------------------------------------------- residual variances
+
+
+def _var1(d, n, seed):
+    """A stable VAR(1) with unit noise and sparse couplings, like the wide benchmark."""
+    rng = np.random.default_rng(seed)
+    a = 0.5 * np.eye(d) + np.tril(rng.uniform(-0.3, 0.3, (d, d)) * (rng.random((d, d)) < 0.1), -1)
+    x = rng.standard_normal((d, n))
+    for t in range(1, n):
+        x[:, t] += a @ x[:, t - 1]
+    return x
+
+
+def _double_walks(d, n, seed):
+    """Doubly integrated random walks: so smooth that the fit explains nearly
+    all of each difference series' variance on an ill-conditioned design."""
+    steps = np.random.default_rng(seed).standard_normal((d, n))
+    return np.cumsum(np.cumsum(steps, axis=1), axis=1)
+
+
+def _lstsq_resid_var(x, k):
+    """Residual variance of each row's k-step difference quotient regressed on
+    [1, x] by numpy's SVD least squares, independent of the moment engine."""
+    d, n = x.shape
+    n_eff = n - k
+    design = np.vstack([np.ones(n_eff), x[:, :n_eff]]).T
+    y = ((x[:, k:] - x[:, :n_eff]) / k).T
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    return ((y - design @ coef) ** 2).sum(axis=0) / (n_eff - d - 1)
+
+
+@pytest.fixture
+def explicit_passes(monkeypatch):
+    """Counts the engine's explicit residual passes; zero means the moment route."""
+    calls = []
+    real = estimator._residual_variance
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(estimator, "_residual_variance", spy)
+    return calls
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_resid_var_on_smooth_data_matches_lstsq(k):
+    # moments alone lose ~1e-9 here; the engine must form the residuals instead
+    x = _double_walks(20, 20_000, seed=4)
+    tss = TimeSeriesSet(tuple(f"v{i}" for i in range(20)), x, 1.0)
+    ref = _lstsq_resid_var(x, k)
+    got = np.array([fit_linear_model(tss, t, k).resid_var for t in range(20)])
+    np.testing.assert_allclose(got, ref, rtol=1e-12)
+    c_ii = np.var(x[:, : x.shape[1] - k], axis=1, ddof=1)
+    for mode in ("multivariate", "bivariate"):
+        fm = all_pairs(tss, k=k, mode=mode)
+        noise = ref * k / (2.0 * c_ii)
+        np.testing.assert_allclose(
+            fm.noise_share, noise / (np.abs(fm.T).sum(axis=1) + noise), rtol=1e-12
+        )
+
+
+def test_panel_resid_var_on_smooth_data_matches_lstsq():
+    x = _double_walks(20, 20_001, seed=4)
+    pairs = PanelPairs(tuple(f"v{i}" for i in range(20)), x[:, :-1], x[:, 1:], 1.0)
+    ref = _lstsq_resid_var(x, 1)
+    # std_err / |coef_scale| is sqrt(resid_var[t] * s[j, j]); across targets at
+    # one source the common s[j, j] cancels in a ratio
+    g = np.array([(e.std_err / e.coef_scale) ** 2
+                  for e in (flow_panel(pairs, 0, t) for t in range(1, 20))])
+    np.testing.assert_allclose(g / g[0], ref[1:] / ref[1], rtol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_noisy_var1_takes_the_moment_route(explicit_passes, k):
+    x = _var1(20, 5000, seed=8)
+    tss = TimeSeriesSet(tuple(f"v{i}" for i in range(20)), x, 1.0)
+    fit = fit_linear_model(tss, 3, k)
+    for mode in ("multivariate", "bivariate"):
+        all_pairs(tss, k=k, mode=mode)
+    pairs = PanelPairs(tss.names, x[:, :-1], x[:, 1:], 1.0)
+    flow_panel(pairs, 0, 3)
+    assert explicit_passes == []
+    np.testing.assert_allclose(fit.resid_var, _lstsq_resid_var(x, k)[3], rtol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_noiseless_decay_takes_the_explicit_route(explicit_passes, k):
+    sde = LinearSDE(A=[[-1.0, 0.5], [0.0, -2.0]], B=np.zeros((2, 2)))
+    tss = simulate(sde, [1.0, 1.0], 200, 0.01, seed=0, burn_in=0)
+    assert fit_linear_model(tss, 0, k).resid_var < 1e-20
+    assert len(explicit_passes) == 1
+    x0 = np.random.default_rng(13).standard_normal((2, 50))
+    with warnings.catch_warnings():  # exact fits may pin p-values to 0
+        warnings.simplefilter("ignore", ZeroVarianceWarning)
+        for mode in ("multivariate", "bivariate"):
+            all_pairs(tss, k=k, mode=mode, normalize=False)
+        flow_panel(PanelPairs(("a", "b"), x0, 0.9 * x0, 1.0), 1, 0)
+    assert len(explicit_passes) == 4
 
 
 # ---------------------------------------------------------------- inference
