@@ -64,8 +64,8 @@ class _Fmt(argparse.ArgumentDefaultsHelpFormatter, argparse.RawDescriptionHelpFo
 
 
 _READ_BLOCK = 4096  # data lines per bulk read: a fault costs one block, not the file
-# Characters per text read. A block is sent to the pool as its reads, not joined:
-# one 2.5 MB string took about 1,200 fresh pages a block to pickle.
+# Characters per text read, then the rest of its line. A block goes to the pool as its
+# reads, not joined: one 2.5 MB string took about 1,200 fresh pages a block to pickle.
 _READ_PART = 1 << 16
 
 
@@ -76,11 +76,12 @@ def parse_csv(path: str):
     Returns (names, values) with values shaped d x N (column-per-variable
     input transposed to row-per-variable), in C order.
 
-    The data rows are cut into blocks of whole records, which are parsed
-    on every usable CPU (``_in_order``), from a file or a pipe alike. The
-    result is the row loop's over the whole input, bit for bit, and so is
-    the error: the first bad record, unless undecodable text comes
-    anywhere in the input, which is read to its end after a bad record.
+    The data rows are read in parts that end at line ends, gathered into
+    blocks of whole records (``_blocks``) and parsed on every usable CPU
+    (``_in_order``), from a file or a pipe alike. The result is the row
+    loop's over the whole input, bit for bit, and so is the error: the
+    first bad record, unless undecodable text comes anywhere in the input,
+    which is read to its end after a bad record.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -110,18 +111,19 @@ def _blocks(fh, line: int):
     """The text of ``fh`` after physical line ``line`` as (parts, line) blocks of
     whole records, each block's text the strings ``parts`` joined.
 
-    The first block is ``_READ_BLOCK`` lines. Each later one reads as many
-    characters as ``_READ_BLOCK`` lines of the block before took, in reads
-    of ``_READ_PART``, then the rest of its last line, so it holds about
-    ``_READ_BLOCK`` lines while line lengths hold. Shorter lines pack more:
-    an empty cell takes one character with its comma, a float as ``repr``
-    writes it up to 25, so after 17-digit rows a block of empty-cell rows
-    can hold 25 times as many lines. A block that holds a quote runs on to
-    the end of its last record, as ``_parse_rows`` would read it.
+    Each part is a read of ``_READ_PART`` characters and the rest of the line
+    it ends in, so a CR and its LF stay in one part. A block takes parts
+    until it holds ``_READ_BLOCK`` lines, which bounds its arrays' memory;
+    one that holds a quote runs on to the end of its last record, as
+    ``_parse_rows`` would read it.
     """
-    parts = list(itertools.islice(fh, _READ_BLOCK))
-    while parts:
-        n_lines = _line_count(parts)
+    while True:
+        parts, n_lines = [], 0
+        while n_lines < _READ_BLOCK and (part := fh.read(_READ_PART) + fh.readline()):
+            parts.append(part)
+            n_lines += _line_count(part)
+        if not parts:
+            return
         if any('"' in part for part in parts):
             more = []
             lines = io.StringIO("".join(parts), newline="")
@@ -136,19 +138,15 @@ def _blocks(fh, line: int):
             n_lines += len(more)
         yield parts, line
         line += n_lines
-        size = sum(map(len, parts)) * _READ_BLOCK // n_lines
-        parts = [fh.read(min(size - at, _READ_PART)) for at in range(0, size, _READ_PART)]
-        parts = [part for part in parts + [fh.readline()] if part]
 
 
-def _line_count(parts) -> int:
-    """The physical lines of the joined ``parts``, none empty, as a text reader
-    with ``newline=""`` splits them: at LF, CRLF and a lone CR, and a last
-    line without its end."""
-    n = sum(part.count("\n") for part in parts) + (not parts[-1].endswith(("\n", "\r")))
-    if any("\r" in part for part in parts):
-        n += sum(part.count("\r") - part.count("\r\n") for part in parts)
-        n -= sum(a.endswith("\r") and b.startswith("\n") for a, b in zip(parts, parts[1:]))
+def _line_count(text: str) -> int:
+    """The physical lines of ``text``, not empty and not ending between a CR and
+    its LF, as a text reader with ``newline=""`` splits them: at LF, CRLF
+    and a lone CR, and a last line without its end."""
+    n = text.count("\n") + (not text.endswith(("\n", "\r")))
+    if "\r" in text:
+        n += text.count("\r") - text.count("\r\n")
     return n
 
 
@@ -161,15 +159,15 @@ def _kept(lines, kept: list):
 
 def _parse_block(path: str, names, parts, line: int):
     """The joined ``parts``, text of whole records, as a d x N C-ordered array:
-    by orjson (``floattext.read_rows``, which reads empty cells too), else
-    by the C reader with each empty cell written ``nan`` (``np.nan``'s
-    bits), else by the row loop. A quote fails both bulk reads, as
-    ``_parse_bulk`` has no quote character, so only the row loop reads a
-    quoted cell.
+    by orjson (``floattext.read_rows``, one call a part, which reads empty
+    cells too), else by the C reader on the joined text with each empty
+    cell written ``nan`` (``np.nan``'s bits), else by the row loop on it.
+    A quote fails both bulk reads, as ``_parse_bulk`` has no quote
+    character, so only the row loop reads a quoted cell.
     """
-    text = "".join(parts)
-    values = floattext.read_rows(text, len(names))
+    values = floattext.read_rows(parts, len(names))
     if values is None:
+        text = "".join(parts)
         lines = io.StringIO(text, newline="")
         values = _parse_bulk([floattext.filled(row, "nan") for row in lines], len(names))
     if values is None:

@@ -276,35 +276,27 @@ def join(values, sep: str, end: str, nan: str = "nan") -> str:
 
 _NUMBER_BYTES = b"0123456789+-.eE, \t\n"
 _INTEGER_MINUS_ZERO = re.compile(rb"-0(?![.0-9eE])")
-# Characters per orjson call, up to the next line end. A piece's text and
-# lists fit in memory that the last piece freed; one call on a 2.5 MB block
-# makes about 13 MB of copies and lists in fresh pages, some 3,200 page faults.
-_PIECE = 1 << 17
 
 
-def read_rows(text: str, width: int):
-    """The CSV text of whole lines as an N x ``width`` float array, each cell
-    as ``float`` reads it and an empty cell as NaN, or None.
+def read_rows(parts, width: int):
+    """The CSV text ``parts``, each of whole lines, as an N x ``width`` float
+    array, each cell as ``float`` reads it and an empty cell as NaN, or None.
 
-    orjson reads the text in pieces of ``_PIECE`` characters and the rest
-    of the line the piece ends in, each piece as one JSON array of rows;
-    where it stops at a missing value, it reads the piece again with each
-    empty cell written ``null``, which numpy reads as ``np.nan``'s bits.
-    Any other cell that is not a JSON number (``+1``, ``.5``, ``01``,
-    ``nan``, a blank), a ragged line, a blank line before the last row of
-    a piece, a lone CR and a number too large for a float give None. So
-    does ``-0``, which orjson reads as the integer 0; it is looked for
-    only where a zero was read.
+    orjson reads each part as one JSON array of rows, in memory that the
+    part before freed; where it stops at a missing value, it reads the part
+    again with each empty cell written ``null``, which numpy reads as
+    ``np.nan``'s bits. Any other cell that is not a JSON number (``+1``,
+    ``.5``, ``01``, ``nan``, a blank), a ragged line, a blank line before
+    the last row of a part, a lone CR and a number too large for a float
+    give None. So does ``-0``, which orjson reads as the integer 0; it is
+    looked for only where a zero was read.
     """
     pieces = []
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _PIECE) + 1 or len(text)
-        values = _read_piece(text[start:end], width)
+    for part in parts:
+        values = _read_piece(part, width)
         if values is None:
             return None
         pieces.append(values)
-        start = end
     return np.concatenate(pieces) if pieces else None
 
 

@@ -335,26 +335,35 @@ def emit_json(obj) -> str:
 
 
 def flow_matrix_from_json(text: str) -> FlowMatrix:
-    """Inverse of ``emit_json`` for flow matrices (null becomes NaN)."""
+    """Inverse of ``emit_json`` for flow matrices (null becomes NaN). Text that is
+    not such a payload raises ``MalformedError``, naming the field at fault."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise MalformedError(f"not valid JSON: {e}") from None
+    if not isinstance(raw, dict):
+        raise MalformedError(f"flow-matrix JSON is a {type(raw).__name__}, not an object")
     required = ("orientation", "names", "dt", "k", "alpha") + _ARRAYS
     missing = [key for key in required if key not in raw]
     if missing:
         raise MalformedError(f"flow-matrix JSON is missing keys: {missing}")
     if raw["orientation"] != "T[target][source]":
         raise MalformedError(f"unsupported orientation {raw['orientation']!r}")
-
-    def arr(key):
-        return np.array(raw[key], dtype=float)  # null (None) becomes NaN
-
-    return FlowMatrix(
-        names=tuple(raw["names"]),
-        dt=float(raw["dt"]),
-        k=int(raw["k"]),
-        alpha=float(raw["alpha"]),
-        mode=raw.get("mode", "multivariate"),
-        **{f: arr(f) for f in _ARRAYS},
-    )
+    names = raw["names"]
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise MalformedError("flow-matrix JSON field 'names' is not a list of strings")
+    fields = {}
+    for key in ("dt", "k", "alpha") + _ARRAYS:
+        try:
+            if key in _ARRAYS:  # d x d, or d for noise_share, with d from the names
+                shape = (len(names),) * (1 if key == "noise_share" else 2)
+                value = np.array(raw[key], dtype=float)  # null (None) becomes NaN
+                value = value if value.size else value.reshape(shape)  # emit_json writes []
+                if value.shape != shape:
+                    raise ValueError(f"shape {value.shape}, not {shape} as 'names' gives")
+            else:
+                value = (int if key == "k" else float)(raw[key])
+        except (TypeError, ValueError, OverflowError) as e:
+            raise MalformedError(f"flow-matrix JSON field {key!r}: {e}") from None
+        fields[key] = value
+    return FlowMatrix(names=tuple(names), mode=raw.get("mode", "multivariate"), **fields)

@@ -45,7 +45,7 @@ def test_parse_csv_basic(tmp_path):
 
 def test_parse_csv_drops_a_byte_order_mark(tmp_path, monkeypatch, capsys):
     # Excel's "CSV UTF-8" starts the file with U+FEFF, which must not end up in the first name
-    monkeypatch.setattr(cli, "_READ_BLOCK", 100)
+    blocks = _small_blocks(monkeypatch, 100, 1000)
     rows = np.random.default_rng(3).standard_normal((500, 2)).tolist()
     path = tmp_path / "bom.csv"
     text = "x1,x2\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows)
@@ -56,6 +56,7 @@ def test_parse_csv_drops_a_byte_order_mark(tmp_path, monkeypatch, capsys):
         assert names == ["x1", "x2"] and values.T.tolist() == rows
         assert main(["analyze", "--input", str(path), "--dt", "0.1"]) == 0
         assert json.loads(capsys.readouterr().out)["names"] == ["x1", "x2"]
+    assert len(blocks) > 1
 
 
 def test_parse_csv_ragged_row_reports_line(tmp_path):
@@ -314,7 +315,7 @@ def test_parse_csv_cells_orjson_rejects_give_the_row_loop_error(tmp_path, capsys
 
 
 def test_parse_csv_blocks_keep_physical_lines_and_quoted_records(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_READ_BLOCK", 2)
+    blocks = _small_blocks(monkeypatch, 2, 1)
     # the quoted cell "4\n" is one record over lines 3-4, across a block boundary
     text = 'a,b\n1,2\n3,"4\n"\n5,6\n\n7,\n'
     _, values = parse_csv(_write(tmp_path, "t.csv", text))
@@ -323,28 +324,37 @@ def test_parse_csv_blocks_keep_physical_lines_and_quoted_records(tmp_path, monke
         parse_csv(_write(tmp_path, "u.csv", text + "\n8,x\n"))
     with pytest.raises(MalformedError, match="line 9: expected 2 cells, got 1"):
         parse_csv(_write(tmp_path, "v.csv", text + "\n8\n"))
+    assert len(blocks) > 1
 
 
 def _block_lines(monkeypatch):
-    """The physical lines of each block parse_csv cuts, in order."""
+    """The physical lines of each part of each block parse_csv cuts, in order: one
+    list a block."""
     sizes = []
     blocks = cli._blocks
 
     def spy(fh, line):
         for parts, start in blocks(fh, line):
-            sizes.append(cli._line_count(parts))
+            sizes.append([cli._line_count(part) for part in parts])
             yield parts, start
 
     monkeypatch.setattr(cli, "_blocks", spy)
     return sizes
 
 
+def _small_blocks(monkeypatch, lines: int, part: int):
+    """Blocks of ``lines`` lines in reads of ``part`` characters, so that a small file
+    is cut into several; ``_block_lines``'s list, to check that it was."""
+    monkeypatch.setattr(cli, "_READ_BLOCK", lines)
+    monkeypatch.setattr(cli, "_READ_PART", part)
+    return _block_lines(monkeypatch)
+
+
 @pytest.mark.parametrize("part", [2, 1 << 16])
 def test_parse_csv_read_ends_between_a_cr_and_its_lf(tmp_path, monkeypatch, part):
-    # blocks of 2 lines: the first, of 10 + pad characters, sets the next block to 10 + pad
-    # characters, which end pad characters into a 5-character line; pad 4 ends them on the
-    # CR. Reads of 2 characters also end on a CR inside blocks.
-    monkeypatch.setattr(cli, "_READ_BLOCK", 2)
+    # one column of 3-character lines after a first line of 3 + pad: a read of 2 characters
+    # from a line's start ends on its CR, and the first read of 2**16 does so at one pad.
+    # The rest of the line, its LF, is read with it.
     monkeypatch.setattr(cli, "_READ_PART", part)
     reads = []
 
@@ -356,45 +366,46 @@ def test_parse_csv_read_ends_between_a_cr_and_its_lf(tmp_path, monkeypatch, part
 
     monkeypatch.setattr(cli, "open", lambda file, newline=None, encoding=None: Recorded(
         io.BufferedReader(io.FileIO(file)), encoding=encoding, newline=newline), raising=False)
-    for pad in range(5):
-        text = "a,b\r\n1,2" + " " * pad + "\r\n3,4\r\n" + "5,6\r\n" * 20
+    for pad in range(3):
+        text = "a\r\n1" + " " * pad + "\r\n" + "5\r\n" * 22_000
         for cpus in (1, 2):
             monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
             values = parse_csv(_write(tmp_path, "t.csv", text))[1]
-            np.testing.assert_array_equal(values, [[1, 3] + [5] * 20, [2, 4] + [6] * 20])
-            with pytest.raises(MalformedError, match="line 24: non-numeric value 'x'"):
-                parse_csv(_write(tmp_path, "u.csv", text + "7,x\r\n"))
+            np.testing.assert_array_equal(values, [[1] + [5] * 22_000])
+            with pytest.raises(MalformedError, match="line 22003: non-numeric value 'x'"):
+                parse_csv(_write(tmp_path, "u.csv", text + "x\r\n"))
     assert any(text.endswith("\r") for text in reads)
 
 
 def test_parse_csv_lone_cr_error_names_the_physical_line(tmp_path, monkeypatch):
     # in blocks of about 5 lines, with a blank line before the bad cell, which is many blocks in
-    monkeypatch.setattr(cli, "_READ_BLOCK", 5)
+    blocks = _small_blocks(monkeypatch, 5, 8)
     lines = ["a,b"] + ["1,2"] * 30 + [""] + ["3,4"] * 10 + ["5,x"] + ["6,7"] * 10
     path = _write(tmp_path, "t.csv", "\r".join(lines) + "\r")
     for cpus in (1, 2):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         with pytest.raises(MalformedError, match="line 43: non-numeric value 'x' in column 'b'"):
             parse_csv(path)
+    assert len(blocks) > 1
 
 
 @pytest.mark.parametrize("d", [2, 200])
 def test_parse_csv_blocks_hold_about_read_block_lines(tmp_path, monkeypatch, d):
-    # every block but the first, of exactly _READ_BLOCK lines, and the last is read by
-    # characters, sized from the block before it
-    monkeypatch.setattr(cli, "_READ_BLOCK", 64)
-    sizes = _block_lines(monkeypatch)
+    # every block but the last holds at least _READ_BLOCK lines, and fewer without its last
+    # read: at d = 2 a read holds some 25 lines, at d = 200 one
+    blocks = _small_blocks(monkeypatch, 64, 1000)
     values = np.random.default_rng(d).standard_normal((d, 1000))
     path = tmp_path / "t.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         write_csv([f"x{i}" for i in range(d)], values, fh)
     assert parse_csv(str(path))[1].tobytes() == values.tobytes()
-    assert sizes[0] == 64 and sum(sizes) == 1000 and len(sizes) > 10
-    assert all(32 <= n <= 128 for n in sizes[1:-1]), sizes
+    assert sum(map(sum, blocks)) == 1000 and len(blocks) > 10
+    assert all(sum(reads) >= 64 > sum(reads[:-1]) for reads in blocks[:-1]), blocks
+    assert max(map(max, blocks)) > 1 if d == 2 else blocks[0] == [1] * 64
 
 
 def test_parse_csv_returns_c_order_and_analyze_the_library_bytes(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_READ_BLOCK", 100)
+    blocks = _small_blocks(monkeypatch, 100, 1000)
     names = [f"x{i}" for i in range(5)]
     values = np.random.default_rng(6).standard_normal((5, 1000))
     path = tmp_path / "t.csv"
@@ -407,6 +418,7 @@ def test_parse_csv_returns_c_order_and_analyze_the_library_bytes(tmp_path, monke
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         assert main(["analyze", "--input", str(path)]) == 0
         assert capsys.readouterr().out == want
+    assert len(blocks) > 1
 
 
 def test_parse_csv_missing_file(tmp_path):
@@ -536,7 +548,7 @@ def test_in_order_dead_worker_raises_broken_pool():
 
 def test_csv_pool_leaves_no_children(tmp_path, monkeypatch, two_cpus):
     monkeypatch.setattr(cli, "_WRITE_BLOCK", 5)
-    monkeypatch.setattr(cli, "_READ_BLOCK", 5)
+    blocks = _small_blocks(monkeypatch, 5, 1)
     values = np.random.default_rng(3).standard_normal((3, 40))
     path = tmp_path / "t.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -549,6 +561,7 @@ def test_csv_pool_leaves_no_children(tmp_path, monkeypatch, two_cpus):
     with pytest.raises(MalformedError, match="line 42: non-numeric value 'x' in column 'c'"):
         parse_csv(str(path))
     assert multiprocessing.active_children() == []
+    assert len(blocks) > 1 and blocks[-1] == [1]
 
 
 def test_parse_csv_reads_a_malformed_file_to_its_end_once(tmp_path, monkeypatch, two_cpus):
@@ -595,14 +608,14 @@ def test_csv_io_without_sched_getaffinity(tmp_path, monkeypatch):
     # os.sched_getaffinity exists on Linux only; elsewhere the CPU count stands in for it
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(cli, "_WRITE_BLOCK", 5)
-    monkeypatch.setattr(cli, "_READ_BLOCK", 5)
+    blocks = _small_blocks(monkeypatch, 5, 1)
     assert cli._usable_cpus() == (os.cpu_count() or 1)
     values = np.random.default_rng(4).standard_normal((2, 23))
     path = tmp_path / "t.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         write_csv(("a", "b"), values, fh)
     assert parse_csv(str(path))[1].tobytes() == values.tobytes()
-    assert multiprocessing.active_children() == []
+    assert multiprocessing.active_children() == [] and len(blocks) > 1
 
 
 # in blocks of 3 lines: clean; quoted, its last record open into the next block; gappy;
@@ -630,14 +643,14 @@ def _outcome(path):
     ],
 )
 def test_parse_csv_pool_gives_the_serial_result(tmp_path, monkeypatch, bad, message):
-    monkeypatch.setattr(cli, "_READ_BLOCK", 3)
+    blocks = _small_blocks(monkeypatch, 3, 1)
     lines = [bad.get(i, text) for i, text in enumerate(MIXED_LINES)]
     path = _write(tmp_path, "t.csv", "a,b\n" + "\n".join(lines) + "\n")
     outcomes = []
     for cpus in (1, 2):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         outcomes.append(_outcome(path))
-    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == outcomes[1] and len(blocks) > 1
     if message is None:
         want = [[1, 3, 5, 7, 9, 11, 13, np.nan, 15, 17, 19, 21, 23, 25, 27, 29],
                 [2, 4, 6, 8, 10, 12, np.nan, 14, 16, 18, 20, 22, 24, 26, 28, 30]]
@@ -659,7 +672,7 @@ UNDECODABLE = (
 
 def test_parse_csv_pool_reports_undecodable_text_as_one_pass(tmp_path, monkeypatch):
     # the message names the bytes, not a position that depends on how far the reader got
-    monkeypatch.setattr(cli, "_READ_BLOCK", 2000)
+    blocks = _small_blocks(monkeypatch, 2000, 1000)
     path = tmp_path / "t.csv"
     for data in UNDECODABLE:
         path.write_bytes(data)
@@ -668,11 +681,12 @@ def test_parse_csv_pool_reports_undecodable_text_as_one_pass(tmp_path, monkeypat
             assert _outcome(str(path)) == (
                 MalformedError, f"{path} is not UTF-8 text: can't decode b'\\xff': invalid start "
                                 "byte")
+    assert len(blocks) > 1
 
 
 @needs_fork_pool
 def test_parse_csv_pool_parses_quoted_blocks_in_the_workers(tmp_path, monkeypatch, two_cpus):
-    monkeypatch.setattr(cli, "_READ_BLOCK", 3)
+    blocks = _small_blocks(monkeypatch, 3, 1)
     path = _write(tmp_path, "t.csv", "a,b\n" + "\n".join(MIXED_LINES) + "\n")
     with open(path, newline="", encoding="utf-8") as fh:  # the whole-file row loop
         reader = csv.reader(fh)
@@ -687,7 +701,7 @@ def test_parse_csv_pool_parses_quoted_blocks_in_the_workers(tmp_path, monkeypatc
 
     monkeypatch.setattr(cli, "_parse_rows", spy)
     np.testing.assert_array_equal(parse_csv(path)[1], want)
-    assert calls == []
+    assert calls == [] and len(blocks) > 1
     assert multiprocessing.active_children() == []
 
 
@@ -709,8 +723,8 @@ LONG_FIELD = 'a,b\n1,"2\n' + "3,4\n" * 40000
 )
 def test_parse_csv_csv_error_is_malformed(tmp_path, monkeypatch, text, message):
     # in blocks of 5 lines, so the quoted block runs on far into the file and the pool has
-    # blocks after it
-    monkeypatch.setattr(cli, "_READ_BLOCK", 5)
+    # blocks after it; the header's quote fails before any block is cut
+    blocks = _small_blocks(monkeypatch, 5, 16)
     path = _write(tmp_path, "t.csv", text)
     for cpus in (1, 2):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
@@ -719,18 +733,23 @@ def test_parse_csv_csv_error_is_malformed(tmp_path, monkeypatch, text, message):
         assert str(caught.value) == f"{path}: {message}"
     assert main(["analyze", "--input", path]) == 2
     assert multiprocessing.active_children() == []
+    assert len(blocks) > 1 if message.startswith("line 2:") else blocks == []
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
 def test_analyze_reads_a_pipe(tmp_path):
-    # in a child interpreter with a deadline, in blocks of 500 lines on two CPUs, so the pipe
-    # goes through the pool on any host
+    # in a child interpreter with a deadline, in blocks of about 500 lines on two CPUs, so the
+    # pipe goes through the pool on any host; the child fails if it cuts one block only
     code = (
         "import sys\n"
         "import liangflow.cli as cli\n"
         "cli._READ_BLOCK = 500\n"
+        "cli._READ_PART = 1 << 12\n"
         "cli._usable_cpus = lambda: 2\n"
-        "sys.exit(cli.main(sys.argv[1:]))\n"
+        "blocks, cut = cli._blocks, []\n"
+        "cli._blocks = lambda fh, line: (cut.append(b) or b for b in blocks(fh, line))\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "sys.exit(code if len(cut) > 1 else 'one block')\n"
     )
 
     def analyze(path, data=b""):

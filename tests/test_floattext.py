@@ -169,7 +169,7 @@ def _float_rows(lines):
     "-1e-400", "-2e-324",  # negative values that underflow read as -0.0
 ])
 def test_hard_decimals_read_as_float(cell):
-    values = floattext.read_rows(cell + "," + cell + "\n", 2)
+    values = floattext.read_rows([cell + "," + cell + "\n"], 2)
     assert values.tobytes() == _float_rows([cell + "," + cell]).tobytes()
 
 
@@ -177,7 +177,7 @@ def test_hard_decimals_read_as_float(cell):
                                    ["\n", "1\n"], ["1\n", " \n", "2\n"], ["1,2\n"], ["nan\n"],
                                    ["1\r2\n"], ["１\n"], ["1_0\n"]])
 def test_read_rows_gives_up(lines):
-    assert floattext.read_rows("".join(lines), 1) is None
+    assert floattext.read_rows(["".join(lines)], 1) is None
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -186,7 +186,7 @@ def test_read_rows_gives_up(lines):
 def test_written_rows_read_back_with_the_same_bits(values, n_cols, form):
     values = np.resize(values, (-(-len(values) // n_cols), n_cols))
     lines = [",".join(form % v for v in row) + "\n" for row in values.tolist()]
-    got = floattext.read_rows("".join(lines), n_cols)
+    got = floattext.read_rows(["".join(lines)], n_cols)
     if got is None:  # only the integer token -0, which %.17g writes for -0.0
         assert form == "%.17g" and np.signbit(values[values == 0]).any()
     else:
@@ -194,48 +194,41 @@ def test_written_rows_read_back_with_the_same_bits(values, n_cols, form):
 
 
 def test_read_rows_reads_empty_cells_as_nan():
-    values = floattext.read_rows(",1\n2,\r\n,\n3,\n", 2)
+    values = floattext.read_rows([",1\n2,\r\n,\n3,\n"], 2)
     nan = np.array([np.nan]).view(np.uint64)[0]
     assert values.view(np.uint64).tolist() == [[nan, 0x3FF0000000000000], [0x4000000000000000, nan],
                                                [nan, nan], [0x4008000000000000, nan]]
-    assert floattext.read_rows("1, \n", 2) is None  # a blank cell is not empty
+    assert floattext.read_rows(["1, \n"], 2) is None  # a blank cell is not empty
 
 
 def test_read_rows_reads_a_block_in_pieces(monkeypatch):
-    # a 4096-line block of 8 columns, about five pieces
+    # a 4096-line block of 8 columns in parts of 100 lines or fewer, one orjson call a part
     rng = np.random.default_rng(5)
     lines = [",".join(map(repr, row)) + "\n" for row in rng.standard_normal((4096, 8)).tolist()]
-    text = "".join(lines)
+    parts = ["".join(lines[at:at + 100]) for at in range(0, len(lines), 100)]
     pieces, rows = [], []
     read_piece, loads = floattext._read_piece, floattext.orjson.loads
     monkeypatch.setattr(floattext, "_read_piece", lambda piece, width: pieces.append(piece) or
                         read_piece(piece, width))
     monkeypatch.setattr(floattext.orjson, "loads", lambda text: rows.append(len(loads(text))) or
                         loads(text))
-    values = floattext.read_rows(text, 8)
+    values = floattext.read_rows(parts, 8)
     assert values.tobytes() == _float_rows([line.rstrip("\n") for line in lines]).tobytes()
-    # in order, each piece ends a line and, but the last, takes _PIECE characters and the
-    # rest of the line they end in
-    assert "".join(pieces) == text and len(pieces) > 3
-    assert all(piece.endswith("\n") for piece in pieces)
-    longest = max(map(len, lines))
-    assert all(floattext._PIECE < len(piece) <= floattext._PIECE + longest for piece in pieces[:-1])
-    assert rows == [piece.count("\n") for piece in pieces]  # one orjson call a piece
+    assert pieces == parts
+    assert rows == [part.count("\n") for part in parts]
 
 
-def test_read_rows_takes_each_piece_on_its_own(monkeypatch):
-    monkeypatch.setattr(floattext, "_PIECE", 2)  # one line a piece
+def test_read_rows_takes_each_piece_on_its_own():
     nan = float("nan")
-    values = floattext.read_rows("1,2\n3,\n,4e-400\n5.5,6\n7,-0.0\n", 2)
+    parts = ["1,2\n", "3,\n", ",4e-400\n", "5.5,6\n", "7,-0.0\n"]  # the second has a gap
+    values = floattext.read_rows(parts, 2)
     want = np.array([[1, 2], [3, nan], [nan, 0.0], [5.5, 6], [7, -0.0]])
     assert values.tobytes() == want.tobytes()
-    # a blank line at a piece's end is no row, as in the row loop
-    monkeypatch.setattr(floattext, "_PIECE", 4)
-    assert floattext.read_rows("1,2\n\n3,4\n", 2).tolist() == [[1, 2], [3, 4]]
-    # a fault in the last piece alone gives up on the text
-    monkeypatch.setattr(floattext, "_PIECE", 2)
+    # a blank line at a part's end is no row, as in the row loop
+    assert floattext.read_rows(["1,2\n\n", "3,4\n"], 2).tolist() == [[1, 2], [3, 4]]
+    # a fault in the last part alone gives up on the text
     for last in ("7,-0\n", "7\n", "7,\r8\n", "7,nan\n"):
-        assert floattext.read_rows("1,2\n3,4\n" + last, 2) is None
+        assert floattext.read_rows(["1,2\n", "3,4\n", last], 2) is None
 
 
 @pytest.mark.parametrize("sep, end", [("]", "\n"), ("1e", "\n"), (",", "e3"), ("0", "00")])

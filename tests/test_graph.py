@@ -510,3 +510,19 @@ def test_flow_matrix_from_json_malformed():
     payload["orientation"] = "T[source][target]"
     with pytest.raises(MalformedError, match="orientation"):
         flow_matrix_from_json(json.dumps(payload))
+    payload["orientation"] = "T[target][source]"
+    with pytest.raises(MalformedError, match="not an object"):
+        flow_matrix_from_json("5")
+    # each outside value that is not a field of the payload names its field
+    for key, value in [("T", [[1.0, 2.0], [3.0]]), ("SE", [[1.0, "x"], [3.0, 4.0]]),
+                       ("P", [[1.0, 2.0, 3.0]]), ("noise_share", [[0.5, 0.5]]), ("TAU", None),
+                       ("T", []), ("k", "z"), ("dt", None), ("alpha", [0.05]), ("k", 1e400),
+                       ("names", ["x0"]), ("names", "ab"), ("names", [0, 1])]:
+        bad = dict(payload, **{key: value})
+        with pytest.raises(MalformedError, match=f"'{key}'"):
+            flow_matrix_from_json(json.dumps(bad))
+    # an empty matrix keeps its shape
+    empty = FlowMatrix((), 1.0, 1, 0.05, "multivariate", np.empty((0, 0)), np.empty((0, 0)),
+                       np.empty((0, 0)), np.empty((0, 0)), np.empty(0))
+    back = flow_matrix_from_json(emit_json(empty))
+    assert back == empty and back.T.shape == (0, 0) and back.noise_share.shape == (0,)

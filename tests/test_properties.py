@@ -98,8 +98,9 @@ values64 = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, wi
 # lines per bulk read: the default and sizes small enough that blocks,
 # runs between gaps and quoted records cross each other
 BLOCK_SIZES = (4096, 1, 2, 3, 7)
-# characters per text read: the default and sizes that cut lines, and CRLFs, inside blocks
-READ_PARTS = (1 << 16, 1, 3)
+# characters per text read: the default and sizes that end reads inside lines, and between
+# a CR and its LF, so that a block takes several reads
+READ_PARTS = (1 << 16, 1, 2, 3)
 
 
 @st.composite
@@ -152,6 +153,20 @@ def test_block_reader_returns_the_whole_file_row_loop_bits(tmp_path_factory, cas
     assert names == want_names == [f"v{i}" for i in range(d)]
     assert values.shape == want.shape == (d, n)
     assert values.tobytes() == want.tobytes()
+
+
+@examples
+@given(csv_texts(faulty=True), st.sampled_from(BLOCK_SIZES), st.sampled_from(READ_PARTS))
+def test_block_reads_end_at_line_ends(tmp_path_factory, case, block, part):
+    path = str(tmp_path_factory.mktemp("csv") / "t.csv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(case[0])
+    with mock.patch.object(cli, "_READ_BLOCK", block), mock.patch.object(cli, "_READ_PART", part):
+        with open(path, newline="", encoding="utf-8") as fh:
+            reads = [text for parts, _ in cli._blocks(fh, 0) for text in parts]
+    assert "".join(reads) == case[0]
+    assert all(text.endswith(("\n", "\r")) for text in reads[:-1])
+    assert not any(a.endswith("\r") and b.startswith("\n") for a, b in zip(reads, reads[1:]))
 
 
 def _outcome(parse):
