@@ -22,7 +22,6 @@ import statistics
 import sys
 import time
 import traceback
-import warnings
 from importlib import resources
 from typing import Optional
 
@@ -160,35 +159,14 @@ def _kept(lines, kept: list):
 def _parse_block(path: str, names, parts, line: int):
     """The joined ``parts``, text of whole records, as a d x N C-ordered array:
     by orjson (``floattext.read_rows``, one call a part, which reads empty
-    cells too), else by the C reader on the joined text with each empty
-    cell written ``nan`` (``np.nan``'s bits), else by the row loop on it.
-    A quote fails both bulk reads, as ``_parse_bulk`` has no quote
-    character, so only the row loop reads a quoted cell.
+    cells too), else by the row loop on the joined text, which defines
+    every value and every error.
     """
     values = floattext.read_rows(parts, len(names))
     if values is None:
-        text = "".join(parts)
-        lines = io.StringIO(text, newline="")
-        values = _parse_bulk([floattext.filled(row, "nan") for row in lines], len(names))
-    if values is None:
-        values = _parse_rows(path, names, csv.reader(io.StringIO(text, newline="")), line)
+        lines = io.StringIO("".join(parts), newline="")
+        values = _parse_rows(path, names, csv.reader(lines), line)
     return np.ascontiguousarray(values.T)
-
-
-def _parse_bulk(lines, width: int):
-    """The lines as an N x width array by numpy's C reader, or None if it rejects them.
-
-    ``comments=None`` keeps a leading '#' data, not a comment. Empty and
-    whitespace-only cells, Python-only float syntax (``1_0``, non-ASCII
-    digits), ragged rows and lines without data all end here as None.
-    """
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return values if values.shape[1] == width else None
 
 
 def _parse_rows(path: str, names, reader, line: int):

@@ -318,7 +318,7 @@ def _read_piece(piece: str, width: int):
         except orjson.JSONDecodeError as e:
             if wrapped[e.pos:e.pos + 1] not in b",]":  # not where a value is missing
                 return None
-            cells = "\n".join(filled(line, "null") for line in piece.split("\n")).rstrip("\n")
+            cells = "\n".join(map(_nulled, piece.split("\n"))).rstrip("\n")
             rows = orjson.loads(b"[[" + cells.encode().replace(b"\n", b"],[") + b"]]")
         values = np.array(rows, dtype=float)
     except ValueError:  # orjson's JSONDecodeError, or numpy's on ragged rows
@@ -330,17 +330,17 @@ def _read_piece(piece: str, width: int):
     return values
 
 
-def filled(line: str, cell: str) -> str:
-    """The CSV line without its line end, with ``cell`` in each empty cell.
+def _nulled(line: str) -> str:
+    """The CSV line without its line end, with ``null`` in each empty cell.
 
-    Per line, not on a block's joined text, where finding a comma beside a
+    Per line, not on a part's joined text, where finding a comma beside a
     line end costs two more full scans of the text.
     """
     cells = line.rstrip("\r\n")
     if ",," in cells:
-        cells = cells.replace(",,", f",{cell},").replace(",,", f",{cell},")  # once leaves ",,,"
+        cells = cells.replace(",,", ",null,").replace(",,", ",null,")  # once leaves ",,,"
     if cells.startswith(","):
-        cells = cell + cells
+        cells = "null" + cells
     if cells.endswith(","):
-        cells += cell
+        cells += "null"
     return cells

@@ -28,6 +28,13 @@ from .errors import (
 
 _MODES = ("multivariate", "bivariate")
 _ARRAYS = ("T", "P", "TAU", "SE", "noise_share")  # FlowMatrix fields, in JSON key order
+# the FlowMatrix scalars, each with the rule all_pairs meets; type() keeps a JSON bool out
+_SCALARS = {
+    "dt": ("a finite number > 0", lambda v: type(v) in (int, float) and 0 < v < np.inf),
+    "k": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
+    "alpha": ("a number in (0, 1)", lambda v: type(v) in (int, float) and 0 < v < 1),
+    "mode": (f"one of {_MODES}", lambda v: v in _MODES),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,6 +136,8 @@ def all_pairs(
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    if not 0 < alpha < 1:  # NaN fails too
+        raise ValidationError(f"alpha must be a number in (0, 1), got {alpha!r}")
     if tss.d < 2:
         raise ValidationError("all-pairs analysis needs at least two variables")
     try:
@@ -352,18 +361,23 @@ def flow_matrix_from_json(text: str) -> FlowMatrix:
     names = raw["names"]
     if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
         raise MalformedError("flow-matrix JSON field 'names' is not a list of strings")
+    if len(set(names)) != len(names):
+        raise MalformedError("flow-matrix JSON field 'names' holds a name twice")
+    raw.setdefault("mode", "multivariate")  # as all_pairs' default
     fields = {}
-    for key in ("dt", "k", "alpha") + _ARRAYS:
-        try:
-            if key in _ARRAYS:  # d x d, or d for noise_share, with d from the names
-                shape = (len(names),) * (1 if key == "noise_share" else 2)
-                value = np.array(raw[key], dtype=float)  # null (None) becomes NaN
-                value = value if value.size else value.reshape(shape)  # emit_json writes []
-                if value.shape != shape:
-                    raise ValueError(f"shape {value.shape}, not {shape} as 'names' gives")
-            else:
-                value = (int if key == "k" else float)(raw[key])
-        except (TypeError, ValueError, OverflowError) as e:
+    for key, (rule, ok) in _SCALARS.items():
+        if not ok(raw[key]):
+            raise MalformedError(f"flow-matrix JSON field {key!r}: expected {rule}, "
+                                 f"got {raw[key]!r}")
+        fields[key] = float(raw[key]) if key == "dt" else raw[key]
+    for key in _ARRAYS:
+        try:  # d x d, or d for noise_share, with d from the names
+            shape = (len(names),) * (1 if key == "noise_share" else 2)
+            value = np.array(raw[key], dtype=float)  # null (None) becomes NaN
+            value = value if value.size else value.reshape(shape)  # emit_json writes []
+            if value.shape != shape:
+                raise ValueError(f"shape {value.shape}, not {shape} as 'names' gives")
+        except (TypeError, ValueError) as e:
             raise MalformedError(f"flow-matrix JSON field {key!r}: {e}") from None
         fields[key] = value
-    return FlowMatrix(names=tuple(names), mode=raw.get("mode", "multivariate"), **fields)
+    return FlowMatrix(names=tuple(names), **fields)

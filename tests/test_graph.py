@@ -387,6 +387,31 @@ def test_json_round_trip_full_precision():
         fm = all_pairs(tss, normalize=normalize)
         back = flow_matrix_from_json(emit_json(fm))
         assert back == fm
+    # what all_pairs accepts at the edges of each setting, flow_matrix_from_json reads back
+    tss = _random_set(3, 300, seed=23, dt=1e-3)
+    for k, mode, alpha in [(1, "bivariate", 5e-324), (3, "multivariate", 1 - 2 ** -53),
+                           (7, "bivariate", 0.5)]:
+        fm = all_pairs(tss, k=k, alpha=alpha, mode=mode)
+        assert flow_matrix_from_json(emit_json(fm)) == fm
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 7.0, math.nan, -0.5])
+def test_all_pairs_rejects_alpha_outside_the_open_unit_interval(alpha):
+    with pytest.raises(ValidationError, match="alpha"):
+        all_pairs(_random_set(2, 100, seed=22), alpha=alpha)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("k", 1.5), ("k", "3"), ("k", True), ("k", 0),
+    ("dt", -1), ("dt", 0), ("dt", True), ("dt", "1"),
+    ("alpha", 7), ("alpha", 0), ("alpha", True),
+    ("mode", "x"),
+    ("names", ["a", "a"]),
+])
+def test_flow_matrix_from_json_rejects_what_all_pairs_never_writes(key, value):
+    payload = json.loads(emit_json(all_pairs(_random_set(2, 100, seed=24))))
+    with pytest.raises(MalformedError, match=f"field '{key}'"):
+        flow_matrix_from_json(json.dumps(dict(payload, **{key: value})))
 
 
 def test_json_schema_fields():

@@ -105,16 +105,20 @@ READ_PARTS = (1 << 16, 1, 2, 3)
 
 @st.composite
 def csv_texts(draw, faulty=False):
-    """(text, n_rows, d): a float64 matrix, with gaps, in one of the layouts parse_csv reads.
+    """(text, n_rows, d): a float64 matrix, with gaps and NaN, in one of the layouts parse_csv
+    reads. The formats are ``repr``'s, ``%.17g`` and ``%.18e``, ``numpy.savetxt``'s default,
+    which write NaN as ``nan``.
 
     ``faulty`` draws at most one fault in a data line: a bad cell, a ragged row, or a stray
     or unterminated quote.
     """
     d = draw(st.integers(1, 4))
     # None is an empty cell; with d = 1 it could be a blank line, which is no row
-    cells = st.one_of(values64, st.none()) if d > 1 else values64
+    cells = st.one_of(values64, st.just(np.nan))
+    if d > 1:
+        cells |= st.none()
     rows = draw(st.lists(st.lists(cells, min_size=d, max_size=d), min_size=1, max_size=12))
-    fmt = draw(st.sampled_from((repr, lambda v: "%.17g" % v)))
+    fmt = draw(st.sampled_from((repr, lambda v: "%.17g" % v, lambda v: "%.18e" % v)))
     end = draw(st.sampled_from(("\n", "\r\n", "\r")))
     pad = " " * draw(st.integers(0, 2))
     # none, quoted, or quoted with the line end inside the quotes
