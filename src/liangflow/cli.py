@@ -379,8 +379,8 @@ def _write_text(text: str, path: Optional[str]):
 
 
 def _load_series(args: argparse.Namespace) -> TimeSeriesSet:
-    names, values = parse_csv(args.input)
-    return validate_series_set(values, names, args.dt, nan_policy=args.nan_policy)
+    names, values = parse_csv(args.input)  # a fresh array, handed over without a copy
+    return validate_series_set(values, names, args.dt, nan_policy=args.nan_policy, _owned=True)
 
 
 def _cells(values: np.ndarray, nan: str = "nan") -> list:

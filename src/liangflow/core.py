@@ -37,9 +37,9 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def _readonly(a: np.ndarray, owned: bool = False) -> np.ndarray:
     out = np.ascontiguousarray(a, dtype=float)
-    if out is a:
+    if out is a and not owned:
         out = out.copy()
     out.setflags(write=False)
     return out
@@ -69,9 +69,10 @@ class TimeSeriesSet:
     dt: float
     _: KW_ONLY
     _finite: InitVar[bool] = False  # the caller has already found every value finite
+    _owned: InitVar[bool] = False  # the caller hands ``values`` over, so it is not copied
 
-    def __post_init__(self, _finite):
-        values = _readonly(np.atleast_2d(self.values))
+    def __post_init__(self, _finite, _owned):
+        values = _readonly(np.atleast_2d(self.values), _owned)
         object.__setattr__(self, "values", values)
         if values.ndim != 2:
             raise NonRectangularError(f"expected a 2-D matrix, got ndim={values.ndim}")
@@ -159,7 +160,9 @@ class PanelPairs:
         return self.x0.shape[1]
 
 
-def validate_series_set(raw, names, dt: float, nan_policy: str = "reject") -> TimeSeriesSet:
+def validate_series_set(
+    raw, names, dt: float, nan_policy: str = "reject", *, _owned: bool = False
+) -> TimeSeriesSet:
     """Validate raw data and build a :class:`TimeSeriesSet`.
 
     Parameters
@@ -195,8 +198,10 @@ def validate_series_set(raw, names, dt: float, nan_policy: str = "reject") -> Ti
             raise NaNsPresentError(f"{bad} non-finite values present (nan_policy='reject')")
         values = _interpolate_gaps(values, finite, names)
 
-    # interpolation can overflow to inf, so only untouched data skip the second scan
-    tss = TimeSeriesSet(names=names, values=values, dt=dt, _finite=all_finite)
+    # interpolation can overflow to inf, so only untouched data skip the second
+    # scan; it also returns a fresh array, which needs no copy
+    tss = TimeSeriesSet(names=names, values=values, dt=dt, _finite=all_finite,
+                        _owned=_owned or not all_finite)
     if tss.n_samples < tss.d + 3:
         raise TooShortError(f"N = {tss.n_samples} samples < d + 3 = {tss.d + 3}")
     spans = tss.values.max(axis=1) - tss.values.min(axis=1)

@@ -51,8 +51,6 @@ _MOMENT_TOL = 1e-14
 _Z90 = 1.6448536269514729
 _Z95 = 1.9599639845400545
 _Z99 = 2.575829303548901
-# numpy has no erfc; the two-sided normal tail 2 Phi(-|z|) is erfc(|z| / sqrt 2)
-_ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -136,16 +134,19 @@ class NormalizedBudget:
 class _Design:
     """The moment engine: every target of one window regressed on all components at once.
 
-    ``window`` is the d x n_eff matrix of regressors and ``ydot`` the
-    difference series, one row per target; ``ydot`` is centred in place and
-    may be overwritten by the residuals, so pass a fresh array. Construction
-    computes, once for all targets, ``C = cov(W)``, ``Cd = cov(W, ydot)``
-    (column t is target t), the Cholesky factor of the correlation matrix,
-    the coefficients ``A`` (column t is target t's fit), the residual
-    variances, and ``s``, the coefficient covariance per unit residual
-    variance. A residual variance comes from the moments, ``cdd - A.Cd``,
-    unless that subtraction could lose more than ``_MOMENT_TOL`` of its
-    relative precision; only then are the residuals formed explicitly.
+    ``window`` is the d x n_eff matrix of regressors and ``later`` the
+    samples k steps on, so ``ydot = (later - window) / (k dt)`` is the
+    difference series, one row per target; both are only read. One 2d x n_eff
+    buffer ``z = [W - mu; ydot - ymean]`` holds the centred window and the
+    centred differences, and one product ``z[:d] @ z.T`` gives, once for all
+    targets, ``C = cov(W)`` and ``Cd = cov(W, ydot)`` (column t is target t).
+    Construction then computes the Cholesky factor of the correlation
+    matrix, the coefficients ``A`` (column t is target t's fit), the
+    residual variances, and ``s``, the coefficient covariance per unit
+    residual variance. A residual variance comes from the moments,
+    ``cdd - A.Cd``, unless that subtraction could lose more than
+    ``_MOMENT_TOL`` of its relative precision; only then are the residuals
+    formed explicitly in ``z``.
     From these come the rates and their errors, the one place they are
     computed: ``scale[t, j] = C[t, j] / C[t, t]``, the rates
     ``T = A.T * scale`` (self rates on the diagonal) and their standard
@@ -153,8 +154,7 @@ class _Design:
     each is bit-identical to its ``all_pairs`` entry.
     """
 
-    def __init__(self, window: np.ndarray, ydot: np.ndarray, names, dt: float, k: int):
-        window = np.asarray(window, dtype=float)
+    def __init__(self, window: np.ndarray, later: np.ndarray, names, dt: float, k: int):
         d, n_eff = window.shape
         if n_eff < d + 2:
             raise TooShortError(f"{n_eff} aligned samples cannot fit {d + 1} parameters")
@@ -165,13 +165,19 @@ class _Design:
         self.n_eff = n_eff
         self.dof = n_eff - (d + 1)
         den = n_eff - 1
+        z = np.empty((2 * d, n_eff))
+        xc, ydot = z[:d], z[d:]
+        np.subtract(later, window, out=ydot)
+        if self.k * self.dt != 1.0:  # as core.forward_difference, so the same bits
+            ydot /= self.k * self.dt
         self.mu = window.mean(axis=1)
         self.ymean = ydot.mean(axis=1)
-        xc = window - self.mu[:, None]
         ydot -= self.ymean[:, None]
+        np.subtract(window, self.mu[:, None], out=xc)
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            self.C = (xc @ xc.T) / den
-            self.Cd = (xc @ ydot.T) / den
+            g = xc @ z.T
+            g /= den
+            self.C, self.Cd = g[:, :d], g[:, d:]
             self.cdd = np.einsum("ij,ij->i", ydot, ydot) / den
         if not all(np.isfinite(m).all() for m in (self.C, self.Cd, self.cdd)):
             raise NonFiniteMomentsError(
@@ -259,8 +265,7 @@ def _residual_variance(ydot, A, xc, dof):
 
 def _design_for(tss: TimeSeriesSet, k: int) -> _Design:
     check_k(tss.n_samples, tss.d, k)
-    ydot = forward_difference(tss.values, k, tss.dt)
-    return _Design(tss.values[:, : tss.n_samples - k], ydot, tss.names, tss.dt, k)
+    return _Design(tss.values[:, : tss.n_samples - k], tss.values[:, k:], tss.names, tss.dt, k)
 
 
 def fit_linear_model(tss: TimeSeriesSet, target: int, k: int = 1) -> LinearModelFit:
@@ -290,9 +295,10 @@ def _p_values(value, std_err):
     """
     value = np.asarray(value, dtype=float)
     std_err = np.asarray(std_err, dtype=float)
+    # numpy has no erfc; the two-sided normal tail 2 Phi(-|t|) is erfc(|t| / sqrt 2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.abs(value) / std_err
-    p = np.asarray(_ERFC(z * math.sqrt(0.5)), dtype=float)
+        z = np.abs(value) / std_err * math.sqrt(0.5)
+    p = np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size).reshape(z.shape)
     zero = std_err == 0.0
     pinned = zero & (value != 0.0)
     if pinned.any():
@@ -454,8 +460,7 @@ def flow_panel(pairs: PanelPairs, source: int, target: int) -> FlowEstimate:
         raise IndexError(f"source {source} / target {target} out of range for d = {d}")
     if source == target:
         raise SameIndexError("source and target must differ for a pairwise flow")
-    design = _Design(pairs.x0, (pairs.x1 - pairs.x0) / pairs.dt_gap, pairs.names, pairs.dt_gap, 1)
-    return _entry(design, target, source)
+    return _entry(_Design(pairs.x0, pairs.x1, pairs.names, pairs.dt_gap, 1), target, source)
 
 
 def budget_shares(rates: np.ndarray, noise):

@@ -817,6 +817,76 @@ def test_analyze_matches_library_call(tmp_path):
         assert flow_matrix_from_json(fh.read()) == expected
 
 
+def test_analyze_takes_the_parsed_array_without_a_copy(tmp_path, monkeypatch):
+    names = [f"x{i}" for i in range(4)]
+    path = tmp_path / "t.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_csv(names, np.random.default_rng(8).standard_normal((4, 300)), fh)
+    parsed, seen = [], []
+
+    def spy_parse(p):
+        out = parse_csv(p)
+        parsed.append(out[1])
+        return out
+
+    def spy_all_pairs(tss, **kwargs):
+        seen.append(tss)
+        return all_pairs(tss, **kwargs)
+
+    monkeypatch.setattr(cli, "parse_csv", spy_parse)
+    monkeypatch.setattr(cli, "all_pairs", spy_all_pairs)
+    assert main(["analyze", "--input", str(path)]) == 0
+    (values,), (tss,) = parsed, seen
+    assert tss.values is values
+    assert not tss.values.flags.writeable
+    assert tss.values.tobytes() == parse_csv(str(path))[1].tobytes()
+
+
+def test_analyze_interpolate_equals_the_library_route(tmp_path, capsys):
+    names = [f"x{i}" for i in range(3)]
+    values = np.random.default_rng(9).standard_normal((3, 400))
+    values[0, [0, 50, 51, 52]] = np.nan
+    values[2, [7, 399]] = np.nan
+    path = tmp_path / "gaps.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_csv(names, values, fh)
+    want = emit_json(all_pairs(validate_series_set(values, names, 1.0, nan_policy="interpolate")))
+    assert main(["analyze", "--input", str(path), "--nan-policy", "interpolate"]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_analyze_across_blas_thread_counts(tmp_path):
+    # the bytes may change with the BLAS thread count (README, Determinism), the
+    # values stay within criterion 11's tolerances; d = 30 is large enough for
+    # OpenBLAS to split its products over two threads
+    d, n = 30, 2000
+    x = np.random.default_rng(10).standard_normal((d, n))
+    for t in range(1, n):
+        x[:, t] += 0.5 * x[:, t - 1]
+    x[1, 1:] += 0.3 * x[0, :-1]
+    path = tmp_path / "t.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_csv([f"x{i}" for i in range(d)], x, fh)
+    runs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-m", "liangflow", "analyze", "--input", str(path)],
+                              env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        runs.append({f: np.array(out[f], dtype=float)
+                     for f in ("T", "SE", "P", "TAU", "noise_share")})
+    one, two = runs
+    se, t = one["SE"], one["T"]
+    z = np.abs(t).sum(axis=1) / (1.0 - one["noise_share"])  # each target's budget
+    assert (np.abs(two["T"] - t) <= 1e-12 * se).all()
+    assert (np.abs(two["SE"] - se) <= 1e-12 * se).all()
+    assert (np.abs(two["P"] - one["P"]) <= 1e-12).all()
+    assert (np.abs(two["TAU"] - one["TAU"]) * z[:, None] <= 1e-12 * (se + np.abs(t))).all()
+    ns = one["noise_share"]
+    assert (np.abs(two["noise_share"] - ns) <= 1e-12 * ns).all()
+
+
 def test_analyze_bivariate_equals_multivariate_at_d2(tmp_path, capsys):
     sim = str(tmp_path / "sim.csv")
     main(["simulate", "--preset", "ou2", "--n", "3000", "--seed", "6", "--output", sim])

@@ -42,6 +42,15 @@ def test_validate_passthrough():
     assert not tss.values.flags.writeable
 
 
+def test_validate_copies_a_callers_array():
+    raw = np.random.default_rng(1).standard_normal((2, 50))
+    want = raw.copy()
+    tss = validate_series_set(raw, ["a", "b"], dt=1.0)
+    raw[:] = 0.0
+    assert raw.flags.writeable
+    assert tss.values.tobytes() == want.tobytes()
+
+
 def test_validate_rejects_nan_by_default():
     raw = np.ones((2, 50)) + np.arange(50)
     raw[0, 7] = np.nan

@@ -1,6 +1,10 @@
 """Closed-form flow estimation, inference, and normalization."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -403,6 +407,50 @@ def test_noiseless_decay_takes_the_explicit_route(explicit_passes, k):
             all_pairs(tss, k=k, mode=mode, normalize=False)
         flow_panel(PanelPairs(("a", "b"), x0, 0.9 * x0, 1.0), 1, 0)
     assert len(explicit_passes) == 4
+
+
+# ------------------------------------------------------------ moment buffer
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_engine_covariance_is_exactly_symmetric(threads):
+    # C and Cd come from one general product over [W - mu; ydot - ymean], not from a
+    # symmetric update, so C's two triangles are checked bit for bit at each thread count
+    code = (
+        "import numpy as np\n"
+        "from liangflow import TimeSeriesSet, estimator\n"
+        "for d, n, k in ((3, 50, 1), (30, 10_000, 2), (101, 3_001, 4)):\n"
+        "    x = np.random.default_rng(d).standard_normal((d, n))\n"
+        "    x *= np.arange(1.0, d + 1)[:, None]\n"
+        "    names = tuple(map(str, range(d)))\n"
+        "    for eng in (estimator._design_for(TimeSeriesSet(names, x, 0.5), k),\n"
+        "                estimator._Design(x[:, :-1], x[:, 1:], names, 0.5, 1)):\n"
+        "        assert np.array_equal(eng.C, eng.C.T), (d, n, k)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, OPENBLAS_NUM_THREADS=threads), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("walks, passes", [(False, 0), (True, 1)])
+def test_all_pairs_peak_memory_is_bounded(explicit_passes, walks, passes):
+    # the stacked buffer is two d x N arrays; a third d x N temporary (a stacked
+    # copy, a separate difference series) would cross the bound on either route
+    d, n = 30, 100_000
+    x = np.random.default_rng(16).standard_normal((d, n))
+    names = tuple(f"v{i}" for i in range(d))
+    tss = TimeSeriesSet(names, np.cumsum(x, axis=1) if walks else x, 1.0)
+    del x
+    all_pairs(_random_set(3, 50, seed=16))  # warm lazy imports
+    tracemalloc.start()
+    try:
+        all_pairs(tss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(explicit_passes) == passes
+    arrays = peak / (d * n * 8)
+    assert arrays <= 2.2, f"all_pairs peaked at {arrays:.2f} d x N float64 arrays"
 
 
 # ---------------------------------------------------------------- inference

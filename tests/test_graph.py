@@ -91,7 +91,7 @@ def test_panel_route_is_the_engine_entry():
     x1 = x0 + 0.1 * rng.standard_normal((3, 200))
     x1[0] += 0.05 * x0[2]
     pairs = PanelPairs(("a", "b", "c"), x0, x1, 0.1)
-    eng = estimator._Design(x0, (x1 - x0) / 0.1, pairs.names, 0.1, 1)
+    eng = estimator._Design(x0, x1, pairs.names, 0.1, 1)
     p, _ = estimator._p_values(eng.T, eng.SE)
     for i in range(3):
         for j in range(3):
