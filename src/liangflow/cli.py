@@ -1,4 +1,4 @@
-"""Command-line surface: analyze CSVs, build graphs, simulate, print oracles, benchmark.
+"""Command-line surface: analyze CSVs, build graphs, simulate, print oracles.
 
 Every command is a thin wrapper over the library with deterministic
 output: identical configuration and seed produce identical bytes. Matrix
@@ -18,9 +18,7 @@ import itertools
 import json
 import math
 import os
-import statistics
 import sys
-import time
 import traceback
 from importlib import resources
 from typing import Optional
@@ -457,44 +455,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_bench(d: int, n: int, reps: int, k: int = 1, mode: str = "multivariate",
-               seed: int = 0) -> dict:
-    """Time all_pairs on seeded synthetic data; excludes I/O and one warm-up run."""
-    rng = np.random.default_rng(seed)
-    names = tuple(f"x{i + 1}" for i in range(d))
-    tss = TimeSeriesSet(names=names, values=rng.standard_normal((d, n)), dt=1.0)
-
-    def once() -> float:
-        start = time.perf_counter()
-        all_pairs(tss, k=k, mode=mode)
-        return time.perf_counter() - start
-
-    once()
-    times = [once() for _ in range(reps)]
-    return {
-        "d": d,
-        "n": n,
-        "relations": d * (d - 1),
-        "mode": mode,
-        "repetitions": reps,
-        "times_sec": times,
-        "median_sec": statistics.median(times),
-        "min_sec": min(times),
-    }
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    report = _run_bench(args.d, args.n, args.reps, k=args.k, mode=args.mode, seed=args.seed)
-    _write_text(json.dumps(report, indent=2) + "\n", args.output)
-    return 0
-
-
 _DISPATCH = {
     "analyze": cmd_analyze,
     "graph": cmd_graph,
     "simulate": cmd_simulate,
     "oracle": cmd_oracle,
-    "bench": cmd_bench,
 }
 
 
@@ -607,20 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
                                     "reports exact rates, shares, and the per-target "
                                     "budget residual (zero in the stationary state).")
     _add_system_options(sp)
-
-    sp = sub.add_parser("bench", formatter_class=_Fmt, epilog=_EPILOG,
-                        help="time the all-pairs computation on synthetic data",
-                        description="Times all_pairs (excluding I/O and one warm-up run) "
-                                    "on seeded synthetic data; reports per-repetition, "
-                                    "median, and min wall times as JSON.")
-    sp.add_argument("--d", type=_checked(int, lambda v: v >= 2, "an integer >= 2"), default=30,
-                    help="number of variables")
-    sp.add_argument("--n", type=_COUNT, default=10000, help="samples per variable")
-    sp.add_argument("--reps", type=_COUNT, default=5, help="timed repetitions")
-    sp.add_argument("--k", type=_COUNT, default=1, help="difference stride in steps")
-    sp.add_argument("--mode", choices=("multivariate", "bivariate"), default="multivariate")
-    sp.add_argument("--seed", type=_NON_NEGATIVE, default=0, help="seed for the synthetic data")
-    sp.add_argument("--output", help="output path (default: stdout)")
 
     return parser
 

@@ -285,11 +285,12 @@ def read_rows(parts, width: int):
     orjson reads each part as one JSON array of rows, in memory that the
     part before freed; where it stops at a missing value, it reads the part
     again with each empty cell written ``null``, which numpy reads as
-    ``np.nan``'s bits. Any other cell that is not a JSON number (``+1``,
-    ``.5``, ``01``, ``nan``, a blank), a ragged line, a blank line before
-    the last row of a part, a lone CR and a number too large for a float
-    give None. So does ``-0``, which orjson reads as the integer 0; it is
-    looked for only where a zero was read.
+    ``np.nan``'s bits. Empty lines are skipped, as the row loop skips
+    them. A cell that is neither empty nor a JSON number (``+1``, ``.5``,
+    ``01``, ``nan``, a blank), a ragged line, a line of only spaces or
+    tabs, a lone CR and a number too large for a float give None. So does
+    ``-0``, which orjson reads as the integer 0; it is looked for only
+    where a zero was read.
     """
     pieces = []
     for part in parts:
@@ -311,6 +312,17 @@ def _read_piece(piece: str, width: int):
             return None
     if text.translate(None, _NUMBER_BYTES):
         return None
+    values = _read_lines(text, piece, width)
+    # Empty lines hold no row, as in the row loop. They are looked for only after a
+    # failed read: the scan for them took longer than the translate above.
+    if values is None and (b"\n\n" in text or text.startswith(b"\n")):
+        text = b"\n".join(filter(None, text.split(b"\n")))
+        values = _read_lines(text, piece, width) if text else np.empty((0, width))
+    return values
+
+
+def _read_lines(text: bytes, piece: str, width: int):
+    """The checked ASCII ``text`` of ``piece``, LF line ends, as orjson reads it, or None."""
     wrapped = b"[[" + text.rstrip(b"\n").replace(b"\n", b"],[") + b"]]"
     try:
         try:
@@ -318,7 +330,7 @@ def _read_piece(piece: str, width: int):
         except orjson.JSONDecodeError as e:
             if wrapped[e.pos:e.pos + 1] not in b",]":  # not where a value is missing
                 return None
-            cells = "\n".join(map(_nulled, piece.split("\n"))).rstrip("\n")
+            cells = "\n".join(filter(None, map(_nulled, piece.split("\n"))))
             rows = orjson.loads(b"[[" + cells.encode().replace(b"\n", b"],[") + b"]]")
         values = np.array(rows, dtype=float)
     except ValueError:  # orjson's JSONDecodeError, or numpy's on ragged rows

@@ -1,9 +1,12 @@
 """Shared fixtures and the acceptance-criteria summary printed after the run."""
 
+import statistics
+import time
+
 import numpy as np
 import pytest
 
-from liangflow import flow_multivariate, simulate
+from liangflow import TimeSeriesSet, all_pairs, flow_multivariate, simulate
 from liangflow.cli import load_preset
 
 # Filled by tests/test_acceptance.py: criterion number -> (label, ok, detail).
@@ -12,6 +15,21 @@ ACCEPTANCE_RESULTS = {}
 
 def record_criterion(num, label, ok, detail):
     ACCEPTANCE_RESULTS[num] = (str(label), bool(ok), str(detail))
+
+
+def all_pairs_seconds(d, n, reps):
+    """Median wall time of ``all_pairs`` over ``reps`` calls on seeded d x n white
+    noise, after one untimed warm-up call."""
+    rng = np.random.default_rng(0)
+    tss = TimeSeriesSet(names=tuple(f"x{i + 1}" for i in range(d)),
+                        values=rng.standard_normal((d, n)), dt=1.0)
+    all_pairs(tss)
+    times = []
+    for _ in range(reps):
+        start = time.perf_counter()
+        all_pairs(tss)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
 
 
 @pytest.fixture(scope="session")

@@ -23,8 +23,10 @@ from liangflow import (
     flow_matrix_from_json,
     validate_series_set,
 )
-from liangflow.cli import _run_bench, load_preset, main, parse_csv, write_csv
+from liangflow.cli import load_preset, main, parse_csv, write_csv
 import liangflow.cli as cli
+
+from conftest import all_pairs_seconds
 
 
 def _write(tmp_path, name, text):
@@ -241,6 +243,25 @@ def test_parse_csv_gaps_take_the_orjson_reader(tmp_path, row_loop_calls, text):
     assert row_loop_calls == []
     assert np.isnan(values).any()
     assert values.tobytes() == _row_loop_bits(path, names)
+
+
+@pytest.mark.parametrize("part", [2, 1 << 16])  # empty lines at each part's start, or inside
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+@pytest.mark.parametrize("rows", [["1.5,-2,3", "4,5,6", "7e-3,8,9"],
+                                  ["1.5,,3", ",5,6", "7e-3,8,"]])
+def test_parse_csv_blank_lines_take_the_orjson_reader(tmp_path, monkeypatch, row_loop_calls,
+                                                      part, end, rows):
+    monkeypatch.setattr(cli, "_READ_PART", part)
+    lines = ["a,b,c", "", "", rows[0], "", rows[1], "", "", "", rows[2], "", ""]
+    text = end.join(lines) + end
+    path = _write(tmp_path, "t.csv", text)
+    names, values = parse_csv(path)
+    assert row_loop_calls == []
+    assert values.shape == (3, 3)
+    assert values.tobytes() == _row_loop_bits(path, names)
+    bad = _write(tmp_path, "u.csv", text + "1,x,3" + end)
+    with pytest.raises(MalformedError, match=f"line {len(lines) + 1}: non-numeric value 'x'"):
+        parse_csv(bad)
 
 
 @pytest.mark.parametrize("text", [
@@ -1022,19 +1043,11 @@ def test_oracle_component_without_noise_is_numerical(capsys):
     assert "stationary variance of component 1 is not positive" in capsys.readouterr().err
 
 
-def test_bench_smallest_case(capsys):
-    assert main(["bench", "--d", "2", "--n", "100", "--reps", "2"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["relations"] == 2
-    assert len(payload["times_sec"]) == 2
-    assert payload["median_sec"] > 0.0
-
-
 def test_bench_time_scales_with_n():
     # the sizes alternate and each round gives one ratio, so drift in the host's speed cancels
     ratios = []
     for _ in range(5):
-        small, big = (_run_bench(12, n, reps=3)["median_sec"] for n in (150_000, 300_000))
+        small, big = (all_pairs_seconds(12, n, reps=3) for n in (150_000, 300_000))
         ratios.append(big / small)
     ratio = statistics.median(ratios)
     assert 1.5 <= ratio <= 2.5, f"doubling N scaled time by {ratio:.2f}"
@@ -1048,8 +1061,9 @@ def test_exit_code_validation(tmp_path):
     assert main(["analyze", "--input", gap, "--dt", "1"]) == 2
     assert main(["analyze", "--input", gap, "--dt", "1", "--nan-policy",
                  "interpolate"]) == 0
-    # bench's n >= d + 3 is the library's rule, not a flag's
-    assert main(["bench", "--d", "2", "--n", "4"]) == 2
+    # n >= d + 3 is the library's rule, not a flag's
+    short = _write(tmp_path, "short.csv", "a,b\n1,2\n3,5\n4,1\n0,7\n")
+    assert main(["analyze", "--input", short]) == 2
 
 
 def test_interpolate_names_an_all_empty_column(tmp_path, capsys):
@@ -1080,16 +1094,16 @@ def test_exit_code_unexpected(monkeypatch, tmp_path):
     def boom(cfg):
         raise RuntimeError("wires crossed")
 
-    monkeypatch.setitem(cli._DISPATCH, "bench", boom)
-    assert main(["bench", "--d", "2", "--n", "100"]) == 1
+    monkeypatch.setitem(cli._DISPATCH, "oracle", boom)
+    assert main(["oracle", "--preset", "ou2"]) == 1
 
 
 def test_unexpected_failure_prints_its_traceback(monkeypatch, tmp_path, capsys):
     def boom(args):
         raise RuntimeError("wires crossed")
 
-    monkeypatch.setitem(cli._DISPATCH, "bench", boom)
-    assert main(["bench"]) == 1
+    monkeypatch.setitem(cli._DISPATCH, "oracle", boom)
+    assert main(["oracle"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("Traceback (most recent call last):\n")
     assert 'in boom\n    raise RuntimeError("wires crossed")\n' in err
@@ -1107,13 +1121,11 @@ def test_unexpected_failure_prints_its_traceback(monkeypatch, tmp_path, capsys):
         ["analyze", "--input", "x.csv", "--k", "0"],
         ["analyze", "--input", "x.csv", "--alpha", "1.5"],
         ["graph", "--input", "x.csv", "--min-tau", "-0.2"],
-        ["bench", "--d", "1", "--n", "100"],
         ["graph", "--input", "x.csv", "--min-tau", "nan"],
         ["analyze", "--input", "x.csv", "--dt", "inf"],
         ["analyze", "--input", "x.csv", "--dt", "nan"],
         ["analyze", "--input", "x.csv", "--alpha", "nan"],
         ["simulate", "--preset", "ou2", "--n", "0"],
-        ["bench", "--reps", "0"],
         ["graph", "--input", "x.csv", "--min-tau", "inf", "--format", "json"],
         ["simulate", "--preset", "ou2", "--n", "10", "--seed", "-1"],
     ],
@@ -1140,8 +1152,13 @@ def test_help_documents_orientation(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "T[target][source]" in out
-    for command in ("analyze", "graph", "simulate", "oracle", "bench"):
+    for command in ("analyze", "graph", "simulate", "oracle"):
         assert command in out
+    assert "bench" not in out  # timing is perfbench/run.py's job
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 def test_module_entry_point():
@@ -1173,7 +1190,7 @@ def test_import_leaves_scipy_stats_unloaded():
 
 
 def test_commands_other_than_oracle_load_no_scipy(tmp_path):
-    # in one child interpreter: simulate, analyze of a CSV of three blocks, graph and bench
+    # in one child interpreter: simulate, analyze of a CSV of three blocks and graph
     # run on numpy alone; the oracle then imports scipy for its Lyapunov solve
     sim = str(tmp_path / "sim.csv")
     code = (
@@ -1185,7 +1202,6 @@ def test_commands_other_than_oracle_load_no_scipy(tmp_path):
         "run('simulate', '--preset', 'chain5', '--n', '10000', '--seed', '3', '--output', sim)\n"
         "run('analyze', '--input', sim, '--output', sim + '.json')\n"
         "run('graph', '--input', sim, '--output', sim + '.dot')\n"
-        "run('bench', '--d', '5', '--n', '500', '--reps', '1', '--output', sim + '.bench')\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
         "run('oracle', '--preset', 'chain5', '--output', sim + '.oracle')\n"
         "print('scipy.linalg' in sys.modules)\n"

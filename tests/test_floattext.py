@@ -174,7 +174,7 @@ def test_hard_decimals_read_as_float(cell):
 
 
 @pytest.mark.parametrize("lines", [["-0\n"], ["1,-0\n"], ["-0,1e-400\n"], ["1e400\n"], ["+1\n"],
-                                   ["\n", "1\n"], ["1\n", " \n", "2\n"], ["1,2\n"], ["nan\n"],
+                                   ["\t\n", "1\n"], ["1\n", " \n", "2\n"], ["1,2\n"], ["nan\n"],
                                    ["1\r2\n"], ["１\n"], ["1_0\n"]])
 def test_read_rows_gives_up(lines):
     assert floattext.read_rows(["".join(lines)], 1) is None
@@ -191,6 +191,17 @@ def test_written_rows_read_back_with_the_same_bits(values, n_cols, form):
         assert form == "%.17g" and np.signbit(values[values == 0]).any()
     else:
         assert got.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("text, rows", [
+    ("\n1,2\n\n\n3,4\n\n", [[1, 2], [3, 4]]),  # at the part's start, between rows, at its end
+    ("\r\n1,2\r\n\r\n3,4\r\n", [[1, 2], [3, 4]]),
+    ("\n1,\n\n,4\n", [[1, np.nan], [np.nan, 4]]),  # and on the null retry
+    ("\n\r\n", np.empty((0, 2))),  # a part of empty lines only
+])
+def test_read_rows_skips_empty_lines(text, rows):
+    values, want = floattext.read_rows([text], 2), np.array(rows, dtype=float)
+    assert values.shape == want.shape and values.tobytes() == want.tobytes()
 
 
 def test_read_rows_reads_empty_cells_as_nan():
