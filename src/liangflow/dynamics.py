@@ -65,10 +65,10 @@ class LinearSDE:
         object.__setattr__(self, "B", _frozen(b, None, "noise amplitude"))
         f = np.zeros(d) if self.f is None else np.asarray(self.f, dtype=float).ravel()
         object.__setattr__(self, "f", _frozen(f, (d,), "offset"))
-        names = tuple(self.names) if self.names else tuple(f"x{i + 1}" for i in range(d))
+        names = tuple(map(str, self.names)) if self.names else tuple(f"x{i + 1}" for i in range(d))
         if len(names) != d or len(set(names)) != d:
             raise BadMatrixSpecError(f"need {d} unique names, got {names}")
-        object.__setattr__(self, "names", tuple(str(n) for n in names))
+        object.__setattr__(self, "names", names)
 
     @property
     def d(self) -> int:
@@ -135,8 +135,8 @@ def simulate(
     With ``burn_in=0`` the first recorded sample is exactly ``x0``.
     """
     d = sde.d
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     n_steps = int(n_steps)
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -156,10 +156,6 @@ def simulate(
     rng = np.random.default_rng(seed)
     n_noise = sde.B.shape[1]
     step_mat = np.eye(d) + dt * sde.A
-
-    if steps == 0:
-        out = x0[None, :].T.copy()
-        return TimeSeriesSet(names=sde.names, values=out, dt=dt)
 
     with np.errstate(over="ignore", invalid="ignore"):
         # per-step additive term: f dt + B sqrt(dt) xi

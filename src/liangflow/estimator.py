@@ -39,6 +39,7 @@ from .errors import (
     SameIndexError,
     SingularCovarianceError,
     TooShortError,
+    ValidationError,
     ZeroVarianceWarning,
 )
 
@@ -395,6 +396,8 @@ def flow_bivariate(x1, x2, dt: float = 1.0, k: int = 1) -> FlowEstimate:
         raise NonRectangularError(f"series lengths differ: {x1.size} vs {x2.size}")
     if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
         raise NaNsPresentError("non-finite values in input series")
+    if not 0.0 < dt < math.inf:
+        raise ValidationError(f"dt must be finite and positive, got {dt}")
     n = x1.size
     check_k(n, 2, k)
     n_eff = n - k

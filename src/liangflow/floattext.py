@@ -283,14 +283,14 @@ def read_rows(parts, width: int):
     array, each cell as ``float`` reads it and an empty cell as NaN, or None.
 
     orjson reads each part as one JSON array of rows, in memory that the
-    part before freed; where it stops at a missing value, it reads the part
-    again with each empty cell written ``null``, which numpy reads as
-    ``np.nan``'s bits. Empty lines are skipped, as the row loop skips
-    them. A cell that is neither empty nor a JSON number (``+1``, ``.5``,
-    ``01``, ``nan``, a blank), a ragged line, a line of only spaces or
-    tabs, a lone CR and a number too large for a float give None. So does
-    ``-0``, which orjson reads as the integer 0; it is looked for only
-    where a zero was read.
+    part before freed. Where that gives None, for any reason, it reads the
+    part once more with each empty cell written ``null``, which numpy reads
+    as ``np.nan``'s bits, and without its empty lines, which the row loop
+    skips too. A cell that is neither empty nor a JSON number (``+1``,
+    ``.5``, ``01``, ``nan``, a blank), a ragged line, a line of only
+    spaces or tabs, a lone CR and a number too large for a float give
+    None. So does ``-0``, which orjson reads as the integer 0; it is
+    looked for only where a zero was read.
     """
     pieces = []
     for part in parts:
@@ -308,31 +308,21 @@ def _read_piece(piece: str, width: int):
         return None
     if b"\r" in text:
         text = text.replace(b"\r\n", b"\n")
-        if b"\r" in text:  # a lone CR ends a line, where JSON reads whitespace
-            return None
-    if text.translate(None, _NUMBER_BYTES):
+    if text.translate(None, _NUMBER_BYTES):  # a lone CR too: it ends a line, JSON skips it
         return None
-    values = _read_lines(text, piece, width)
-    # Empty lines hold no row, as in the row loop. They are looked for only after a
-    # failed read: the scan for them took longer than the translate above.
-    if values is None and (b"\n\n" in text or text.startswith(b"\n")):
-        text = b"\n".join(filter(None, text.split(b"\n")))
-        values = _read_lines(text, piece, width) if text else np.empty((0, width))
+    values = _read_lines(text, width)
+    if values is None:  # once more, with empty cells and empty lines as the row loop reads them
+        values = _read_lines(b"\n".join(filter(None, map(_nulled, text.split(b"\n")))), width)
     return values
 
 
-def _read_lines(text: bytes, piece: str, width: int):
-    """The checked ASCII ``text`` of ``piece``, LF line ends, as orjson reads it, or None."""
+def _read_lines(text: bytes, width: int):
+    """The checked ASCII ``text``, LF line ends, as orjson reads it, or None."""
+    if not text:
+        return np.empty((0, width))
     wrapped = b"[[" + text.rstrip(b"\n").replace(b"\n", b"],[") + b"]]"
     try:
-        try:
-            rows = orjson.loads(wrapped)
-        except orjson.JSONDecodeError as e:
-            if wrapped[e.pos:e.pos + 1] not in b",]":  # not where a value is missing
-                return None
-            cells = "\n".join(filter(None, map(_nulled, piece.split("\n"))))
-            rows = orjson.loads(b"[[" + cells.encode().replace(b"\n", b"],[") + b"]]")
-        values = np.array(rows, dtype=float)
+        values = np.array(orjson.loads(wrapped), dtype=float)
     except ValueError:  # orjson's JSONDecodeError, or numpy's on ragged rows
         return None
     if values.shape[1:] != (width,):
@@ -342,17 +332,16 @@ def _read_lines(text: bytes, piece: str, width: int):
     return values
 
 
-def _nulled(line: str) -> str:
-    """The CSV line without its line end, with ``null`` in each empty cell.
+def _nulled(line: bytes) -> bytes:
+    """The CSV line ``line``, without its line end, with ``null`` in each empty cell.
 
     Per line, not on a part's joined text, where finding a comma beside a
     line end costs two more full scans of the text.
     """
-    cells = line.rstrip("\r\n")
-    if ",," in cells:
-        cells = cells.replace(",,", ",null,").replace(",,", ",null,")  # once leaves ",,,"
-    if cells.startswith(","):
-        cells = "null" + cells
-    if cells.endswith(","):
-        cells += "null"
-    return cells
+    if b",," in line:
+        line = line.replace(b",,", b",null,").replace(b",,", b",null,")  # once leaves ",,,"
+    if line.startswith(b","):
+        line = b"null" + line
+    if line.endswith(b","):
+        line += b"null"
+    return line

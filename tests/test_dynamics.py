@@ -50,8 +50,9 @@ def test_linear_sde_validation():
         LinearSDE(A=-np.eye(2), B=np.eye(3))  # row count mismatch
     with pytest.raises(BadMatrixSpecError):
         LinearSDE(A=-np.eye(2), B=np.eye(2), f=[1.0])
-    with pytest.raises(BadMatrixSpecError):
-        LinearSDE(A=-np.eye(2), B=np.eye(2), names=("a", "a"))
+    for names in (("a", "a"), (1, "1")):  # names are compared as the strings they become
+        with pytest.raises(BadMatrixSpecError):
+            LinearSDE(A=-np.eye(2), B=np.eye(2), names=names)
     with pytest.raises(BadMatrixSpecError):
         LinearSDE(A=[[np.nan]], B=[[1.0]])
 
@@ -139,8 +140,9 @@ def test_divergent_trajectory():
 
 def test_simulate_argument_checks(ou2):
     sde, dt = ou2
-    with pytest.raises(ValueError):
-        simulate(sde, [0.0, 0.0], 10, 0.0, seed=0)
+    for dt_bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            simulate(sde, [0.0, 0.0], 10, dt_bad, seed=0)
     with pytest.raises(ValueError):
         simulate(sde, [0.0, 0.0], 0, dt, seed=0)
     with pytest.raises(ValueError):

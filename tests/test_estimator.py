@@ -24,6 +24,7 @@ from liangflow import (
     SameIndexError,
     SingularCovarianceError,
     TimeSeriesSet,
+    ValidationError,
     ZeroVarianceWarning,
     all_pairs,
     cofactor,
@@ -244,6 +245,10 @@ def test_bivariate_input_checks():
     y[3] = np.nan
     with pytest.raises(NaNsPresentError):
         flow_bivariate(x, y)
+    y = np.random.default_rng(0).standard_normal(20)
+    for dt in (0.0, np.nan, -1.0, np.inf):
+        with pytest.raises(ValidationError, match="dt must be finite and positive"):
+            flow_bivariate(x, y, dt=dt)
 
 
 def test_white_noise_pair_mostly_not_significant():

@@ -229,6 +229,25 @@ def test_read_rows_reads_a_block_in_pieces(monkeypatch):
     assert rows == [part.count("\n") for part in parts]
 
 
+@pytest.mark.parametrize("part, width, rows", [
+    ("1,\n,2\n3,4\n", 2, [[1, np.nan], [np.nan, 2], [3, 4]]),  # empty cells
+    ("\n1,2\n\n3,4\n", 2, [[1, 2], [3, 4]]),  # empty lines
+    ("\r\n1,,\r\n\r\n,2,3\r\n", 3, [[1, np.nan, np.nan], [np.nan, 2, 3]]),  # both
+    ("+1,2\n", 2, None),
+    ("1,-0\n", 2, None),  # the integer -0
+    ("\n,1\n-0,2\n", 2, None),  # and beside an empty line and an empty cell
+])
+def test_read_rows_reads_a_part_at_most_twice(monkeypatch, part, width, rows):
+    loads, texts = floattext.orjson.loads, []
+    monkeypatch.setattr(floattext.orjson, "loads", lambda text: texts.append(text) or loads(text))
+    values = floattext.read_rows([part], width)
+    assert len(texts) <= 2
+    if rows is None:
+        assert values is None
+    else:
+        assert values.tobytes() == np.array(rows, dtype=float).tobytes()
+
+
 def test_read_rows_takes_each_piece_on_its_own():
     nan = float("nan")
     parts = ["1,2\n", "3,\n", ",4e-400\n", "5.5,6\n", "7,-0.0\n"]  # the second has a gap
