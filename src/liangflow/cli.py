@@ -30,17 +30,11 @@ from .core import TimeSeriesSet, validate_series_set
 from .dynamics import (
     LinearSDE,
     _exact_rates,
+    _require_hurwitz,
     simulate,
     stationary_covariance,
 )
-from .errors import (
-    BadMatrixSpecError,
-    EmptyFileError,
-    MalformedError,
-    NotHurwitzError,
-    NumericalError,
-    ValidationError,
-)
+from .errors import EmptyFileError, MalformedError, NumericalError, ValidationError
 from .estimator import budget_shares
 from .graph import all_pairs, build_graph, emit_dot, emit_json
 
@@ -319,46 +313,15 @@ def load_preset(name: str):
     return sde, float(spec.get("dt", 1.0))
 
 
-def _parse_matrix(text: str, what: str) -> np.ndarray:
-    rows = []
-    for chunk in text.strip().split(";"):
-        if not chunk.strip():
-            continue
-        try:
-            rows.append([float(c) for c in chunk.split(",")])
-        except ValueError:
-            raise BadMatrixSpecError(f"--{what}: cannot parse row {chunk!r}") from None
-    if not rows:
-        raise BadMatrixSpecError(f"--{what}: empty matrix")
-    if len({len(r) for r in rows}) != 1:
-        raise BadMatrixSpecError(f"--{what}: ragged rows")
-    return np.array(rows)
-
-
-def _parse_vector(text: str, d: int, what: str) -> np.ndarray:
-    try:
-        vec = np.array([float(c) for c in text.strip().split(",")])
-    except ValueError:
-        raise BadMatrixSpecError(f"--{what}: cannot parse {text!r}") from None
-    if vec.shape != (d,):
-        raise BadMatrixSpecError(f"--{what}: expected {d} entries, got {vec.size}")
-    return vec
-
-
 def _resolve_sde(args: argparse.Namespace):
-    """SDE from --preset or inline --A/--B/--f/--names; returns (sde, preset_dt)."""
+    """SDE from --preset or inline --A/--B/--f/--names; returns (sde, preset dt, else 1)."""
     if args.preset:
-        if args.A or args.B or args.f or args.names:
+        if any(v is not None for v in (args.A, args.B, args.f, args.names)):
             raise ValidationError("give either --preset or inline --A/--B/--f/--names, not both")
         return load_preset(args.preset)
     if args.A is None or args.B is None:
         raise ValidationError("need --preset, or both --A and --B")
-    a = _parse_matrix(args.A, "A")
-    b = _parse_matrix(args.B, "B")
-    d = a.shape[0]
-    f = _parse_vector(args.f, d, "f") if args.f else None
-    names = tuple(n.strip() for n in args.names.split(",")) if args.names else ()
-    return LinearSDE(A=a, B=b, f=f, names=names), None
+    return LinearSDE(A=args.A, B=args.B, f=args.f, names=args.names), 1.0
 
 
 @contextlib.contextmanager
@@ -422,14 +385,11 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Write one seeded trajectory as CSV (consumable by analyze)."""
-    sde, preset_dt = _resolve_sde(args)
-    dt = args.dt if args.dt is not None else (preset_dt if preset_dt is not None else 1.0)
-    if args.require_stationary and not sde.is_hurwitz():
-        raise NotHurwitzError(
-            "--require-stationary: drift matrix has an eigenvalue with non-negative real part"
-        )
-    x0 = _parse_vector(args.x0, sde.d, "x0") if args.x0 else np.zeros(sde.d)
-    tss = simulate(sde, x0, args.n, dt, args.seed, burn_in=args.burn_in)
+    sde, default_dt = _resolve_sde(args)
+    if args.require_stationary:
+        _require_hurwitz(sde)
+    x0 = np.zeros(sde.d) if args.x0 is None else args.x0
+    tss = simulate(sde, x0, args.n, args.dt or default_dt, args.seed, burn_in=args.burn_in)
     with _open_output(args.output) as fh:
         write_csv(tss.names, tss.values, fh)
     return 0
@@ -466,7 +426,7 @@ _DISPATCH = {
 def _checked(kind, ok, rule: str):
     """An argparse ``type=``: ``kind(text)``, accepted only if ``ok`` holds for it.
 
-    Every rule is a comparison, so NaN fails each one.
+    Every rule on a number is a comparison, so a NaN number fails each one.
     """
     def convert(text: str):
         try:
@@ -490,6 +450,20 @@ def _burn_in_arg(text: str):
     return None if text == "auto" else _NON_NEGATIVE(text)
 
 
+def _row(text: str) -> list:
+    return [float(cell) for cell in text.split(",")]
+
+
+# Not empty (np.size); shape against d, and finiteness, are LinearSDE's and simulate's checks.
+_MATRIX = _checked(lambda text: np.array([_row(row) for row in text.split(";") if row.strip()]),
+                   np.size, "rows of equally many numbers, split by ';' and ','")
+_VECTOR = _checked(lambda text: np.array(_row(text)), np.size, "numbers split by ','")
+
+
+def _names_arg(text: str) -> tuple:
+    return tuple(name.strip() for name in text.split(","))
+
+
 def _add_series_options(sp):
     sp.add_argument("--input", required=True, help="input CSV (header row, one time step per row)")
     sp.add_argument("--dt", type=_STEP, default=1.0,
@@ -508,11 +482,12 @@ def _add_series_options(sp):
 
 def _add_system_options(sp):
     sp.add_argument("--preset", choices=("ou2", "chain5"), help="bundled example system")
-    sp.add_argument("--A", help='drift matrix, rows separated by ";" '
-                                '(values starting with "-" need the = form: --A="-1,0.5;0,-1")')
-    sp.add_argument("--B", help='noise amplitude matrix, same syntax as --A')
-    sp.add_argument("--f", help="constant offset vector, comma-separated")
-    sp.add_argument("--names", help="comma-separated variable names")
+    sp.add_argument("--A", type=_MATRIX,
+                    help='drift matrix, rows separated by ";" '
+                         '(values starting with "-" need the = form: --A="-1,0.5;0,-1")')
+    sp.add_argument("--B", type=_MATRIX, help='noise amplitude matrix, same syntax as --A')
+    sp.add_argument("--f", type=_VECTOR, help="constant offset vector, comma-separated")
+    sp.add_argument("--names", type=_names_arg, help="comma-separated variable names")
     sp.add_argument("--output", help="output path (default: stdout)")
 
 
@@ -558,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="number of recorded samples (after burn-in)")
     sp.add_argument("--dt", type=_STEP, default=None,
                     help="integration/sampling step (default: preset's dt, else 1)")
-    sp.add_argument("--x0", help="initial state, comma-separated (default: zeros)")
+    sp.add_argument("--x0", type=_VECTOR, help="initial state, comma-separated (default: zeros)")
     sp.add_argument("--seed", type=_NON_NEGATIVE, default=0, help="random generator seed")
     sp.add_argument("--burn-in", type=_burn_in_arg, default="auto",
                     help="steps to discard first; 'auto' = ten slowest decay times "

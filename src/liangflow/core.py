@@ -20,6 +20,7 @@ Covariance conventions used throughout the package:
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import KW_ONLY, InitVar, dataclass
 
 import numpy as np
@@ -248,8 +249,7 @@ def _interpolate_gaps(values: np.ndarray, finite: np.ndarray, names):
 def forward_difference(x: np.ndarray, k: int, dt: float) -> np.ndarray:
     """Forward difference quotient ``(x[n + k] - x[n]) / (k * dt)`` along the last axis."""
     x = np.asarray(x, dtype=float)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_stride(k)
     if k >= x.shape[-1]:
         raise KTooLargeError(f"k = {k} leaves no aligned samples (N = {x.shape[-1]})")
     out = x[..., k:] - x[..., :-k]
@@ -258,10 +258,15 @@ def forward_difference(x: np.ndarray, k: int, dt: float) -> np.ndarray:
     return out
 
 
+def _check_stride(k) -> None:
+    """Require an integer k >= 1 (a numpy integer too); ``ValueError`` otherwise."""
+    if not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+
+
 def check_k(n: int, d: int, k: int) -> None:
-    """Require 1 <= k <= N - d - 2 so the fit keeps residual degrees of freedom."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    """Require an integer 1 <= k <= N - d - 2 so the fit keeps residual degrees of freedom."""
+    _check_stride(k)
     if k > n - d - 2:
         raise KTooLargeError(f"k = {k} exceeds N - d - 2 = {n - d - 2} (N = {n}, d = {d})")
 

@@ -10,6 +10,7 @@ outputs can be diffed and cached.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -205,9 +206,15 @@ def build_graph(
     ``alpha`` defaults to the level recorded in the matrix. With
     ``bonferroni=True`` the threshold becomes alpha / d^2 (d^2 tests:
     d(d-1) pairs plus d self rates). Self loops are filtered by the same
-    rule. Edges are emitted in (target index, source index) order.
+    rule. Edges are emitted in (target index, source index) order. An
+    ``alpha`` outside [0, 1] or a ``min_tau`` that is not finite and >= 0
+    raises ``ValidationError``.
     """
     alpha = fm.alpha if alpha is None else float(alpha)
+    if not 0 <= alpha <= 1:  # NaN fails too
+        raise ValidationError(f"alpha must be in [0, 1], got {alpha}")
+    if min_tau is not None and not 0 <= min_tau < math.inf:
+        raise ValidationError(f"min_tau must be finite and >= 0, got {min_tau}")
     d = fm.d
     if min_tau is not None and np.isnan(fm.TAU).all():
         raise ValidationError("min_tau filtering needs a matrix computed with normalize=True")

@@ -979,11 +979,30 @@ def test_simulate_inline_constant_system(tmp_path):
     np.testing.assert_array_equal(values, np.ones((1, 50)))
 
 
-def test_simulate_require_stationary(tmp_path):
-    out = str(tmp_path / "x.csv")
-    rc = main(["simulate", "--A", "0", "--B", "1", "--n", "50",
-               "--require-stationary", "--output", out])
-    assert rc == 3
+def test_simulate_require_stationary(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    for a in ("0", "1"):
+        rc = main(["simulate", "--A", a, "--B", "1", "--n", "50",
+                   "--require-stationary", "--output", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"liangflow: numerical error: drift matrix has an eigenvalue with real part {a} >= 0;"
+            " no stationary state exists\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "option, what",
+    [("--x0=1", "x0 has shape (1,), expected (2,)"),
+     ("--f=1,2,3", "offset has shape (3,), expected (2,)")],
+)
+def test_simulate_vector_of_the_wrong_length(tmp_path, capsys, option, what):
+    out = tmp_path / "x.csv"
+    rc = main(["simulate", "--A=-1,0;0,-1", "--B=1,0;0,1", option, "--n", "5",
+               "--output", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"liangflow: error: {what}\n"
+    assert not out.exists()
 
 
 def test_simulate_rejects_preset_plus_inline(tmp_path):
@@ -1128,6 +1147,12 @@ def test_unexpected_failure_prints_its_traceback(monkeypatch, tmp_path, capsys):
         ["simulate", "--preset", "ou2", "--n", "0"],
         ["graph", "--input", "x.csv", "--min-tau", "inf", "--format", "json"],
         ["simulate", "--preset", "ou2", "--n", "10", "--seed", "-1"],
+        ["simulate", "--A=", "--B=1", "--n", "5"],
+        ["simulate", "--A=1,2;3", "--B=1,0;0,1", "--n", "5"],
+        ["simulate", "--A=-1", "--B=x", "--n", "5"],
+        ["simulate", "--preset", "ou2", "--A=", "--n", "5"],
+        ["simulate", "--A=-1", "--B=1", "--x0=1,,2", "--n", "5"],
+        ["oracle", "--A=-1", "--B=1", "--f="],
     ],
 )
 def test_exit_code_bad_config(argv):

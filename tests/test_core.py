@@ -171,8 +171,11 @@ def test_forward_difference_bad_k():
     x = np.arange(5.0)
     with pytest.raises(ValueError):
         forward_difference(x, 0, 1.0)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        forward_difference(x, 1.5, 1.0)
     with pytest.raises(KTooLargeError):
         forward_difference(x, 5, 1.0)
+    np.testing.assert_array_equal(forward_difference(x, np.int64(2), 1.0), [1.0, 1.0, 1.0])
 
 
 def test_check_k_bounds():
@@ -182,6 +185,9 @@ def test_check_k_bounds():
         check_k(10, 2, 7)
     with pytest.raises(ValueError):
         check_k(10, 2, 0)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        check_k(10, 2, 1.0)
+    check_k(10, 2, np.int32(6))
 
 
 # -------------------------------------------------------------- covariances

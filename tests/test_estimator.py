@@ -251,6 +251,24 @@ def test_bivariate_input_checks():
             flow_bivariate(x, y, dt=dt)
 
 
+def test_non_integer_stride_is_a_value_error():
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((3, 60))
+    tss = TimeSeriesSet(("a", "b", "c"), values, 1.0)
+    calls = [
+        lambda: all_pairs(tss, k=1.5),
+        lambda: all_pairs(tss, k=1.5, mode="bivariate"),
+        lambda: flow_multivariate(tss, 0, 1, k=1.5),
+        lambda: fit_linear_model(tss, 0, k=1.5),
+        lambda: flow_bivariate(values[0], values[1], k=1.5),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="k must be an integer >= 1, got 1.5"):
+            call()
+    # a numpy integer is an integer
+    assert all_pairs(tss, k=np.int64(2)) == all_pairs(tss, k=2)
+
+
 def test_white_noise_pair_mostly_not_significant():
     """Independent pairs are flagged at 5% in well under 12% of trials."""
     hits = 0

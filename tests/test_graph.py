@@ -225,6 +225,24 @@ def test_min_tau_requires_normalization():
         build_graph(fm, min_tau=0.1)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"alpha": math.nan},
+        {"alpha": -0.1},
+        {"alpha": 1.5},
+        {"min_tau": math.nan},
+        {"min_tau": math.inf},
+        {"min_tau": -0.2},
+    ],
+)
+def test_build_graph_rejects_bad_thresholds(kwargs):
+    # each would give a graph that emit_json cannot write, or that keeps nothing by accident
+    fm = all_pairs(_random_set(2, 100, seed=14))
+    with pytest.raises(ValidationError, match=f"{next(iter(kwargs))} must be"):
+        build_graph(fm, **kwargs)
+
+
 def test_bonferroni_tightens_threshold():
     tss = _random_set(4, 500, seed=15)
     fm = all_pairs(tss)
