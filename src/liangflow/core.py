@@ -50,10 +50,18 @@ def _check_names(names, d: int) -> tuple[str, ...]:
     names = tuple(str(n) for n in names)
     if len(names) != d:
         raise NonRectangularError(f"{len(names)} names for {d} series")
+    _reject_blank(names)
     if len(set(names)) != d:
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise DuplicateNamesError(f"duplicate variable names: {dupes}")
     return names
+
+
+def _reject_blank(names, error=ValidationError) -> None:
+    """Raise ``error`` at the first of the str ``names`` that is empty or only whitespace."""
+    for i, name in enumerate(names):
+        if not name.strip():
+            raise error(f"variable name {i + 1} of {len(names)} is empty or blank: {name!r}")
 
 
 @dataclass(frozen=True)

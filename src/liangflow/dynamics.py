@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeSeriesSet
+from .core import TimeSeriesSet, _reject_blank
 from .errors import (
     BadMatrixSpecError,
     LyapunovResidualError,
@@ -68,6 +68,7 @@ class LinearSDE:
         names = tuple(map(str, self.names)) if self.names else tuple(f"x{i + 1}" for i in range(d))
         if len(names) != d or len(set(names)) != d:
             raise BadMatrixSpecError(f"need {d} unique names, got {names}")
+        _reject_blank(names, BadMatrixSpecError)
         object.__setattr__(self, "names", names)
 
     @property
@@ -199,7 +200,7 @@ def simulate(
         raise NonFiniteStateError(
             "trajectory left the finite range (unstable drift or too-large dt)"
         )
-    return TimeSeriesSet(names=sde.names, values=out, dt=dt)
+    return TimeSeriesSet(names=sde.names, values=out, dt=dt, _finite=True)
 
 
 def stationary_covariance(sde: LinearSDE) -> StationaryCovariance:

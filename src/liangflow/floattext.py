@@ -243,14 +243,16 @@ _MARK = b"1e300"  # orjson's text of 1e300, which stands in for each odd value
 def join(values, sep: str, end: str, nan: str = "nan") -> str:
     """The rows of the 2-D float array ``values`` as text: each value as ``repr``
     writes it, followed by ``sep``, or by ``end`` after the last of a row,
-    and a NaN as ``nan``. The rows must not be empty; the text is ASCII.
+    and a NaN as ``nan``, which must hold no comma or line end, where the
+    text below is cut. The rows must not be empty; the text is ASCII.
 
     orjson writes the shortest round-trip digits in ``repr``'s layout for
     every value but the odd ones (non-finite, nonzero below 1e-4 or at least
     1e16 in magnitude), so it writes the array with 1e300 for each odd value,
-    and the kernel's text of the odd values replaces those, in order. With
-    more than ``_ODD_SHARE`` of the values odd, or one column, the kernel
-    writes them all.
+    its text is cut into rows once, and the kernel's text of the odd values
+    replaces those, in order, before any separator is written. With more
+    than ``_ODD_SHARE`` of the values odd, or one column, the kernel writes
+    them all.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     if not values.size:
@@ -259,19 +261,29 @@ def join(values, sep: str, end: str, nan: str = "nan") -> str:
     odd = ((magnitude < 1e-4) & (values != 0)) | ~(magnitude < 1e16)
     n_odd = np.count_nonzero(odd)
     sep, end = sep.encode(), end.encode()
-    # one value a row costs orjson more in brackets than it saves; the layout below
-    # marks row ends with "]", and a digit or "e" beside a value could spell the marker
-    if (n_odd > _ODD_SHARE * values.size or values.shape[1] == 1 or b"]" in sep
-            or re.search(b"[0-9e]", sep + end)):
+    # one value a row costs orjson more in brackets than it saves
+    if n_odd > _ODD_SHARE * values.size or values.shape[1] == 1:
         return _kernel_join(values, sep, end, nan).decode("ascii")
     text = orjson.dumps(np.where(odd, 1e300, values), option=orjson.OPT_SERIALIZE_NUMPY)
-    # "]" is left at each row end only, then written as end
-    text = text[2:-2].replace(b"],[", b"]").replace(b",", sep).replace(b"]", end) + end
-    if n_odd:
-        # one text a line, and after the last line b"", which follows the last piece
-        odd_texts = _kernel_join(values[odd][:, None], b"", b"\n", nan).split(b"\n")
-        text = b"".join(itertools.chain.from_iterable(zip(text.split(_MARK), odd_texts)))
-    return text.decode("ascii")
+    held = np.flatnonzero(odd.any(axis=1)).tolist()  # the rows that hold an odd value
+    if 2 * len(held) > len(values):  # then splicing in the whole text costs less
+        text, held = _spliced(text, values[odd], nan), []
+    rows = text[2:-2].split(b"],[")
+    if held:  # splice in those rows alone, one a line
+        texts = _spliced(b"\n".join([rows[i] for i in held]), values[odd], nan).split(b"\n")
+        for i, row in zip(held, texts):
+            rows[i] = row
+    if sep != b",":
+        rows = [row.replace(b",", sep) for row in rows]
+    rows.append(b"")  # for the last row's end
+    return end.join(rows).decode("ascii")
+
+
+def _spliced(text: bytes, odd: np.ndarray, nan: str) -> bytes:
+    """``text`` with the kernel's text of each of the values ``odd`` in place of each marker."""
+    # one text a line, and after the last line b"", which follows the last piece
+    texts = _kernel_join(odd[:, None], b"", b"\n", nan).split(b"\n")
+    return b"".join(itertools.chain.from_iterable(zip(text.split(_MARK), texts)))
 
 
 _NUMBER_BYTES = b"0123456789+-.eE, \t\n"

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import estimator as _est
 from . import floattext
-from .core import TimeSeriesSet
+from .core import TimeSeriesSet, _reject_blank
 from .errors import (
     DegenerateBudgetError,
     MalformedError,
@@ -370,6 +370,7 @@ def flow_matrix_from_json(text: str) -> FlowMatrix:
         raise MalformedError("flow-matrix JSON field 'names' is not a list of strings")
     if len(set(names)) != len(names):
         raise MalformedError("flow-matrix JSON field 'names' holds a name twice")
+    _reject_blank(names, MalformedError)
     raw.setdefault("mode", "multivariate")  # as all_pairs' default
     fields = {}
     for key, (rule, ok) in _SCALARS.items():

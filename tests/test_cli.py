@@ -1005,6 +1005,26 @@ def test_simulate_vector_of_the_wrong_length(tmp_path, capsys, option, what):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("names", ["--names=a,", "--names=a, ", "--names=,b"])
+def test_simulate_rejects_an_empty_name(tmp_path, capsys, names):
+    out = tmp_path / "x.csv"
+    rc = main(["simulate", "--A=-1,0;0,-1", "--B=1,0;0,1", names, "--n", "50",
+               "--output", str(out)])
+    assert rc == 2
+    position = 1 if names == "--names=,b" else 2
+    assert capsys.readouterr().err == (
+        f"liangflow: error: variable name {position} of 2 is empty or blank: ''\n")
+    assert not out.exists()
+
+
+def test_analyze_rejects_an_empty_header_cell(tmp_path, capsys):
+    path = tmp_path / "x.csv"
+    path.write_text("a,,b\n" + "".join(f"{i % 3},{i % 5},{i % 7}\n" for i in range(50)))
+    assert main(["analyze", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "liangflow: error: variable name 2 of 3 is empty or blank: ''\n")
+
+
 def test_simulate_rejects_preset_plus_inline(tmp_path):
     rc = main(["simulate", "--preset", "ou2", "--A", "-1", "--n", "10",
                "--output", str(tmp_path / "x.csv")])

@@ -129,6 +129,18 @@ def test_duplicate_names():
         validate_series_set(raw, ["a", "a"], 1.0)
 
 
+@pytest.mark.parametrize("names, position", [(["a", ""], 2), (["a", " "], 2), (["\t", "b"], 1)])
+def test_empty_or_blank_names(names, position):
+    raw = np.random.default_rng(5).standard_normal((2, 30))
+    message = f"variable name {position} of 2 is empty or blank"
+    with pytest.raises(ValidationError, match=message):
+        validate_series_set(raw, names, 1.0)
+    with pytest.raises(ValidationError, match=message):
+        TimeSeriesSet(names=names, values=raw, dt=1.0)
+    with pytest.raises(ValidationError, match=message):
+        PanelPairs(names, raw, raw, 0.5)
+
+
 def test_name_count_mismatch():
     raw = np.random.default_rng(3).standard_normal((2, 30))
     with pytest.raises(NonRectangularError):

@@ -50,7 +50,8 @@ def test_linear_sde_validation():
         LinearSDE(A=-np.eye(2), B=np.eye(3))  # row count mismatch
     with pytest.raises(BadMatrixSpecError):
         LinearSDE(A=-np.eye(2), B=np.eye(2), f=[1.0])
-    for names in (("a", "a"), (1, "1")):  # names are compared as the strings they become
+    # compared as the strings they become; none may be empty or blank
+    for names in (("a", "a"), (1, "1"), ("a", ""), (" ", "b")):
         with pytest.raises(BadMatrixSpecError):
             LinearSDE(A=-np.eye(2), B=np.eye(2), names=names)
     with pytest.raises(BadMatrixSpecError):

@@ -152,6 +152,39 @@ def test_values_orjson_writes_read_as_repr(magnitudes, n_cols, random):
     assert floattext.join(values, ",", "\n") == _repr_join(values, ",", "\n", "nan")
 
 
+def _spy_on_the_kernel(monkeypatch):
+    shapes = []  # of the arrays the kernel wrote
+    kernel = floattext._kernel_join
+    monkeypatch.setattr(floattext, "_kernel_join",
+                        lambda *a: shapes.append(a[0].shape) or kernel(*a))
+    return shapes
+
+
+@pytest.mark.parametrize("sep, end", [
+    (",", "\n"), ("1e3", "00\n"), ("],[", "]"), ("0", "1e"), ("1e300", "e300"), ("]", "],["),
+    (",\n      ", "\n    ],\n    [\n      "),
+])
+@pytest.mark.parametrize("all_odd_row", [False, True])
+# rows of 20 that hold an odd value: up to 10, the splice runs in those rows alone
+@pytest.mark.parametrize("held", [1, 2, 10, 11, 20])
+def test_join_splices_odd_values_into_the_rows_that_hold_them(monkeypatch, sep, end,
+                                                             all_odd_row, held):
+    shapes = _spy_on_the_kernel(monkeypatch)
+    rng = np.random.default_rng(held)
+    values = rng.choice(_PLAIN, (20, 30)) * rng.choice([1.0, -1.0, 7.0], (20, 30))
+    rows = [0, 19, *rng.permutation(np.arange(1, 19))][:held]  # the first and last rows first
+    values[rows, 0], values[rows, -1] = rng.choice(_ODD, held), rng.choice(_ODD, held)
+    if all_odd_row:
+        values[rows[-1]] = np.resize(_ODD, 30)
+    n_odd = 2 * held + 28 * all_odd_row
+    for nan in ("nan", "null", ""):
+        assert floattext.join(values, sep, end, nan) == _repr_join(values, sep, end, nan)
+    # 40 odd values of 600 are below _ODD_SHARE, 68 above
+    above = n_odd > floattext._ODD_SHARE * values.size
+    assert above == (held == 20 and all_odd_row)
+    assert shapes == [values.shape if above else (n_odd, 1)] * 3
+
+
 # --------------------------------------------------- the orjson read path
 
 def _float_rows(lines):

@@ -543,6 +543,13 @@ def test_emit_json_rejects_unknown_types():
         emit_json({"not": "supported"})
 
 
+def test_flow_matrix_from_json_rejects_an_empty_name():
+    payload = json.loads(emit_json(all_pairs(_random_set(2, 100, seed=24))))
+    for names in (["a", ""], [" ", "b"]):
+        with pytest.raises(MalformedError, match="is empty or blank"):
+            flow_matrix_from_json(json.dumps(dict(payload, names=names)))
+
+
 def test_flow_matrix_from_json_malformed():
     with pytest.raises(MalformedError):
         flow_matrix_from_json("{ not json")
