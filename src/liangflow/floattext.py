@@ -250,9 +250,9 @@ def join(values, sep: str, end: str, nan: str = "nan") -> str:
     every value but the odd ones (non-finite, nonzero below 1e-4 or at least
     1e16 in magnitude), so it writes the array with 1e300 for each odd value,
     its text is cut into rows once, and the kernel's text of the odd values
-    replaces those, in order, before any separator is written. With more
-    than ``_ODD_SHARE`` of the values odd, or one column, the kernel writes
-    them all.
+    replaces those, in order, in the rows that hold them, before any
+    separator is written. With more than ``_ODD_SHARE`` of the values odd,
+    or one column, the kernel writes them all.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     if not values.size:
@@ -265,25 +265,19 @@ def join(values, sep: str, end: str, nan: str = "nan") -> str:
     if n_odd > _ODD_SHARE * values.size or values.shape[1] == 1:
         return _kernel_join(values, sep, end, nan).decode("ascii")
     text = orjson.dumps(np.where(odd, 1e300, values), option=orjson.OPT_SERIALIZE_NUMPY)
-    held = np.flatnonzero(odd.any(axis=1)).tolist()  # the rows that hold an odd value
-    if 2 * len(held) > len(values):  # then splicing in the whole text costs less
-        text, held = _spliced(text, values[odd], nan), []
     rows = text[2:-2].split(b"],[")
-    if held:  # splice in those rows alone, one a line
-        texts = _spliced(b"\n".join([rows[i] for i in held]), values[odd], nan).split(b"\n")
-        for i, row in zip(held, texts):
+    held = np.flatnonzero(odd.any(axis=1)).tolist()  # the rows that hold an odd value
+    if held:  # those rows one a line, each marker replaced by the kernel's text of its value
+        # one text a line, and after the last line b"", which follows the last piece
+        texts = _kernel_join(values[odd][:, None], b"", b"\n", nan).split(b"\n")
+        pieces = b"\n".join([rows[i] for i in held]).split(_MARK)
+        spliced = b"".join(itertools.chain.from_iterable(zip(pieces, texts)))
+        for i, row in zip(held, spliced.split(b"\n")):
             rows[i] = row
     if sep != b",":
         rows = [row.replace(b",", sep) for row in rows]
     rows.append(b"")  # for the last row's end
     return end.join(rows).decode("ascii")
-
-
-def _spliced(text: bytes, odd: np.ndarray, nan: str) -> bytes:
-    """``text`` with the kernel's text of each of the values ``odd`` in place of each marker."""
-    # one text a line, and after the last line b"", which follows the last piece
-    texts = _kernel_join(odd[:, None], b"", b"\n", nan).split(b"\n")
-    return b"".join(itertools.chain.from_iterable(zip(text.split(_MARK), texts)))
 
 
 _NUMBER_BYTES = b"0123456789+-.eE, \t\n"

@@ -165,8 +165,8 @@ def _spy_on_the_kernel(monkeypatch):
     (",\n      ", "\n    ],\n    [\n      "),
 ])
 @pytest.mark.parametrize("all_odd_row", [False, True])
-# rows of 20 that hold an odd value: up to 10, the splice runs in those rows alone
-@pytest.mark.parametrize("held", [1, 2, 10, 11, 20])
+# rows of 20 that hold an odd value: the splice runs in those rows alone
+@pytest.mark.parametrize("held", [1, 2, 11, 20])
 def test_join_splices_odd_values_into_the_rows_that_hold_them(monkeypatch, sep, end,
                                                              all_odd_row, held):
     shapes = _spy_on_the_kernel(monkeypatch)
