@@ -212,15 +212,14 @@ def write_csv(names, values: np.ndarray, fh):
     """Write the parse_csv format; each float as ``repr`` writes it, so the bytes
     are reproducible and read back as the same bits.
 
-    Blocks of samples are formatted on every usable CPU (``_in_order``) and
-    written in order.
+    Blocks of samples are formatted on every usable CPU and written to
+    ``fh`` in order (``_in_order``), each by the process that formatted it.
     """
     csv.writer(fh, lineterminator="\n").writerow(names)
     values = np.asarray(values, dtype=float)
     starts = ((start,) for start in range(0, values.shape[1], _WRITE_BLOCK))
-    with contextlib.closing(_in_order(_format_block, starts, values)) as texts:
-        for text in texts:
-            fh.write(text)
+    for _ in _in_order(_format_block, starts, values, out=fh):
+        pass
 
 
 def _format_block(values: np.ndarray, start: int) -> str:
@@ -233,15 +232,48 @@ def _format_block(values: np.ndarray, start: int) -> str:
 _FORK_POOL = sys.version_info[:2] == (3, 11)
 
 _shared = ()  # a pool worker's leading arguments, set once as it starts
+_out = None  # and, when its results go to an output, (fd, turn, condition)
+_STOPPED = -1  # the turn once a task has failed: no later task writes
 
 
-def _share(*args):
-    global _shared
-    _shared = args
+def _share(out, *args):
+    global _out, _shared
+    _out, _shared = out, args
 
 
-def _call(fn, task):
-    return fn(*_shared, *task)
+def _call(fn, task, index: int):
+    """In a pool worker: ``fn(*_shared, *task)``, returned, or with ``_out`` written
+    through its descriptor once the turn reaches ``index``. A failure of
+    ``fn`` or of the write, here or in an earlier task, stops the turn: every
+    later task returns unwritten, and the caller sees the first error in
+    task order."""
+    if _out is None:
+        return fn(*_shared, *task)
+    fd, turn, ready = _out
+    text = None
+    try:
+        text = fn(*_shared, *task)
+    finally:
+        with ready:
+            ready.wait_for(lambda: turn.value in (index, _STOPPED))
+            if turn.value == index:
+                turn.value = _STOPPED  # unless the text is written whole
+                try:
+                    if text is not None:
+                        data = memoryview(text.encode("ascii"))
+                        while data:
+                            data = data[os.write(fd, data):]
+                        turn.value = index + 1
+                finally:
+                    ready.notify_all()
+
+
+def _descriptor(fh) -> Optional[int]:
+    """The file descriptor under ``fh``, or None for ``io.StringIO`` and the like."""
+    try:
+        return fh.fileno()
+    except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
+        return None
 
 
 def _usable_cpus() -> int:
@@ -250,42 +282,57 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _in_order(fn, tasks, *shared):
+def _in_order(fn, tasks, *shared, out=None):
     """``fn(*shared, *task)`` for each argument tuple in ``tasks``, yielded in task order.
+
+    With ``out``, a text file, each result (ASCII text) is written to ``out``
+    in task order instead, and None is yielded in its place.
 
     With more than one usable CPU and more than one task, the calls run in
     a pool of forked processes, one per CPU but no more than there are
     tasks. At most one task more than there are workers waits for its
     result, so tasks read from a stream stay bounded. ``shared`` reaches
     each worker once, through fork, not pickled per task; tasks and
-    results are pickled. The first exception in task order is raised, and
-    a worker that dies raises ``BrokenProcessPool``. Otherwise, where fork
-    is missing, or on an interpreter other than ``_FORK_POOL``'s, the
-    calls run here, one by one.
+    results are pickled. With ``out``, the pool runs only if ``out`` has a
+    file descriptor (a file or a pipe): ``out`` is flushed before the fork,
+    and each worker writes its own result through it once every earlier
+    one is written (``_call``), so no result comes back. The first
+    exception in task order is raised, and a worker that dies raises
+    ``BrokenProcessPool``. Otherwise, where fork is missing, or on an
+    interpreter other than ``_FORK_POOL``'s, the calls run here, one by
+    one, and ``out.write`` writes their results.
 
     Fork rather than spawn: a spawned worker imports numpy again
     and receives ``shared`` by pickle, and a pool of two took 0.7-1.2 s to
     start on a 2-core VM, against 0.02 s forked. Fork is safe here because
-    the workers only convert between numbers and text: they call no BLAS
-    and take no lock that another thread of this process may hold.
+    the workers only convert between numbers and text: they call no BLAS,
+    and the one lock they take, the turn condition's (with its
+    semaphores), is made for them before the fork and never held by a
+    thread of this process.
     """
     cpus = _usable_cpus()
     tasks = iter(tasks)
     head = list(itertools.islice(tasks, cpus + 1))
     tasks = itertools.chain(head, tasks)
     workers = min(cpus, len(head))
-    if _FORK_POOL and workers > 1:
+    fd = None if out is None else _descriptor(out)
+    if _FORK_POOL and workers > 1 and (out is None or fd is not None):
         import multiprocessing  # here, not at the top: it would add to every CLI start
 
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                       initializer=_share, initargs=shared)
+            context = multiprocessing.get_context("fork")
+            turns = None
+            if out is not None:
+                out.flush()  # what is written so far comes first, and no worker inherits it
+                turns = (fd, context.RawValue("q", 0), context.Condition())
+            pool = ProcessPoolExecutor(workers, mp_context=context,
+                                       initializer=_share, initargs=(turns, *shared))
             try:
                 pending = collections.deque()
-                for task in tasks:
-                    pending.append(pool.submit(_call, fn, task))
+                for index, task in enumerate(tasks):
+                    pending.append(pool.submit(_call, fn, task, index))
                     if len(pending) > workers:
                         yield pending.popleft().result()
                 while pending:
@@ -293,7 +340,12 @@ def _in_order(fn, tasks, *shared):
             finally:
                 pool.shutdown(cancel_futures=True)
             return
-    yield from (fn(*shared, *task) for task in tasks)
+    for task in tasks:
+        result = fn(*shared, *task)
+        if out is not None:
+            out.write(result)
+            result = None
+        yield result
 
 
 def load_preset(name: str):
@@ -329,8 +381,13 @@ def _open_output(path: Optional[str]):
     """The output file (replaced), or stdout when no path is given."""
     if not path:
         yield sys.stdout
+        sys.stdout.flush()  # here, where a reader that closed early is caught, not at exit
         return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="")
+    except OSError as e:
+        raise ValidationError(f"cannot write {path}: {e}") from None
+    with fh:
         yield fh
 
 
@@ -561,6 +618,10 @@ def main(argv=None) -> int:
     except NumericalError as e:
         print(f"liangflow: numerical error: {e}", file=sys.stderr)
         return 3
+    except BrokenPipeError:  # the reader closed early, as `| head` does: end quietly
+        # Python's recipe (signal module docs): the flush at exit must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except Exception as e:  # safety net: a defect, or a failure no library error names
         traceback.print_exc()
         print(f"liangflow: unexpected error: {e}", file=sys.stderr)

@@ -119,6 +119,9 @@ def default_burn_in(sde: LinearSDE, dt: float) -> int:
     return max(1000, int(math.ceil(10.0 / (rate * dt))))
 
 
+_TRANSPOSE_PIECE = 4096  # samples per piece of the output's transposed copy
+
+
 def simulate(
     sde: LinearSDE,
     x0,
@@ -160,7 +163,8 @@ def simulate(
 
     with np.errstate(over="ignore", invalid="ignore"):
         # per-step additive term: f dt + B sqrt(dt) xi
-        w = (sde.B @ rng.standard_normal((n_noise, steps))) * math.sqrt(dt)
+        w = sde.B @ rng.standard_normal((n_noise, steps))
+        w *= math.sqrt(dt)
         w += (sde.f * dt)[:, None]
 
         # blocked scan over x[t+1] = M x[t] + w[t]: split the t axis into
@@ -178,14 +182,18 @@ def simulate(
         for j in range(block):
             powers[j + 1] = step_mat @ powers[j]
 
-        states = np.empty((n_blocks, block, d))  # s[l] of each block, then x[t0 + l]
+        # w[t0 + l] of each block, zero past the end (only states after index `steps`
+        # read it), each replaced by s[l] as the lockstep reaches it, then by x[t0 + l]
+        states = np.zeros((n_blocks, block, d))
+        flat = states.reshape(-1, d)
+        flat[:steps] = w.T
+        del w  # free the noise before the lockstep, the batched multiply and the output
         s = np.zeros((n_blocks, d))
         for l in range(block):
+            nxt = s @ step_mat.T
+            nxt += states[:, l]
             states[:, l] = s
-            s = s @ step_mat.T
-            lockstep = w[:, l::block].T  # the last block may stop short: its tail is cut
-            s[: len(lockstep)] += lockstep
-        del w, lockstep  # free the noise before the batched multiply and the output copy
+            s = nxt
 
         starts = np.empty((n_blocks, d))
         starts[0] = x0
@@ -195,12 +203,16 @@ def simulate(
         states += np.einsum("lij,bj->bli", powers[:block], starts)
         states[0, 0] = x0  # not 0 + x0, which turns a -0.0 into 0.0
 
-    out = states.reshape(-1, d)[burn_in:total].T
-    if not np.isfinite(out).all():
+    rows = flat[burn_in:total]
+    if not np.isfinite(rows).all():
         raise NonFiniteStateError(
             "trajectory left the finite range (unstable drift or too-large dt)"
         )
-    return TimeSeriesSet(names=sde.names, values=out, dt=dt, _finite=True)
+    # the d x N output, transposed a piece at a time so each piece's rows stay in cache
+    out = np.empty((d, n_steps))
+    for start in range(0, n_steps, _TRANSPOSE_PIECE):
+        out[:, start:start + _TRANSPOSE_PIECE] = rows[start:start + _TRANSPOSE_PIECE].T
+    return TimeSeriesSet(names=sde.names, values=out, dt=dt, _finite=True, _owned=True)
 
 
 def stationary_covariance(sde: LinearSDE) -> StationaryCovariance:

@@ -1,10 +1,12 @@
 """End-to-end command-line behavior: parsing, commands, exit codes, determinism."""
 
+import contextlib
 import csv
 import io
 import json
 import multiprocessing
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -473,6 +475,112 @@ def test_simulate_stdout_bytes_equal_file_bytes(tmp_path, capsysbinary):
     capsysbinary.readouterr()
     assert main(argv) == 0
     assert capsysbinary.readouterr().out == path.read_bytes()
+
+
+# a child interpreter that runs the CLI on two usable CPUs, so its CSV writes take the pool
+# wherever there is one, then lists its live children on stderr
+_TWO_CPU_MAIN = (
+    "import multiprocessing, sys\n"
+    "import liangflow.cli as cli\n"
+    "cli._usable_cpus = lambda: 2\n"
+    "status = cli.main(sys.argv[1:])\n"
+    "print(multiprocessing.active_children(), file=sys.stderr)\n"
+    "sys.exit(status)\n"
+)
+SIMULATE_CHAIN5 = ["simulate", "--preset", "chain5", "--seed", "4", "--n"]
+
+
+def test_simulate_to_a_stdout_pipe_bytes_equal_file_bytes(tmp_path):
+    # 20000 samples: five blocks, which the pool's workers write to the pipe themselves
+    path = tmp_path / "sim.csv"
+    assert main(SIMULATE_CHAIN5 + ["20000", "--output", str(path)]) == 0
+    proc = subprocess.run([sys.executable, "-c", _TWO_CPU_MAIN] + SIMULATE_CHAIN5 + ["20000"],
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b"[]\n"
+    assert proc.stdout == path.read_bytes()
+    assert multiprocessing.active_children() == []
+
+
+def test_simulate_into_a_pipe_closed_early_ends_quietly():
+    # like `simulate | head -c 100`: exit 1, no traceback, and no worker left waiting
+    # in a session of its own, so that on a timeout its workers are killed with it
+    proc = subprocess.Popen([sys.executable, "-c", _TWO_CPU_MAIN] + SIMULATE_CHAIN5 + ["200000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    try:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        with contextlib.suppress(ProcessLookupError):  # none left, as it should be
+            os.killpg(proc.pid, signal.SIGKILL)
+    assert head.startswith(b"x1,x2,x3,x4,x5\n")
+    assert proc.returncode == 1
+    assert err == b"[]\n"
+    assert multiprocessing.active_children() == []
+
+
+def _blocks_with_a_failure(monkeypatch, fail: int, how: str):
+    """Eight blocks of 5 samples, each block's first value its start; block ``fail``
+    raises in ``floattext.join`` or, with ``how="write"``, runs out of disk space on
+    its write. Set before any fork, so pool workers inherit it."""
+    monkeypatch.setattr(cli, "_WRITE_BLOCK", 5)
+    values = np.random.default_rng(5).standard_normal((3, 40))
+    values[0] = np.arange(40.0)
+    if how == "join":
+        join = cli.floattext.join
+
+        def failing_join(rows, *args):
+            if rows[0, 0] == 5 * fail:
+                raise ValueError(f"block {fail}")
+            return join(rows, *args)
+
+        monkeypatch.setattr(cli.floattext, "join", failing_join)
+    else:
+        write, marker = os.write, f"{5.0 * fail!r},".encode()
+
+        def full_disk(fd, data):
+            if bytes(data[:len(marker)]) == marker:
+                raise OSError(28, os.strerror(28))
+            return write(fd, data)
+
+        monkeypatch.setattr(os, "write", full_disk)
+    return values
+
+
+@pytest.mark.parametrize("fail", [0, 3, 7])
+@pytest.mark.parametrize("cpus, how", [(1, "join"), (2, "join"), (2, "write")])
+def test_write_csv_stops_at_the_first_failing_block(tmp_path, monkeypatch, cpus, how, fail):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    if how == "write" and not cli._FORK_POOL:
+        pytest.skip("only pool workers write through the descriptor")
+    values = _blocks_with_a_failure(monkeypatch, fail, how)
+    path = tmp_path / "t.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        with pytest.raises(ValueError if how == "join" else OSError,
+                           match=f"block {fail}" if how == "join" else "No space left"):
+            write_csv(("a", "b", "c"), values, fh)
+    assert multiprocessing.active_children() == []
+    want = "a,b,c\n" + "".join(",".join(map(repr, row)) + "\n"
+                               for row in values[:, :5 * fail].T.tolist())
+    assert path.read_text(encoding="utf-8") == want
+
+
+def test_write_csv_to_a_sink_without_a_descriptor_runs_in_process(two_cpus, monkeypatch):
+    # io.StringIO has no file descriptor for a worker to write to: every block is formatted here
+    monkeypatch.setattr(cli, "_WRITE_BLOCK", 5)
+    values = np.random.default_rng(6).standard_normal((2, 23))
+    values[1, :4] = [-0.0, np.nan, np.inf, 5e-324]
+    calls = []
+    join = cli.floattext.join
+    monkeypatch.setattr(cli.floattext, "join", lambda *args: calls.append(0) or join(*args))
+    got = io.StringIO()
+    write_csv(("a", "b"), values, got)
+    assert got.getvalue() == "a,b\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in values.T.tolist())
+    assert len(calls) == 5
+    assert multiprocessing.active_children() == []
 
 
 # ------------------------------------------------- CSV conversion on every CPU
@@ -1151,6 +1259,16 @@ def test_unexpected_failure_prints_its_traceback(monkeypatch, tmp_path, capsys):
     missing = str(tmp_path / "nope.csv")
     assert main(["analyze", "--input", missing]) == 2
     assert capsys.readouterr().err.startswith(f"liangflow: error: cannot read {missing}: ")
+
+
+@pytest.mark.parametrize("command", [["simulate", "--n", "20"], ["oracle"]],
+                         ids=["simulate", "oracle"])
+def test_an_output_that_cannot_be_opened_exits_2(tmp_path, capsys, command):
+    path = str(tmp_path / "missing" / "x.csv")
+    assert main(command + ["--preset", "chain5", "--output", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"liangflow: error: cannot write {path}: ")
+    assert "Traceback" not in err and not os.path.exists(path)
 
 
 @pytest.mark.parametrize(
