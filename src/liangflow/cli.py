@@ -226,10 +226,10 @@ def _format_block(values: np.ndarray, start: int) -> str:
     return floattext.join(values[:, start:start + _WRITE_BLOCK].T, ",", "\n")
 
 
-# The one interpreter the fork pool was run on. Python 3.12 and later warn
-# when a process with threads (numpy's BLAS starts some) forks, and 3.10's
-# pool may fork after its manager thread has started (cpython gh-90622).
-_FORK_POOL = sys.version_info[:2] == (3, 11)
+# The one interpreter the fork pool was run on, where it can fork. Python 3.12
+# and later warn when a process with threads (numpy's BLAS starts some) forks,
+# and 3.10's pool may fork after its manager thread has started (cpython gh-90622).
+_FORK_POOL = sys.version_info[:2] == (3, 11) and hasattr(os, "fork")
 
 _shared = ()  # a pool worker's leading arguments, set once as it starts
 _out = None  # and, when its results go to an output, (fd, turn, condition)
@@ -297,10 +297,10 @@ def _in_order(fn, tasks, *shared, out=None):
     file descriptor (a file or a pipe): ``out`` is flushed before the fork,
     and each worker writes its own result through it once every earlier
     one is written (``_call``), so no result comes back. The first
-    exception in task order is raised, and a worker that dies raises
-    ``BrokenProcessPool``. Otherwise, where fork is missing, or on an
-    interpreter other than ``_FORK_POOL``'s, the calls run here, one by
-    one, and ``out.write`` writes their results.
+    exception in task order is raised; a worker that dies, or a pool that
+    cannot start (an ``OSError`` of fork), raises ``BrokenProcessPool``.
+    Otherwise, without ``_FORK_POOL``, the calls run here, one by one, and
+    ``out.write`` writes their results.
 
     Fork rather than spawn: a spawned worker imports numpy again
     and receives ``shared`` by pickle, and a pool of two took 0.7-1.2 s to
@@ -318,28 +318,35 @@ def _in_order(fn, tasks, *shared, out=None):
     fd = None if out is None else _descriptor(out)
     if _FORK_POOL and workers > 1 and (out is None or fd is not None):
         import multiprocessing  # here, not at the top: it would add to every CLI start
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-
-            context = multiprocessing.get_context("fork")
+        if out is not None:
+            out.flush()  # what is written so far comes first, and no worker inherits it
+        context = multiprocessing.get_context("fork")
+        try:  # an OSError until the first task has forked the workers is the pool's, not out's
             turns = None
             if out is not None:
-                out.flush()  # what is written so far comes first, and no worker inherits it
                 turns = (fd, context.RawValue("q", 0), context.Condition())
             pool = ProcessPoolExecutor(workers, mp_context=context,
                                        initializer=_share, initargs=(turns, *shared))
-            try:
-                pending = collections.deque()
-                for index, task in enumerate(tasks):
-                    pending.append(pool.submit(_call, fn, task, index))
-                    if len(pending) > workers:
-                        yield pending.popleft().result()
-                while pending:
+            pending = collections.deque([pool.submit(_call, fn, next(tasks), 0)])
+        except OSError as e:
+            # no shutdown reaches a worker forked before the failure, and exit would wait for it
+            for worker in multiprocessing.active_children():
+                worker.kill()
+                worker.join()
+            raise BrokenProcessPool(f"cannot start the pool: {e}") from e
+        try:
+            for index, task in enumerate(tasks, 1):
+                pending.append(pool.submit(_call, fn, task, index))
+                if len(pending) > workers:
                     yield pending.popleft().result()
-            finally:
-                pool.shutdown(cancel_futures=True)
-            return
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            pool.shutdown(cancel_futures=True)
+        return
     for task in tasks:
         result = fn(*shared, *task)
         if out is not None:
@@ -378,17 +385,20 @@ def _resolve_sde(args: argparse.Namespace):
 
 @contextlib.contextmanager
 def _open_output(path: Optional[str]):
-    """The output file (replaced), or stdout when no path is given."""
-    if not path:
-        yield sys.stdout
-        sys.stdout.flush()  # here, where a reader that closed early is caught, not at exit
-        return
+    """The output file (replaced), or stdout when no path is given. A failure to
+    open or write it raises ``ValidationError``, except ``BrokenPipeError``:
+    a reader that closed early."""
     try:
-        fh = open(path, "w", encoding="utf-8", newline="")
+        with (open(path, "w", encoding="utf-8", newline="") if path
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            yield fh
+            fh.flush()  # here, where a failure is caught, not at exit
     except OSError as e:
-        raise ValidationError(f"cannot write {path}: {e}") from None
-    with fh:
-        yield fh
+        if not path:  # so the flush at exit does not fail again (the signal module's recipe)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(e, BrokenPipeError):
+            raise
+        raise ValidationError(f"cannot write {path or 'stdout'}: {e}") from None
 
 
 def _write_text(text: str, path: Optional[str]):
@@ -619,8 +629,6 @@ def main(argv=None) -> int:
         print(f"liangflow: numerical error: {e}", file=sys.stderr)
         return 3
     except BrokenPipeError:  # the reader closed early, as `| head` does: end quietly
-        # Python's recipe (signal module docs): the flush at exit must not raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except Exception as e:  # safety net: a defect, or a failure no library error names
         traceback.print_exc()

@@ -38,30 +38,36 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 
-def _readonly(a: np.ndarray, owned: bool = False) -> np.ndarray:
-    out = np.ascontiguousarray(a, dtype=float)
+def _readonly(a, owned: bool = False) -> np.ndarray:
+    """``a`` as a read-only C-ordered float array; a copy unless ``owned`` or converted."""
+    out = np.asarray(a, dtype=float, order="C")
     if out is a and not owned:
         out = out.copy()
     out.setflags(write=False)
     return out
 
 
-def _check_names(names, d: int) -> tuple[str, ...]:
+def _check_names(names, d: int, error=None) -> tuple[str, ...]:
+    """``names`` as a tuple of str: ``d`` of them, none empty or blank, none twice.
+    A fault raises ``error``, or by default the ``ValidationError`` subclass that names it."""
     names = tuple(str(n) for n in names)
     if len(names) != d:
-        raise NonRectangularError(f"{len(names)} names for {d} series")
-    _reject_blank(names)
+        raise (error or NonRectangularError)(f"{len(names)} names for {d} series")
+    for i, name in enumerate(names):
+        if not name.strip():
+            raise (error or ValidationError)(
+                f"variable name {i + 1} of {d} is empty or blank: {name!r}")
     if len(set(names)) != d:
         dupes = sorted({n for n in names if names.count(n) > 1})
-        raise DuplicateNamesError(f"duplicate variable names: {dupes}")
+        raise (error or DuplicateNamesError)(f"duplicate variable names: {dupes}")
     return names
 
 
-def _reject_blank(names, error=ValidationError) -> None:
-    """Raise ``error`` at the first of the str ``names`` that is empty or only whitespace."""
-    for i, name in enumerate(names):
-        if not name.strip():
-            raise error(f"variable name {i + 1} of {len(names)} is empty or blank: {name!r}")
+def _check_index(d: int, **indices) -> None:
+    """Raise ``IndexError`` at the first of the named ``indices`` outside ``[0, d)``."""
+    for name, i in indices.items():
+        if not 0 <= i < d:
+            raise IndexError(f"{name} {i} out of range for d = {d}")
 
 
 @dataclass(frozen=True)
@@ -288,8 +294,7 @@ def sample_covariance_matrix(tss: TimeSeriesSet, k: int, target: int) -> SampleC
     """
     d, n = tss.values.shape
     check_k(n, d, k)
-    if not 0 <= target < d:
-        raise IndexError(f"target {target} out of range for d = {d}")
+    _check_index(d, target=target)
     n_eff = n - k
     window = tss.values[:, :n_eff]
     xc = window - window.mean(axis=1, keepdims=True)

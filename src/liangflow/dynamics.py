@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeSeriesSet, _reject_blank
+from .core import TimeSeriesSet, _check_index, _check_names, _readonly
 from .errors import (
     BadMatrixSpecError,
     LyapunovResidualError,
@@ -37,9 +37,7 @@ def _frozen(a, shape=None, what="array"):
         raise BadMatrixSpecError(f"{what} has shape {out.shape}, expected {shape}")
     if not np.isfinite(out).all():
         raise BadMatrixSpecError(f"{what} contains non-finite entries")
-    out = out.copy()
-    out.setflags(write=False)
-    return out
+    return _readonly(out)
 
 
 @dataclass(frozen=True)
@@ -65,11 +63,8 @@ class LinearSDE:
         object.__setattr__(self, "B", _frozen(b, None, "noise amplitude"))
         f = np.zeros(d) if self.f is None else np.asarray(self.f, dtype=float).ravel()
         object.__setattr__(self, "f", _frozen(f, (d,), "offset"))
-        names = tuple(map(str, self.names)) if self.names else tuple(f"x{i + 1}" for i in range(d))
-        if len(names) != d or len(set(names)) != d:
-            raise BadMatrixSpecError(f"need {d} unique names, got {names}")
-        _reject_blank(names, BadMatrixSpecError)
-        object.__setattr__(self, "names", names)
+        names = self.names or [f"x{i + 1}" for i in range(d)]
+        object.__setattr__(self, "names", _check_names(names, d, BadMatrixSpecError))
 
     @property
     def d(self) -> int:
@@ -244,9 +239,7 @@ def theoretical_flow(sde: LinearSDE, source: int, target: int) -> float:
     no flow), and zero whenever the stationary covariance vanishes
     (causation implies correlation).
     """
-    d = sde.d
-    if not (0 <= source < d and 0 <= target < d):
-        raise IndexError(f"source {source} / target {target} out of range for d = {d}")
+    _check_index(sde.d, source=source, target=target)
     if source == target:
         raise SameIndexError("source and target must differ; the self rate is A[i, i]")
     a = float(sde.A[target, source])
@@ -304,8 +297,7 @@ def theoretical_budget(sde: LinearSDE, target: int) -> TheoreticalBudget:
     2 S[i,i] is exactly flows + self + noise. ``residual`` reports the sum.
     """
     d = sde.d
-    if not 0 <= target < d:
-        raise IndexError(f"target {target} out of range for d = {d}")
+    _check_index(d, target=target)
     rates, noise, residual = _exact_rates(sde, stationary_covariance(sde).Sigma)
     return TheoreticalBudget(
         target=int(target),

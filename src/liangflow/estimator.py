@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import PanelPairs, TimeSeriesSet, check_k, forward_difference
+from .core import PanelPairs, TimeSeriesSet, _check_index, _readonly, check_k, forward_difference
 from .errors import (
     DegenerateBudgetError,
     NaNsPresentError,
@@ -82,9 +82,7 @@ class LinearModelFit:
 
     def __post_init__(self):
         for name in ("coeffs", "coeff_cov", "cov_row"):
-            a = np.asarray(getattr(self, name), dtype=float).copy()
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -276,8 +274,7 @@ def fit_linear_model(tss: TimeSeriesSet, target: int, k: int = 1) -> LinearModel
     regressors are the first ``N - k`` samples of every component plus a
     constant. Raises SingularCovarianceError for collinear inputs.
     """
-    if not 0 <= target < tss.d:
-        raise IndexError(f"target {target} out of range for d = {tss.d}")
+    _check_index(tss.d, target=target)
     return _design_for(tss, k).fit(target)
 
 
@@ -359,9 +356,7 @@ def flow_multivariate(
     ``a_hat`` from ``fit_linear_model(tss, target, k)``. Standard error,
     p-value, and confidence intervals are attached.
     """
-    d = tss.d
-    if not (0 <= source < d and 0 <= target < d):
-        raise IndexError(f"source {source} / target {target} out of range for d = {d}")
+    _check_index(tss.d, source=source, target=target)
     if source == target:
         raise SameIndexError("source and target must differ; use self_contribution")
     return _entry(_design_for(tss, k), target, source)
@@ -373,8 +368,7 @@ def self_contribution(tss: TimeSeriesSet, target: int, k: int = 1) -> FlowEstima
     Equals the target's own fitted coefficient; the standard error is that
     coefficient's standard error.
     """
-    if not 0 <= target < tss.d:
-        raise IndexError(f"target {target} out of range for d = {tss.d}")
+    _check_index(tss.d, target=target)
     return _entry(_design_for(tss, k), target, target)
 
 
@@ -458,9 +452,7 @@ def flow_panel(pairs: PanelPairs, source: int, target: int) -> FlowEstimate:
     the arithmetic is otherwise identical to :func:`flow_multivariate`.
     Replicate order is immaterial.
     """
-    d = pairs.d
-    if not (0 <= source < d and 0 <= target < d):
-        raise IndexError(f"source {source} / target {target} out of range for d = {d}")
+    _check_index(pairs.d, source=source, target=target)
     if source == target:
         raise SameIndexError("source and target must differ for a pairwise flow")
     return _entry(_Design(pairs.x0, pairs.x1, pairs.names, pairs.dt_gap, 1), target, source)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import estimator as _est
 from . import floattext
-from .core import TimeSeriesSet, _reject_blank
+from .core import TimeSeriesSet, _check_names, _readonly
 from .errors import (
     DegenerateBudgetError,
     MalformedError,
@@ -62,9 +62,7 @@ class FlowMatrix:
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(str(n) for n in self.names))
         for name in _ARRAYS:
-            a = np.asarray(getattr(self, name), dtype=float).copy()
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     @property
     def d(self) -> int:
@@ -368,9 +366,10 @@ def flow_matrix_from_json(text: str) -> FlowMatrix:
     names = raw["names"]
     if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
         raise MalformedError("flow-matrix JSON field 'names' is not a list of strings")
-    if len(set(names)) != len(names):
-        raise MalformedError("flow-matrix JSON field 'names' holds a name twice")
-    _reject_blank(names, MalformedError)
+    try:
+        _check_names(names, len(names))
+    except ValidationError as e:
+        raise MalformedError(f"flow-matrix JSON field 'names': {e}") from None
     raw.setdefault("mode", "multivariate")  # as all_pairs' default
     fields = {}
     for key, (rule, ok) in _SCALARS.items():

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import errno
 import io
 import json
 import multiprocessing
@@ -1269,6 +1270,85 @@ def test_an_output_that_cannot_be_opened_exits_2(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith(f"liangflow: error: cannot write {path}: ")
     assert "Traceback" not in err and not os.path.exists(path)
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+def _cannot_write(err: str, name: str) -> bool:
+    """Whether ``err`` is the one line of a failed write to ``name``, no traceback."""
+    return err.startswith(f"liangflow: error: cannot write {name}: ") and err.count("\n") == 1
+
+
+@needs_dev_full
+@pytest.mark.parametrize("cpus, command", [
+    (1, SIMULATE_CHAIN5 + ["20000"]),
+    (2, SIMULATE_CHAIN5 + ["20000"]),
+    (1, ["oracle", "--preset", "chain5"]),
+    (1, ["analyze", "--input"]),
+], ids=["simulate-1cpu", "simulate-2cpus", "oracle", "analyze"])
+def test_an_output_that_cannot_be_written_exits_2(tmp_path, monkeypatch, capsys, cpus, command):
+    # /dev/full opens, and every write to it fails: in out.write, the flush before the
+    # pool forks, or the close
+    if command[0] == "analyze":
+        command = command + [str(tmp_path / "sim.csv")]
+        assert main(SIMULATE_CHAIN5 + ["500", "--output", command[-1]]) == 0
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    assert main(command + ["--output", "/dev/full"]) == 2
+    assert _cannot_write(capsys.readouterr().err, "/dev/full")
+    assert multiprocessing.active_children() == []
+
+
+@needs_dev_full
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_stdout_that_cannot_be_written_exits_2(cpus):
+    code = ("import sys\n"
+            "import liangflow.cli as cli\n"
+            f"cli._usable_cpus = lambda: {cpus}\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-c", code] + SIMULATE_CHAIN5 + ["20000"],
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert _cannot_write(proc.stderr, "stdout"), proc.stderr
+
+
+@needs_fork_pool
+def test_a_pool_worker_that_cannot_write_exits_2(tmp_path, monkeypatch, capsys, two_cpus):
+    path = str(tmp_path / "sim.csv")
+    write = os.write
+
+    def full_disk(fd, data):  # the workers' writes to the output find the disk full
+        if os.path.exists(path) and os.path.samestat(os.fstat(fd), os.stat(path)):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return write(fd, data)
+
+    monkeypatch.setattr(os, "write", full_disk)
+    assert main(SIMULATE_CHAIN5 + ["20000", "--output", path]) == 2
+    assert _cannot_write(capsys.readouterr().err, path)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork_pool
+@pytest.mark.parametrize("forks", [0, 1])
+def test_a_pool_that_cannot_fork_is_not_a_write_failure(tmp_path, monkeypatch, capsys, two_cpus,
+                                                        forks):
+    fork, calls = os.fork, []
+
+    def failing_fork():  # after ``forks`` workers have started
+        calls.append(None)
+        if len(calls) > forks:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    assert main(SIMULATE_CHAIN5 + ["20000", "--output", str(tmp_path / "sim.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "BrokenProcessPool: cannot start the pool: " in err and "cannot write" not in err
+    left = multiprocessing.active_children()
+    for child in left:  # a worker left behind would keep this process from exiting
+        child.kill()
+    assert left == []
 
 
 @pytest.mark.parametrize(

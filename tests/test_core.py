@@ -1,24 +1,39 @@
 """Data validation, covariance conventions, and cofactor arithmetic."""
 
+import json
+
 import numpy as np
 import pytest
 
 from liangflow import (
+    BadMatrixSpecError,
     ConstantSeriesError,
     DuplicateNamesError,
     KTooLargeError,
+    LinearSDE,
+    MalformedError,
     NaNsPresentError,
     NonRectangularError,
     PanelPairs,
+    SameIndexError,
     TimeSeriesSet,
     TooShortError,
     ValidationError,
+    all_pairs,
     cofactor,
+    emit_json,
+    fit_linear_model,
+    flow_matrix_from_json,
+    flow_multivariate,
+    flow_panel,
     forward_difference,
     sample_covariance_matrix,
+    self_contribution,
+    theoretical_budget,
+    theoretical_flow,
     validate_series_set,
 )
-from liangflow.core import check_k
+from liangflow.core import _readonly, check_k
 
 
 def _random_set(d, n, seed, dt=1.0):
@@ -318,3 +333,75 @@ def test_panel_pairs_validation():
     bad[0, 0] = np.inf
     with pytest.raises(NaNsPresentError):
         PanelPairs(("a", "b"), x0, bad, 0.5)
+
+
+# ------------------------------------------------ one rule for each kind of input
+
+_RAW = np.random.default_rng(5).standard_normal((2, 30))
+_PAYLOAD = json.loads(emit_json(all_pairs(TimeSeriesSet(("p", "q"), _RAW, 1.0))))
+# each caller of the name rule, with the one class it raises for every fault, if it has one
+_NAME_CALLERS = {
+    "TimeSeriesSet": (lambda names: TimeSeriesSet(names, _RAW, 1.0), None),
+    "PanelPairs": (lambda names: PanelPairs(names, _RAW, _RAW, 0.5), None),
+    "validate_series_set": (lambda names: validate_series_set(_RAW, names, 1.0), None),
+    "LinearSDE": (lambda names: LinearSDE(A=-np.eye(2), B=np.eye(2), names=names),
+                  BadMatrixSpecError),
+    "flow_matrix_from_json": (
+        lambda names: flow_matrix_from_json(json.dumps(dict(_PAYLOAD, names=names))),
+        MalformedError),
+}
+
+
+@pytest.mark.parametrize("caller", list(_NAME_CALLERS))
+@pytest.mark.parametrize("names, error", [
+    (["a"], NonRectangularError),
+    (["a", ""], ValidationError),
+    (["  ", "b"], ValidationError),
+    (["a", "a"], DuplicateNamesError),
+], ids=["count", "empty", "blank", "twice"])
+def test_every_caller_checks_names_by_one_rule(caller, names, error):
+    build, own_error = _NAME_CALLERS[caller]
+    with pytest.raises(ValidationError) as exc:
+        build(names)
+    assert type(exc.value) is (own_error or error)
+    build(["a", "b"])
+
+
+_IN_RANGE = 1  # an index every entry point below accepts, d = 3
+_TSS = TimeSeriesSet(("a", "b", "c"), np.random.default_rng(6).standard_normal((3, 50)), 1.0)
+_PAIRS = PanelPairs(("a", "b", "c"), _TSS.values[:, :-1], _TSS.values[:, 1:], 1.0)
+_SDE = LinearSDE(A=-np.eye(3) + np.diag([0.5, 0.5], -1), B=np.eye(3))
+# (source, target) -> result; the entry points that take a target only ignore the source
+_INDEX_CALLERS = {
+    "sample_covariance_matrix": (lambda s, t: sample_covariance_matrix(_TSS, 1, t), False),
+    "theoretical_budget": (lambda s, t: theoretical_budget(_SDE, t), False),
+    "fit_linear_model": (lambda s, t: fit_linear_model(_TSS, t), False),
+    "self_contribution": (lambda s, t: self_contribution(_TSS, t), False),
+    "theoretical_flow": (lambda s, t: theoretical_flow(_SDE, s, t), True),
+    "flow_multivariate": (lambda s, t: flow_multivariate(_TSS, s, t), True),
+    "flow_panel": (lambda s, t: flow_panel(_PAIRS, s, t), True),
+}
+
+
+@pytest.mark.parametrize("caller", list(_INDEX_CALLERS))
+def test_every_entry_point_checks_indices_by_one_rule(caller):
+    call, pairwise = _INDEX_CALLERS[caller]
+    for bad in (-1, 3):
+        with pytest.raises(IndexError, match=f"^target {bad} out of range for d = 3$"):
+            call(0 if pairwise else _IN_RANGE, bad)
+        if pairwise:
+            with pytest.raises(IndexError, match=f"^source {bad} out of range for d = 3$"):
+                call(bad, 0)
+    if pairwise:
+        with pytest.raises(SameIndexError):
+            call(_IN_RANGE, _IN_RANGE)
+    call(0, _IN_RANGE)
+
+
+def test_readonly_keeps_the_shape_and_copies_only_what_the_caller_still_holds():
+    held = np.arange(3.0)
+    for a in (held, [0.0, 1.0, 2.0], np.arange(3), np.float64(2.0), np.array(2.0)):
+        out = _readonly(a)
+        assert out.shape == np.shape(a) and out.flags.c_contiguous and not out.flags.writeable
+    assert _readonly(held) is not held and held.flags.writeable
+    assert _readonly(held, owned=True) is held and not held.flags.writeable
