@@ -9,8 +9,9 @@ oracle for the estimators.
 
 The simulator is an Euler–Maruyama scheme, reorganized into a blocked
 scan (precomputed powers of the one-step matrix plus per-block partial
-sums) so that million-step trajectories cost milliseconds while realizing
-the same recursion as the naive step-by-step loop.
+sums, lifted by BLAS products) that realizes the same recursion as the
+naive step-by-step loop: on a 2-core VM a 10⁶-step two-variable
+trajectory takes about 0.13 s and d = 30, N = 10⁵ about 0.12 s.
 """
 
 from __future__ import annotations
@@ -117,6 +118,11 @@ def default_burn_in(sde: LinearSDE, dt: float) -> int:
 _TRANSPOSE_PIECE = 4096  # samples per piece of the output's transposed copy
 
 
+def _lift_piece(block, d):
+    """Blocks per piece of ``simulate``'s lift, so that each product is about 4 MB."""
+    return max(1, (4 << 20) // (8 * block * d))
+
+
 def simulate(
     sde: LinearSDE,
     x0,
@@ -128,7 +134,8 @@ def simulate(
     """Euler–Maruyama trajectory: x[n+1] = x[n] + (f + A x[n]) dt + B sqrt(dt) xi[n].
 
     Noise comes from ``numpy.random.default_rng(seed)``, so identical
-    (sde, x0, n_steps, dt, seed, burn_in) produce bit-identical output.
+    (sde, x0, n_steps, dt, seed, burn_in) produce bit-identical output on
+    the same BLAS build and thread count.
     ``burn_in`` steps are simulated and discarded before the ``n_steps``
     recorded samples; the default (None) applies :func:`default_burn_in`.
     With ``burn_in=0`` the first recorded sample is exactly ``x0``.
@@ -166,9 +173,9 @@ def simulate(
         # blocks of length L; within a block, x[t0 + l] = M^l x[t0] + s[l]
         # with s[l+1] = M s[l] + w[t0 + l]. The s recursions for all blocks
         # advance in lockstep (vectorized over the block index), block
-        # start states chain sequentially, and samples are recovered with
-        # one batched multiply. Algebraically identical to the naive loop
-        # (floating-point reassociation only).
+        # start states chain sequentially, and samples are recovered by BLAS
+        # products over pieces of blocks. Algebraically identical to the
+        # naive loop (floating-point reassociation only).
         block = max(1, math.isqrt(steps))
         n_blocks = steps // block + 1  # always covers state index `steps`
 
@@ -182,7 +189,7 @@ def simulate(
         states = np.zeros((n_blocks, block, d))
         flat = states.reshape(-1, d)
         flat[:steps] = w.T
-        del w  # free the noise before the lockstep, the batched multiply and the output
+        del w  # free the noise before the lockstep, the lift and the output
         s = np.zeros((n_blocks, d))
         for l in range(block):
             nxt = s @ step_mat.T
@@ -195,7 +202,13 @@ def simulate(
         for b in range(n_blocks - 1):
             starts[b + 1] = powers[block] @ starts[b] + s[b]
 
-        states += np.einsum("lij,bj->bli", powers[:block], starts)
+        # the lift, adding M^l x[t0]: starts @ lifts, whose columns are indexed
+        # (l, i), a piece of blocks at a time so each product stays a few MB
+        lifts = powers[:block].reshape(block * d, d).T
+        grid = states.reshape(n_blocks, block * d)
+        piece = _lift_piece(block, d)
+        for lo in range(0, n_blocks, piece):
+            grid[lo:lo + piece] += starts[lo:lo + piece] @ lifts
         states[0, 0] = x0  # not 0 + x0, which turns a -0.0 into 0.0
 
     rows = flat[burn_in:total]

@@ -1,6 +1,9 @@
 """Simulator, stationary covariance, and exact-rate oracles."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -20,8 +23,15 @@ from liangflow import (
     theoretical_flow,
 )
 from liangflow.cli import main
+from liangflow.dynamics import _lift_piece
 
 OU2_SIGMA = np.array([[0.5625, 0.125], [0.125, 0.5]])
+
+
+def _random_sde(d, n_noise, seed):
+    rng = np.random.default_rng(seed)
+    a = -1.5 * np.eye(d) + 0.3 * rng.standard_normal((d, d))
+    return LinearSDE(A=a, B=rng.standard_normal((d, n_noise)), f=rng.standard_normal(d))
 
 
 def _random_hurwitz(rng, d, margin=(0.2, 2.0)):
@@ -82,21 +92,36 @@ def test_deterministic_decay_matches_power_law():
     assert tss.values[0, 0] == 1.0
 
 
+def _naive_recursion(sde, x0, n, dt, seed):
+    """The plain step-by-step loop x[t + 1] = M x[t] + w[t] on simulate's noise stream."""
+    rng = np.random.default_rng(seed)
+    w = (sde.B @ rng.standard_normal((sde.B.shape[1], n - 1))) * math.sqrt(dt)
+    w += (sde.f * dt)[:, None]
+    m = np.eye(sde.d) + dt * sde.A
+    x = np.empty((sde.d, n))
+    x[:, 0] = x0
+    for t in range(n - 1):
+        x[:, t + 1] = m @ x[:, t] + w[:, t]
+    return x
+
+
 def test_simulate_matches_naive_recursion(ou2):
     """The blocked scan realizes the plain step-by-step recursion."""
     sde, dt = ou2
     n = 300
     tss = simulate(sde, [0.3, -0.2], n, dt, seed=5, burn_in=0)
-
-    rng = np.random.default_rng(5)
-    w = (sde.B @ rng.standard_normal((2, n - 1))) * math.sqrt(dt)
-    w += (sde.f * dt)[:, None]
-    m = np.eye(2) + dt * sde.A
-    x = np.empty((2, n))
-    x[:, 0] = [0.3, -0.2]
-    for t in range(n - 1):
-        x[:, t + 1] = m @ x[:, t] + w[:, t]
+    x = _naive_recursion(sde, [0.3, -0.2], n, dt, seed=5)
     np.testing.assert_allclose(tss.values, x, rtol=0, atol=1e-12)
+
+
+def test_simulate_matches_naive_recursion_at_d30():
+    """Many blocks and lifts: d = 30, 32 noise columns, offset and start away from 0."""
+    d, n, dt = 30, 20_000, 0.01
+    sde = _random_sde(d, d + 2, seed=12)
+    x0 = np.linspace(-2.0, 3.0, d)
+    got = simulate(sde, x0, n, dt, seed=13, burn_in=0).values
+    want = _naive_recursion(sde, x0, n, dt, seed=13)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_simulate_seed_contract(ou2):
@@ -153,7 +178,11 @@ def test_simulate_argument_checks(ou2):
 
 
 def _reference_scan(sde, x0, n_steps, dt, seed, burn_in):
-    """The blocked scan as first written: padded noise copy, (block + 1) partial sums."""
+    """The blocked scan as first written: padded noise copy, (block + 1) partial sums.
+
+    Its last product, the lift of the start states, is simulate's piecewise
+    GEMM with simulate's piece size: one unpieced product can round differently.
+    """
     d = sde.d
     total = burn_in + n_steps
     steps = total - 1
@@ -180,14 +209,12 @@ def _reference_scan(sde, x0, n_steps, dt, seed, burn_in):
     starts[0] = x0
     for b in range(n_blocks - 1):
         starts[b + 1] = powers[block] @ starts[b] + partial[b, block]
-    states = np.einsum("lij,bj->bli", powers[:block], starts) + partial[:, :block]
+    lifts = powers[:block].reshape(block * d, d).T
+    states = partial[:, :block].reshape(n_blocks, block * d)
+    piece = _lift_piece(block, d)
+    for lo in range(0, n_blocks, piece):
+        states[lo:lo + piece] += starts[lo:lo + piece] @ lifts
     return states.reshape(n_blocks * block, d)[:total][burn_in:].T
-
-
-def _random_sde(d, n_noise, seed):
-    rng = np.random.default_rng(seed)
-    a = -1.5 * np.eye(d) + 0.3 * rng.standard_normal((d, d))
-    return LinearSDE(A=a, B=rng.standard_normal((d, n_noise)), f=rng.standard_normal(d))
 
 
 @pytest.mark.parametrize("d", [1, 2, 7, 30])
@@ -206,6 +233,33 @@ def test_simulate_bits_equal_the_reference_scan(d):
                 assert got.tobytes() == want.tobytes(), (n_noise, n, burn_in)
 
 
+def test_simulate_across_blas_thread_counts(tmp_path):
+    # the bits may change with the BLAS thread count (README, Determinism), the
+    # values agree to 1e-12 of the largest; d = 30 is large enough for OpenBLAS
+    # to split simulate's products over two threads
+    sde = _random_sde(30, 32, seed=14)
+    system = tmp_path / "system.npz"
+    np.savez(system, A=sde.A, B=sde.B, f=sde.f, x0=np.linspace(-2.0, 3.0, 30))
+    script = (
+        "import sys, numpy as np\n"
+        "from liangflow import LinearSDE, simulate\n"
+        "s = np.load(sys.argv[1])\n"
+        "sde = LinearSDE(A=s['A'], B=s['B'], f=s['f'])\n"
+        "np.save(sys.argv[2], simulate(sde, s['x0'], 20_000, 0.01, seed=15).values)\n"
+    )
+    runs = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"x{threads}.npy"
+        proc = subprocess.run([sys.executable, "-c", script, str(system), str(path)],
+                              env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(np.load(path))
+    one, two = runs
+    assert one.shape == two.shape == (30, 20_000)
+    assert np.abs(two - one).max() <= 1e-12 * np.abs(one).max()
+
+
 def test_simulate_peak_memory_is_bounded():
     d, n = 30, 100_000
     rng = np.random.default_rng(3)
@@ -218,7 +272,7 @@ def test_simulate_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     arrays = peak / (d * n * 8)
-    assert arrays <= 3.5, f"simulate peaked at {arrays:.2f} d x N float64 arrays"
+    assert arrays <= 2.5, f"simulate peaked at {arrays:.2f} d x N float64 arrays"
 
 
 def test_default_burn_in_values(ou2):
