@@ -10,6 +10,7 @@ configuration, 3 numerical degeneracy, 1 unexpected failure.
 from __future__ import annotations
 
 import argparse
+import codecs
 import collections
 import contextlib
 import csv
@@ -18,6 +19,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 import traceback
 from importlib import resources
@@ -54,10 +56,9 @@ class _Fmt(argparse.ArgumentDefaultsHelpFormatter, argparse.RawDescriptionHelpFo
     pass
 
 
-_READ_BLOCK = 4096  # data lines per bulk read: a fault costs one block, not the file
-# Characters per text read, then the rest of its line. A block goes to the pool as its
-# reads, not joined: one 2.5 MB string took about 1,200 fresh pages a block to pickle.
-_READ_PART = 1 << 16
+_RANGE = 1 << 21  # bytes of input per task, then the rest of the line: ranges are cut once
+_PIECE = 1 << 16  # bytes per orjson call, likewise
+_LINE_END = re.compile(rb"\r\n?|\n")
 
 
 def parse_csv(path: str):
@@ -67,30 +68,28 @@ def parse_csv(path: str):
     Returns (names, values) with values shaped d x N (column-per-variable
     input transposed to row-per-variable), in C order.
 
-    The data rows are read in parts that end at line ends, gathered into
-    blocks of whole records (``_blocks``) and parsed on every usable CPU
-    (``_in_order``), from a file or a pipe alike. The result is the row
-    loop's over the whole input, bit for bit, and so is the error: the
-    first bad record, unless undecodable text comes anywhere in the input,
-    which is read to its end after a bad record.
+    The input is read as bytes, at offsets: a pipe is first copied to an
+    unnamed temporary file. The data rows are cut into ranges of about
+    ``_RANGE`` bytes that end at line ends (``_cuts``), and each range is
+    read and parsed where it runs, on every usable CPU (``_in_order``,
+    ``_parse_range``). A range that turns out to start inside a quoted
+    record of the range before it is parsed again here, from that
+    record's end. The result is the row loop's over the whole input, bit
+    for bit, and so is the error: the first bad record, unless undecodable
+    text comes anywhere in the input, which is then read to its end.
     """
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
+        with _opened(path) as fh:
+            fd = fh.fileno()
             try:
-                reader = csv.reader(fh)
-                header = next(filter(None, _records(path, reader, 0)), None)
-                if header is None:
-                    raise EmptyFileError(f"{path}: no content")
-                names = [cell.strip() for cell in header]
-                tasks = _blocks(fh, reader.line_num)
-                blocks = list(_in_order(_parse_block, tasks, path, names))
+                names, at = _header(path, fd)
             except MalformedError:  # undecodable text after the bad record outranks it
-                while fh.read(1 << 20):  # in chunks, so the rest is never held at once
-                    pass
+                _decode_from(fd, 0)
                 raise
+            blocks = _parse_ranges(path, fd, names, at, os.fstat(fd).st_size)
     except OSError as e:
         raise ValidationError(f"cannot read {path}: {e}") from None
-    except UnicodeDecodeError as e:  # no position: it counts from the text reader's chunk
+    except UnicodeDecodeError as e:  # no position: it names the same bytes however cut
         raise MalformedError(f"{path} is not UTF-8 text: "
                              f"can't decode {e.object[e.start:e.end]!r}: {e.reason}") from None
     if not any(block.shape[1] for block in blocks):
@@ -98,74 +97,155 @@ def parse_csv(path: str):
     return names, np.concatenate(blocks, axis=1)
 
 
-def _blocks(fh, line: int):
-    """The text of ``fh`` after physical line ``line`` as (parts, line) blocks of
-    whole records, each block's text the strings ``parts`` joined.
+def _opened(path: str):
+    """``path`` opened to read bytes at any offset: a pipe is copied to an unnamed
+    temporary file first, which the disk holds, not memory."""
+    fh = open(path, "rb")
+    if fh.seekable():
+        return fh
+    import shutil  # here, not at the top: they would add to every CLI start
+    import tempfile
 
-    Each part is a read of ``_READ_PART`` characters and the rest of the line
-    it ends in, so a CR and its LF stay in one part. A block takes parts
-    until it holds ``_READ_BLOCK`` lines, which bounds its arrays' memory;
-    one that holds a quote runs on to the end of its last record, as
-    ``_parse_rows`` would read it.
-    """
-    while True:
-        parts, n_lines = [], 0
-        while n_lines < _READ_BLOCK and (part := fh.read(_READ_PART) + fh.readline()):
-            parts.append(part)
-            n_lines += _line_count(part)
-        if not parts:
+    with fh:
+        spool = tempfile.TemporaryFile()
+        shutil.copyfileobj(fh, spool)
+    spool.flush()  # to the descriptor, where it is read
+    return spool
+
+
+def _header(path: str, fd: int):
+    """The names in the first record of ``fd`` that is not empty, and the offset
+    just after it. A byte order mark, as Excel writes one, is not in them."""
+    at = [0]
+    lines = _lines(fd, at)
+    first = next(lines, "").removeprefix("\ufeff")
+    reader = csv.reader(itertools.chain(filter(None, [first]), lines))
+    header = next(filter(None, _records(path, reader, 0)), None)
+    if header is None:
+        raise EmptyFileError(f"{path}: no content")
+    return [cell.strip() for cell in header], at[0]
+
+
+def _parse_ranges(path: str, fd: int, names, at: int, size: int) -> list:
+    """The records of ``fd`` from byte ``at``, a line end, to ``size``, as d x N
+    blocks in order, parsed a range at a time; the first bad record raises."""
+    cuts = list(_cuts(fd, at, size))
+    blocks, error = [], None
+    # closed before the input is read on: the workers' results in flight are dropped
+    with contextlib.closing(_in_order(_parse_range, cuts, fd, path, names)) as results:
+        for (lo, hi), result in zip(cuts, results):
+            if lo < at:  # it began inside the record before it: parse what is left
+                if hi <= at:
+                    continue
+                result = _parse_range(fd, path, names, at, hi)
+            values, end, error = result
+            if error is not None:
+                break
+            blocks.append(values)
+            at = end
+    if error is not None:
+        _decode_from(fd, at)  # undecodable text after the bad record outranks it
+        raise error
+    return blocks
+
+
+def _decode_from(fd: int, at: int):
+    """Decode ``fd`` from byte ``at``, a line end, to its end, in chunks, so that
+    it is never held at once; ``UnicodeDecodeError`` names its first undecodable
+    text."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    while chunk := os.pread(fd, 1 << 20, at):
+        decoder.decode(chunk)
+        at += len(chunk)
+    decoder.decode(b"", final=True)
+
+
+def _cuts(fd: int, lo: int, size: int):
+    """(lo, hi) byte ranges from ``lo`` to ``size``: each of ``_RANGE`` bytes or
+    more, up to the line end after them (``_cut``)."""
+    while lo < size:
+        hi = min(_cut(fd, lo + _RANGE), size)
+        yield lo, hi
+        lo = hi
+
+
+def _cut(fd: int, at: int) -> int:
+    """The offset just after the first line end of ``fd`` that ends at or after
+    ``at`` > 0: after an LF, a CRLF or a lone CR, never between a CR and its
+    LF; the end of ``fd`` if no line end follows."""
+    data, end = b"", False
+    while not end:
+        size = max(len(data), 1 << 12)
+        more = os.pread(fd, size, at - 1 + len(data))
+        data, end = data + more, len(more) < size
+        found = _LINE_END.search(data)
+        # a CR that ends the bytes read may have its LF after them
+        if found and (end or found.end() < len(data) or data.endswith(b"\n")):
+            return at - 1 + found.end()
+    return at - 1 + max(len(data), 1)  # not before ``at``, even past the end
+
+
+def _pieces(fd: int, lo: int, hi: float = math.inf):
+    """The bytes of ``fd`` from ``lo`` to ``hi`` (line ends, or its end) in pieces of
+    ``_PIECE`` bytes or more that end at line ends."""
+    while lo < hi:
+        end = min(_cut(fd, lo + _PIECE), hi) if lo + _PIECE < hi else hi
+        piece = os.pread(fd, end - lo, lo)
+        if not piece:
             return
-        if any('"' in part for part in parts):
-            more = []
-            lines = io.StringIO("".join(parts), newline="")
-            reader = csv.reader(itertools.chain(lines, _kept(fh, more)))
-            try:
-                for _ in reader:
-                    if reader.line_num >= n_lines:
-                        break
-            except csv.Error:
-                pass  # the block's own parse raises it, unless a record before it fails first
-            parts += more
-            n_lines += len(more)
-        yield parts, line
-        line += n_lines
+        yield piece
+        lo += len(piece)
 
 
-def _line_count(text: str) -> int:
-    """The physical lines of ``text``, not empty and not ending between a CR and
-    its LF, as a text reader with ``newline=""`` splits them: at LF, CRLF
-    and a lone CR, and a last line without its end."""
-    n = text.count("\n") + (not text.endswith(("\n", "\r")))
-    if "\r" in text:
-        n += text.count("\r") - text.count("\r\n")
-    return n
+def _lines(fd: int, at: list):
+    """The lines of ``fd`` from byte ``at[0]``, a line end, on, decoded, split as a
+    text reader with ``newline=""`` splits them; ``at[0]`` moves past each line
+    given."""
+    for piece in _pieces(fd, at[0]):
+        for line in piece.splitlines(keepends=True):  # bytes split at LF, CRLF and CR only
+            at[0] += len(line)
+            yield line.decode()
 
 
-def _kept(lines, kept: list):
-    """The items of ``lines``, each appended to ``kept`` as it is taken."""
-    for text in lines:
-        kept.append(text)
-        yield text
+def _parse_range(fd: int, path: str, names, lo: int, hi: int):
+    """The records of ``fd`` from byte ``lo``, a line end, through the one that
+    holds byte ``hi - 1``, as (values, end, error): a d x N C-ordered array;
+    the offset where the last record ends, past ``hi`` if a quote holds it
+    open; and, in place of both, the ``MalformedError`` of the first bad
+    record or the ``UnicodeDecodeError`` of undecodable text, returned, so
+    that a range found to begin inside a record raises nothing.
 
-
-def _parse_block(path: str, names, parts, line: int):
-    """The joined ``parts``, text of whole records, as a d x N C-ordered array:
-    by orjson (``floattext.read_rows``, one call a part, which reads empty
-    cells too), else by the row loop on the joined text, which defines
-    every value and every error.
+    By orjson (``floattext.read_rows``, one call a piece), else by the row
+    loop, which defines every value and every error. Lines are counted
+    only for an error's message.
     """
-    values = floattext.read_rows(parts, len(names))
-    if values is None:
-        lines = io.StringIO("".join(parts), newline="")
-        values = _parse_rows(path, names, csv.reader(lines), line)
-    return np.ascontiguousarray(values.T)
+    values = floattext.read_rows(_pieces(fd, lo, hi), len(names))
+    if values is not None:
+        return np.ascontiguousarray(values.T), hi, None
+    end = [lo]
+
+    def rows(line: int):
+        end[0] = lo
+        reader = csv.reader(_lines(fd, end))
+        return _parse_rows(path, names, reader, line, lambda: end[0] >= hi)
+
+    try:
+        try:
+            values = rows(0)
+        except MalformedError:  # again, after the physical lines before the range, for its message
+            rows(sum(piece.count(b"\n") + piece.count(b"\r") - piece.count(b"\r\n")
+                     for piece in _pieces(fd, 0, lo)))
+    except (MalformedError, UnicodeDecodeError) as e:
+        return None, hi, e
+    return np.ascontiguousarray(values.T), end[0], None
 
 
-def _parse_rows(path: str, names, reader, line: int):
+def _parse_rows(path: str, names, reader, line: int, done=None):
     """Row-by-row reader of ``parse_csv``'s format, as an N x d array.
 
     ``line`` is the physical line before the reader's first, so errors
-    name physical lines.
+    name physical lines. With ``done``, it stops after the first record
+    after which ``done()`` holds.
     """
     width = len(names)
     rows = []
@@ -187,6 +267,8 @@ def _parse_rows(path: str, names, reader, line: int):
                             f"{path}: line {ln}: non-numeric value {cell!r} in column {name!r}"
                         ) from None
             rows.append(values)
+        if done is not None and done():
+            break
     return np.array(rows, dtype=float).reshape(-1, width)
 
 
@@ -232,8 +314,8 @@ def _format_block(values: np.ndarray, start: int) -> str:
 _FORK_POOL = sys.version_info[:2] == (3, 11) and hasattr(os, "fork")
 
 _shared = ()  # a pool worker's leading arguments, set once as it starts
-_out = None  # and, when its results go to an output, (fd, turn, condition)
-_STOPPED = -1  # the turn once a task has failed: no later task writes
+_out = None  # and (fd, turn, condition): with no output, fd and condition are None
+_STOPPED = -1  # the turn once a task has failed, or the caller has stopped: no later task writes
 
 
 def _share(out, *args):
@@ -242,14 +324,15 @@ def _share(out, *args):
 
 
 def _call(fn, task, index: int):
-    """In a pool worker: ``fn(*_shared, *task)``, returned, or with ``_out`` written
-    through its descriptor once the turn reaches ``index``. A failure of
-    ``fn`` or of the write, here or in an earlier task, stops the turn: every
-    later task returns unwritten, and the caller sees the first error in
-    task order."""
-    if _out is None:
-        return fn(*_shared, *task)
+    """In a pool worker: ``fn(*_shared, *task)``, returned unless the caller has
+    stopped taking results, or with ``_out`` written through its descriptor
+    once the turn reaches ``index``. A failure of ``fn`` or of the write,
+    here or in an earlier task, stops the turn: every later task returns
+    unwritten, and the caller sees the first error in task order."""
     fd, turn, ready = _out
+    if fd is None:
+        result = fn(*_shared, *task)
+        return None if turn.value == _STOPPED else result  # not sent back for nothing
     text = None
     try:
         text = fn(*_shared, *task)
@@ -293,10 +376,12 @@ def _in_order(fn, tasks, *shared, out=None):
     tasks. At most one task more than there are workers waits for its
     result, so tasks read from a stream stay bounded. ``shared`` reaches
     each worker once, through fork, not pickled per task; tasks and
-    results are pickled. With ``out``, the pool runs only if ``out`` has a
-    file descriptor (a file or a pipe): ``out`` is flushed before the fork,
-    and each worker writes its own result through it once every earlier
-    one is written (``_call``), so no result comes back. The first
+    results are pickled, and once the caller stops taking results (the
+    generator is closed), a task still running sends none back. With
+    ``out``, the pool runs only if ``out`` has a file descriptor (a file or
+    a pipe): ``out`` is flushed before the fork, and each worker writes its
+    own result through it once every earlier one is written (``_call``),
+    so no result comes back. The first
     exception in task order is raised; a worker that dies, or a pool that
     cannot start (an ``OSError`` of fork), raises ``BrokenProcessPool``.
     Otherwise, without ``_FORK_POOL``, the calls run here, one by one, and
@@ -305,8 +390,8 @@ def _in_order(fn, tasks, *shared, out=None):
     Fork rather than spawn: a spawned worker imports numpy again
     and receives ``shared`` by pickle, and a pool of two took 0.7-1.2 s to
     start on a 2-core VM, against 0.02 s forked. Fork is safe here because
-    the workers only convert between numbers and text: they call no BLAS,
-    and the one lock they take, the turn condition's (with its
+    the workers only read, write and convert between numbers and text: they
+    call no BLAS, and the one lock they take, the turn condition's (with its
     semaphores), is made for them before the fork and never held by a
     thread of this process.
     """
@@ -325,9 +410,8 @@ def _in_order(fn, tasks, *shared, out=None):
             out.flush()  # what is written so far comes first, and no worker inherits it
         context = multiprocessing.get_context("fork")
         try:  # an OSError until the first task has forked the workers is the pool's, not out's
-            turns = None
-            if out is not None:
-                turns = (fd, context.RawValue("q", 0), context.Condition())
+            turn = context.RawValue("q", 0)
+            turns = (fd, turn, None if out is None else context.Condition())
             pool = ProcessPoolExecutor(workers, mp_context=context,
                                        initializer=_share, initargs=(turns, *shared))
             pending = collections.deque([pool.submit(_call, fn, next(tasks), 0)])
@@ -345,6 +429,7 @@ def _in_order(fn, tasks, *shared, out=None):
             while pending:
                 yield pending.popleft().result()
         finally:
+            turn.value = _STOPPED  # a result still in flight is dropped in its worker
             pool.shutdown(cancel_futures=True)
         return
     for task in tasks:

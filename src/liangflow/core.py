@@ -205,9 +205,11 @@ def validate_series_set(
         raise NonRectangularError(f"expected a 2-D matrix, got ndim={values.ndim}")
     names = _check_names(names, values.shape[0])  # before the NaN policy, whose errors name them
 
-    finite = np.isfinite(values)
-    all_finite = bool(finite.all())
+    # NaN and +-inf reach each row's max or min, so finite data need no other pass
+    extremes = (values.max(axis=1), values.min(axis=1)) if values.size else None
+    all_finite = extremes is None or bool(np.isfinite(extremes).all())
     if not all_finite:
+        finite = np.isfinite(values)
         if nan_policy == "reject":
             bad = int((~finite).sum())
             raise NaNsPresentError(f"{bad} non-finite values present (nan_policy='reject')")
@@ -219,7 +221,9 @@ def validate_series_set(
                         _owned=_owned or not all_finite)
     if tss.n_samples < tss.d + 3:
         raise TooShortError(f"N = {tss.n_samples} samples < d + 3 = {tss.d + 3}")
-    spans = tss.values.max(axis=1) - tss.values.min(axis=1)
+    if not all_finite:  # interpolated: other values
+        extremes = (tss.values.max(axis=1), tss.values.min(axis=1))
+    spans = extremes[0] - extremes[1]
     flat = np.flatnonzero(spans == 0.0)
     if flat.size:
         raise ConstantSeriesError(

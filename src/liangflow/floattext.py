@@ -1,7 +1,7 @@
 """Decimal text <-> float64 arrays: every value as ``repr`` writes it and
 ``float`` reads it.
 
-``read_rows`` reads CSV text and ``join`` writes arrays through orjson,
+``read_rows`` reads CSV bytes and ``join`` writes arrays through orjson,
 which reads the correctly rounded value of a decimal and writes the
 shortest round-trip digits (Ryu). Where its values or its text could
 differ from Python's, ``read_rows`` gives up and ``join`` uses the
@@ -284,37 +284,33 @@ _NUMBER_BYTES = b"0123456789+-.eE, \t\n"
 _INTEGER_MINUS_ZERO = re.compile(rb"-0(?![.0-9eE])")
 
 
-def read_rows(parts, width: int):
-    """The CSV text ``parts``, each of whole lines, as an N x ``width`` float
+def read_rows(pieces, width: int):
+    """The CSV bytes ``pieces``, each of whole lines, as an N x ``width`` float
     array, each cell as ``float`` reads it and an empty cell as NaN, or None.
 
-    orjson reads each part as one JSON array of rows, in memory that the
-    part before freed. Where that gives None, for any reason, it reads the
-    part once more with each empty cell written ``null``, which numpy reads
+    orjson reads each piece as one JSON array of rows, in memory that the
+    piece before freed. Where that gives None, for any reason, it reads the
+    piece once more with each empty cell written ``null``, which numpy reads
     as ``np.nan``'s bits, and without its empty lines, which the row loop
-    skips too. A cell that is neither empty nor a JSON number (``+1``,
-    ``.5``, ``01``, ``nan``, a blank), a ragged line, a line of only
-    spaces or tabs, a lone CR and a number too large for a float give
-    None. So does ``-0``, which orjson reads as the integer 0; it is
-    looked for only where a zero was read.
+    skips too. A byte that is not ASCII, a cell that is neither empty nor
+    a JSON number (``+1``, ``.5``, ``01``, ``nan``, a blank), a ragged line,
+    a line of only spaces or tabs, a lone CR and a number too large for a
+    float give None. So does ``-0``, which orjson reads as the integer 0;
+    it is looked for only where a zero was read.
     """
-    pieces = []
-    for part in parts:
-        values = _read_piece(part, width)
-        if values is None:
+    values = []
+    for piece in pieces:
+        rows = _read_piece(piece, width)
+        if rows is None:
             return None
-        pieces.append(values)
-    return np.concatenate(pieces) if pieces else None
+        values.append(rows)
+    return np.concatenate(values) if values else None
 
 
-def _read_piece(piece: str, width: int):
-    try:
-        text = piece.encode("ascii")
-    except UnicodeEncodeError:
-        return None
+def _read_piece(text: bytes, width: int):
     if b"\r" in text:
         text = text.replace(b"\r\n", b"\n")
-    if text.translate(None, _NUMBER_BYTES):  # a lone CR too: it ends a line, JSON skips it
+    if text.translate(None, _NUMBER_BYTES):  # non-ASCII too; a lone CR ends a line, JSON skips it
         return None
     values = _read_lines(text, width)
     if values is None:  # once more, with empty cells and empty lines as the row loop reads them
@@ -341,7 +337,7 @@ def _read_lines(text: bytes, width: int):
 def _nulled(line: bytes) -> bytes:
     """The CSV line ``line``, without its line end, with ``null`` in each empty cell.
 
-    Per line, not on a part's joined text, where finding a comma beside a
+    Per line, not on a piece's joined text, where finding a comma beside a
     line end costs two more full scans of the text.
     """
     if b",," in line:

@@ -11,6 +11,7 @@ import signal
 import statistics
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -50,7 +51,7 @@ def test_parse_csv_basic(tmp_path):
 
 def test_parse_csv_drops_a_byte_order_mark(tmp_path, monkeypatch, capsys):
     # Excel's "CSV UTF-8" starts the file with U+FEFF, which must not end up in the first name
-    blocks = _small_blocks(monkeypatch, 100, 1000)
+    ranges = _small_ranges(monkeypatch, 2000, 500)
     rows = np.random.default_rng(3).standard_normal((500, 2)).tolist()
     path = tmp_path / "bom.csv"
     text = "x1,x2\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows)
@@ -61,7 +62,7 @@ def test_parse_csv_drops_a_byte_order_mark(tmp_path, monkeypatch, capsys):
         assert names == ["x1", "x2"] and values.T.tolist() == rows
         assert main(["analyze", "--input", str(path), "--dt", "0.1"]) == 0
         assert json.loads(capsys.readouterr().out)["names"] == ["x1", "x2"]
-    assert len(blocks) > 1
+    assert len(ranges) > 1
 
 
 def test_parse_csv_ragged_row_reports_line(tmp_path):
@@ -98,9 +99,9 @@ def row_loop_calls(monkeypatch, serial):
     calls = []
     rows = cli._parse_rows
 
-    def spy(path, names, reader, line):
+    def spy(path, names, reader, line, *done):
         try:
-            return rows(path, names, reader, line)
+            return rows(path, names, reader, line, *done)
         finally:
             calls.append((path, reader.line_num))
 
@@ -248,13 +249,13 @@ def test_parse_csv_gaps_take_the_orjson_reader(tmp_path, row_loop_calls, text):
     assert values.tobytes() == _row_loop_bits(path, names)
 
 
-@pytest.mark.parametrize("part", [2, 1 << 16])  # empty lines at each part's start, or inside
+@pytest.mark.parametrize("part", [2, 1 << 16])  # empty lines at each piece's start, or inside
 @pytest.mark.parametrize("end", ["\n", "\r\n"])
 @pytest.mark.parametrize("rows", [["1.5,-2,3", "4,5,6", "7e-3,8,9"],
                                   ["1.5,,3", ",5,6", "7e-3,8,"]])
 def test_parse_csv_blank_lines_take_the_orjson_reader(tmp_path, monkeypatch, row_loop_calls,
                                                       part, end, rows):
-    monkeypatch.setattr(cli, "_READ_PART", part)
+    monkeypatch.setattr(cli, "_PIECE", part)
     lines = ["a,b,c", "", "", rows[0], "", rows[1], "", "", "", rows[2], "", ""]
     text = end.join(lines) + end
     path = _write(tmp_path, "t.csv", text)
@@ -281,7 +282,7 @@ def test_parse_csv_blank_lines_take_the_orjson_reader(tmp_path, monkeypatch, row
 def test_parse_csv_gaps_orjson_rejects_take_the_row_loop(tmp_path, row_loop_calls, text):
     path = _write(tmp_path, "t.csv", text)
     names, values = parse_csv(path)
-    assert [p for p, _ in row_loop_calls] == [path]  # the one block, once
+    assert [p for p, _ in row_loop_calls] == [path]  # the one range, once
     assert np.isnan(values).any()
     assert values.tobytes() == _row_loop_bits(path, names)
 
@@ -331,8 +332,8 @@ def test_parse_csv_cells_orjson_rejects_give_the_row_loop_error(tmp_path, capsys
 
 
 def test_parse_csv_blocks_keep_physical_lines_and_quoted_records(tmp_path, monkeypatch):
-    blocks = _small_blocks(monkeypatch, 2, 1)
-    # the quoted cell "4\n" is one record over lines 3-4, across a block boundary
+    ranges = _small_ranges(monkeypatch, 1, 1)  # a line a range
+    # the quoted cell "4\n" is one record over lines 3-4, across a cut
     text = 'a,b\n1,2\n3,"4\n"\n5,6\n\n7,\n'
     _, values = parse_csv(_write(tmp_path, "t.csv", text))
     np.testing.assert_array_equal(values, [[1, 3, 5, 7], [2, 4, 6, np.nan]])
@@ -340,48 +341,47 @@ def test_parse_csv_blocks_keep_physical_lines_and_quoted_records(tmp_path, monke
         parse_csv(_write(tmp_path, "u.csv", text + "\n8,x\n"))
     with pytest.raises(MalformedError, match="line 9: expected 2 cells, got 1"):
         parse_csv(_write(tmp_path, "v.csv", text + "\n8\n"))
-    assert len(blocks) > 1
+    assert len(ranges) > 1
 
 
-def _block_lines(monkeypatch):
-    """The physical lines of each part of each block parse_csv cuts, in order: one
-    list a block."""
-    sizes = []
-    blocks = cli._blocks
+def _cut_ranges(monkeypatch):
+    """The (lo, hi) byte ranges of the data that parse_csv cuts, in order."""
+    ranges = []
+    cuts = cli._cuts
 
-    def spy(fh, line):
-        for parts, start in blocks(fh, line):
-            sizes.append([cli._line_count(part) for part in parts])
-            yield parts, start
+    def spy(*args):
+        for lo_hi in cuts(*args):
+            ranges.append(lo_hi)
+            yield lo_hi
 
-    monkeypatch.setattr(cli, "_blocks", spy)
-    return sizes
+    monkeypatch.setattr(cli, "_cuts", spy)
+    return ranges
 
 
-def _small_blocks(monkeypatch, lines: int, part: int):
-    """Blocks of ``lines`` lines in reads of ``part`` characters, so that a small file
-    is cut into several; ``_block_lines``'s list, to check that it was."""
-    monkeypatch.setattr(cli, "_READ_BLOCK", lines)
-    monkeypatch.setattr(cli, "_READ_PART", part)
-    return _block_lines(monkeypatch)
+def _small_ranges(monkeypatch, size: int, piece: int):
+    """Ranges of ``size`` bytes in pieces of ``piece`` bytes, each then to its line end,
+    so that a small file is cut into several; ``_cut_ranges``'s list, to check that it
+    was."""
+    monkeypatch.setattr(cli, "_RANGE", size)
+    monkeypatch.setattr(cli, "_PIECE", piece)
+    return _cut_ranges(monkeypatch)
 
 
 @pytest.mark.parametrize("part", [2, 1 << 16])
 def test_parse_csv_read_ends_between_a_cr_and_its_lf(tmp_path, monkeypatch, part):
-    # one column of 3-character lines after a first line of 3 + pad: a read of 2 characters
-    # from a line's start ends on its CR, and the first read of 2**16 does so at one pad.
-    # The rest of the line, its LF, is read with it.
-    monkeypatch.setattr(cli, "_READ_PART", part)
-    reads = []
+    # one column of 3-byte lines after a first line of 3 + pad: a piece of 2 bytes from a
+    # line's start ends on its CR, and the first range of 2**16 does so at one pad. The cut
+    # moves on past the LF. (Cuts made in pool workers are not recorded here.)
+    monkeypatch.setattr(cli, "_PIECE", part)
+    monkeypatch.setattr(cli, "_RANGE", max(part, 1 << 12))
+    cuts, cut = [], cli._cut
 
-    class Recorded(io.TextIOWrapper):
-        def read(self, size=-1):
-            text = super().read(size)
-            reads.append(text)
-            return text
+    def recorded(fd, at):  # the two bytes around the budget's end, and around the cut
+        end = cut(fd, at)
+        cuts.append((os.pread(fd, 2, at - 1), os.pread(fd, 2, end - 1)))
+        return end
 
-    monkeypatch.setattr(cli, "open", lambda file, newline=None, encoding=None: Recorded(
-        io.BufferedReader(io.FileIO(file)), encoding=encoding, newline=newline), raising=False)
+    monkeypatch.setattr(cli, "_cut", recorded)
     for pad in range(3):
         text = "a\r\n1" + " " * pad + "\r\n" + "5\r\n" * 22_000
         for cpus in (1, 2):
@@ -390,38 +390,44 @@ def test_parse_csv_read_ends_between_a_cr_and_its_lf(tmp_path, monkeypatch, part
             np.testing.assert_array_equal(values, [[1] + [5] * 22_000])
             with pytest.raises(MalformedError, match="line 22003: non-numeric value 'x'"):
                 parse_csv(_write(tmp_path, "u.csv", text + "x\r\n"))
-    assert any(text.endswith("\r") for text in reads)
+    assert any(around == b"\r\n" for around, _ in cuts)
+    assert all(around != b"\r\n" for _, around in cuts)
 
 
 def test_parse_csv_lone_cr_error_names_the_physical_line(tmp_path, monkeypatch):
-    # in blocks of about 5 lines, with a blank line before the bad cell, which is many blocks in
-    blocks = _small_blocks(monkeypatch, 5, 8)
+    # in ranges of about 5 lines, with a blank line before the bad cell, which is many ranges in
+    ranges = _small_ranges(monkeypatch, 20, 8)
     lines = ["a,b"] + ["1,2"] * 30 + [""] + ["3,4"] * 10 + ["5,x"] + ["6,7"] * 10
     path = _write(tmp_path, "t.csv", "\r".join(lines) + "\r")
     for cpus in (1, 2):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         with pytest.raises(MalformedError, match="line 43: non-numeric value 'x' in column 'b'"):
             parse_csv(path)
-    assert len(blocks) > 1
+    assert len(ranges) > 1
 
 
 @pytest.mark.parametrize("d", [2, 200])
 def test_parse_csv_blocks_hold_about_read_block_lines(tmp_path, monkeypatch, d):
-    # every block but the last holds at least _READ_BLOCK lines, and fewer without its last
-    # read: at d = 2 a read holds some 25 lines, at d = 200 one
-    blocks = _small_blocks(monkeypatch, 64, 1000)
+    # the ranges cover the data; each but the last holds at least _RANGE bytes, and fewer
+    # without its last line: at d = 2 a range holds some 70 lines, at d = 200 one
+    ranges = _small_ranges(monkeypatch, 3000, 1000)
     values = np.random.default_rng(d).standard_normal((d, 1000))
     path = tmp_path / "t.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         write_csv([f"x{i}" for i in range(d)], values, fh)
     assert parse_csv(str(path))[1].tobytes() == values.tobytes()
-    assert sum(map(sum, blocks)) == 1000 and len(blocks) > 10
-    assert all(sum(reads) >= 64 > sum(reads[:-1]) for reads in blocks[:-1]), blocks
-    assert max(map(max, blocks)) > 1 if d == 2 else blocks[0] == [1] * 64
+    data = path.read_bytes()
+    assert [lo for lo, _ in ranges] == [data.index(b"\n") + 1] + [hi for _, hi in ranges[:-1]]
+    assert ranges[-1][1] == len(data) and len(ranges) > 10
+    for lo, hi in ranges[:-1]:
+        last = (data.rfind(b"\n", lo, hi - 1) + 1) or lo  # where the range's last line starts
+        assert data[hi - 1:hi] == b"\n" and hi - lo >= 3000 > last - lo
+    lines = [data.count(b"\n", lo, hi) for lo, hi in ranges]
+    assert sum(lines) == 1000 and (min(lines[:-1]) > 1 if d == 2 else set(lines) == {1})
 
 
 def test_parse_csv_returns_c_order_and_analyze_the_library_bytes(tmp_path, monkeypatch, capsys):
-    blocks = _small_blocks(monkeypatch, 100, 1000)
+    ranges = _small_ranges(monkeypatch, 1 << 13, 1 << 10)
     names = [f"x{i}" for i in range(5)]
     values = np.random.default_rng(6).standard_normal((5, 1000))
     path = tmp_path / "t.csv"
@@ -434,7 +440,7 @@ def test_parse_csv_returns_c_order_and_analyze_the_library_bytes(tmp_path, monke
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         assert main(["analyze", "--input", str(path)]) == 0
         assert capsys.readouterr().out == want
-    assert len(blocks) > 1
+    assert len(ranges) > 1
 
 
 def test_parse_csv_missing_file(tmp_path):
@@ -670,7 +676,7 @@ def test_in_order_dead_worker_raises_broken_pool():
 
 def test_csv_pool_leaves_no_children(tmp_path, monkeypatch, two_cpus):
     monkeypatch.setattr(cli, "_WRITE_BLOCK", 5)
-    blocks = _small_blocks(monkeypatch, 5, 1)
+    ranges = _small_ranges(monkeypatch, 300, 1)
     values = np.random.default_rng(3).standard_normal((3, 40))
     path = tmp_path / "t.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -678,35 +684,20 @@ def test_csv_pool_leaves_no_children(tmp_path, monkeypatch, two_cpus):
     assert multiprocessing.active_children() == []
     assert parse_csv(str(path))[1].tobytes() == values.tobytes()
     assert multiprocessing.active_children() == []
-    with open(path, "a", encoding="utf-8") as fh:  # the last block, one line, goes to a worker
+    with open(path, "a", encoding="utf-8") as fh:  # in the last range, which goes to a worker
         fh.write("1,2,x\n")
     with pytest.raises(MalformedError, match="line 42: non-numeric value 'x' in column 'c'"):
         parse_csv(str(path))
     assert multiprocessing.active_children() == []
-    assert len(blocks) > 1 and blocks[-1] == [1]
+    assert len(ranges) > 2 and ranges[-1][1] == os.path.getsize(path)
 
 
 def test_parse_csv_reads_a_malformed_file_to_its_end_once(tmp_path, monkeypatch, two_cpus):
-    # the pooled pass stops a few blocks in, then reads on to the end of the file
-    path = _write(tmp_path, "t.csv", "a,b\n1,x\n" + "1,2\n" * 100_000)
-    read = []
-
-    class Counted(io.FileIO):
-        def readinto(self, buffer):
-            n = super().readinto(buffer)
-            read.append(n)
-            return n
-
-        def readall(self):
-            data = super().readall()
-            read.append(len(data))
-            return data
-
-    def counted_open(file, newline=None, encoding=None):
-        return io.TextIOWrapper(io.BufferedReader(Counted(file)), encoding=encoding,
-                                newline=newline)
-
-    monkeypatch.setattr(cli, "open", counted_open, raising=False)
+    # the pooled pass stops in its first range, then this process reads on to the end of
+    # the file (reads in pool workers are not counted here)
+    path = _write(tmp_path, "t.csv", "a,b\n1,x\n" + "1,2\n" * 1_000_000)
+    read, pread = [], os.pread
+    monkeypatch.setattr(os, "pread", lambda fd, n, at: read.append(n) or pread(fd, n, at))
     with pytest.raises(MalformedError, match="line 2: non-numeric value 'x' in column 'b'"):
         parse_csv(path)
     size = os.path.getsize(path)
@@ -730,18 +721,19 @@ def test_csv_io_without_sched_getaffinity(tmp_path, monkeypatch):
     # os.sched_getaffinity exists on Linux only; elsewhere the CPU count stands in for it
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(cli, "_WRITE_BLOCK", 5)
-    blocks = _small_blocks(monkeypatch, 5, 1)
+    ranges = _small_ranges(monkeypatch, 64, 1)
     assert cli._usable_cpus() == (os.cpu_count() or 1)
     values = np.random.default_rng(4).standard_normal((2, 23))
     path = tmp_path / "t.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         write_csv(("a", "b"), values, fh)
     assert parse_csv(str(path))[1].tobytes() == values.tobytes()
-    assert multiprocessing.active_children() == [] and len(blocks) > 1
+    assert multiprocessing.active_children() == [] and len(ranges) > 1
 
 
-# in blocks of 3 lines: clean; quoted, its last record open into the next block; gappy;
-# quoted, with a blank line; clean; clean. All of them are parsed in the pool.
+# in ranges of 12 bytes, about 3 lines: clean; quoted, its last record open into the next
+# range, which this process parses again from that record's end; gappy; quoted, with a blank
+# line; clean; clean. All of them are parsed in the pool first.
 MIXED_LINES = ("1,2", "3,4", "5,6", '7,"8"', "9,10", '11,"12', '"', "13,", ",14", "15,16",
                "", "17,18", '19,"20"', "21,22", "23,24", "25,26", "27,28", "29,30")
 
@@ -765,14 +757,14 @@ def _outcome(path):
     ],
 )
 def test_parse_csv_pool_gives_the_serial_result(tmp_path, monkeypatch, bad, message):
-    blocks = _small_blocks(monkeypatch, 3, 1)
+    ranges = _small_ranges(monkeypatch, 12, 1)
     lines = [bad.get(i, text) for i, text in enumerate(MIXED_LINES)]
     path = _write(tmp_path, "t.csv", "a,b\n" + "\n".join(lines) + "\n")
     outcomes = []
     for cpus in (1, 2):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         outcomes.append(_outcome(path))
-    assert outcomes[0] == outcomes[1] and len(blocks) > 1
+    assert outcomes[0] == outcomes[1] and len(ranges) > 1
     if message is None:
         want = [[1, 3, 5, 7, 9, 11, 13, np.nan, 15, 17, 19, 21, 23, 25, 27, 29],
                 [2, 4, 6, 8, 10, 12, np.nan, 14, 16, 18, 20, 22, 24, 26, 28, 30]]
@@ -782,8 +774,8 @@ def test_parse_csv_pool_gives_the_serial_result(tmp_path, monkeypatch, bad, mess
 
 
 UNDECODABLE = (
-    # a bad cell in the first block, which ends in the text reader's second 8192-byte read and
-    # cuts a 3-byte character there, and a bad byte after the blocks read ahead
+    # a bad cell in the first range, lines of 3-byte characters, and a bad byte after the
+    # ranges parsed ahead
     b"a,b\n1,x\n1,234\n" + "\uff13,4\n".encode() * 20000 + b"3,\xff\n",
     # an unterminated quote that runs on into the bad byte, and one that csv gives up on (at
     # 131072 characters) before it
@@ -794,7 +786,7 @@ UNDECODABLE = (
 
 def test_parse_csv_pool_reports_undecodable_text_as_one_pass(tmp_path, monkeypatch):
     # the message names the bytes, not a position that depends on how far the reader got
-    blocks = _small_blocks(monkeypatch, 2000, 1000)
+    ranges = _small_ranges(monkeypatch, 1 << 13, 1000)
     path = tmp_path / "t.csv"
     for data in UNDECODABLE:
         path.write_bytes(data)
@@ -803,12 +795,14 @@ def test_parse_csv_pool_reports_undecodable_text_as_one_pass(tmp_path, monkeypat
             assert _outcome(str(path)) == (
                 MalformedError, f"{path} is not UTF-8 text: can't decode b'\\xff': invalid start "
                                 "byte")
-    assert len(blocks) > 1
+    assert len(ranges) > 1
 
 
 @needs_fork_pool
 def test_parse_csv_pool_parses_quoted_blocks_in_the_workers(tmp_path, monkeypatch, two_cpus):
-    blocks = _small_blocks(monkeypatch, 3, 1)
+    # the range this process parses again, from the end of the quoted record open into it,
+    # is read by orjson here
+    ranges = _small_ranges(monkeypatch, 12, 1)
     path = _write(tmp_path, "t.csv", "a,b\n" + "\n".join(MIXED_LINES) + "\n")
     with open(path, newline="", encoding="utf-8") as fh:  # the whole-file row loop
         reader = csv.reader(fh)
@@ -817,13 +811,13 @@ def test_parse_csv_pool_parses_quoted_blocks_in_the_workers(tmp_path, monkeypatc
     calls = []
     rows = cli._parse_rows
 
-    def spy(path, names, reader, line):
+    def spy(path, names, reader, line, *done):
         calls.append(line)  # in a worker, to the worker's copy of the list
-        return rows(path, names, reader, line)
+        return rows(path, names, reader, line, *done)
 
     monkeypatch.setattr(cli, "_parse_rows", spy)
     np.testing.assert_array_equal(parse_csv(path)[1], want)
-    assert calls == [] and len(blocks) > 1
+    assert calls == [] and len(ranges) > 1
     assert multiprocessing.active_children() == []
 
 
@@ -844,9 +838,9 @@ LONG_FIELD = 'a,b\n1,"2\n' + "3,4\n" * 40000
     ids=["record", "bad record first", "header"],
 )
 def test_parse_csv_csv_error_is_malformed(tmp_path, monkeypatch, text, message):
-    # in blocks of 5 lines, so the quoted block runs on far into the file and the pool has
-    # blocks after it; the header's quote fails before any block is cut
-    blocks = _small_blocks(monkeypatch, 5, 16)
+    # in ranges of 1 KB, so the quoted range runs on far into the file and the pool has
+    # ranges after it; the header's quote fails before any range is cut
+    ranges = _small_ranges(monkeypatch, 1 << 10, 16)
     path = _write(tmp_path, "t.csv", text)
     for cpus in (1, 2):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
@@ -855,23 +849,23 @@ def test_parse_csv_csv_error_is_malformed(tmp_path, monkeypatch, text, message):
         assert str(caught.value) == f"{path}: {message}"
     assert main(["analyze", "--input", path]) == 2
     assert multiprocessing.active_children() == []
-    assert len(blocks) > 1 if message.startswith("line 2:") else blocks == []
+    assert len(ranges) > 1 if message.startswith("line 2:") else ranges == []
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
 def test_analyze_reads_a_pipe(tmp_path):
-    # in a child interpreter with a deadline, in blocks of about 500 lines on two CPUs, so the
-    # pipe goes through the pool on any host; the child fails if it cuts one block only
+    # in a child interpreter with a deadline, in ranges of about 32 KB on two CPUs, so the
+    # pipe goes through the pool on any host; the child fails if it cuts one range only
     code = (
         "import sys\n"
         "import liangflow.cli as cli\n"
-        "cli._READ_BLOCK = 500\n"
-        "cli._READ_PART = 1 << 12\n"
+        "cli._RANGE = 1 << 15\n"
+        "cli._PIECE = 1 << 12\n"
         "cli._usable_cpus = lambda: 2\n"
-        "blocks, cut = cli._blocks, []\n"
-        "cli._blocks = lambda fh, line: (cut.append(b) or b for b in blocks(fh, line))\n"
+        "cuts, cut = cli._cuts, []\n"
+        "cli._cuts = lambda *args: (cut.append(r) or r for r in cuts(*args))\n"
         "code = cli.main(sys.argv[1:])\n"
-        "sys.exit(code if len(cut) > 1 else 'one block')\n"
+        "sys.exit(code if len(cut) > 1 else 'one range')\n"
     )
 
     def analyze(path, data=b""):
@@ -882,7 +876,7 @@ def test_analyze_reads_a_pipe(tmp_path):
     assert main(["simulate", "--preset", "chain5", "--n", "3000", "--seed", "8",
                  "--output", str(sim)]) == 0
     lines = sim.read_text(encoding="utf-8").splitlines()
-    lines[700] = '"%s",%s' % tuple(lines[700].split(",", 1))  # a quoted cell in block 2
+    lines[700] = '"%s",%s' % tuple(lines[700].split(",", 1))  # a quoted cell in range 3
     sim.write_text("\n".join(lines) + "\n", encoding="utf-8")
     from_file = analyze(str(sim))
     from_pipe = analyze("/dev/stdin", sim.read_bytes())
@@ -895,7 +889,7 @@ def test_analyze_reads_a_pipe(tmp_path):
     bad = analyze("/dev/stdin", "\n".join(lines).encode() + b"\n")
     assert bad.returncode == 2
     assert bad.stderr == b"liangflow: error: /dev/stdin: line 1501: expected 5 cells, got 6\n"
-    # a bad cell on line 2 and, past the blocks read ahead, a byte that is not UTF-8: the
+    # a bad cell on line 2 and, past the ranges parsed ahead, a byte that is not UTF-8: the
     # file and the pipe give the same error
     lines = sim.read_bytes().splitlines(keepends=True)
     lines[1] = b"x," + lines[1]
@@ -906,6 +900,162 @@ def test_analyze_reads_a_pipe(tmp_path):
     assert from_file.returncode == from_pipe.returncode == 2
     assert b"is not UTF-8 text" in from_pipe.stderr
     assert from_file.stderr.replace(bytes(sim), b"/dev/stdin") == from_pipe.stderr
+
+
+# ---------------------------------------------- byte ranges, at small budgets
+
+
+@pytest.fixture(params=[1, 2], ids=["one-process", "pool"])
+def cpus(request, monkeypatch):
+    """One usable CPU, where every range is parsed here, and two, for the pool."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: request.param)
+
+
+def _lines_text(lines, end="\n") -> bytes:
+    return (end.join(lines) + end).encode()
+
+
+def test_parse_csv_quoted_record_across_a_cut(tmp_path, monkeypatch, cpus):
+    # the record on lines 12-14 holds a quoted line end; a cut falls inside it, and the
+    # range after that cut is parsed again from the record's end. A bad cell in a record
+    # is reported on the record's last line, as the row loop reports it.
+    ranges = _small_ranges(monkeypatch, 16, 4)
+    lines = ["a,b"] + [f"{i},{i}" for i in range(10)] + ['10,"11', "", '"'] + [
+        f"{i},{i}" for i in range(12, 20)]
+    path = tmp_path / "t.csv"
+    path.write_bytes(_lines_text(lines))
+    values = parse_csv(str(path))[1]
+    assert values[1, 10] == 11 and values.tobytes() == _row_loop_bits(str(path), ["a", "b"])
+    data = path.read_bytes()
+    start, end = data.index(b'10,"'), data.index(b'\n"\n') + 3
+    assert any(start < lo < end for lo, _ in ranges)
+    for at, bad, line in ((start + 4, b"1x", 14), (end + 3, b"x", 15)):
+        path.write_bytes(data[:at] + bad + data[at:])
+        with pytest.raises(MalformedError, match=f"line {line}: non-numeric value"):
+            parse_csv(str(path))
+
+
+def test_cut_reads_past_a_cr_for_its_lf(tmp_path):
+    # the first tail read, 4096 bytes from byte 0, ends on a CR: the cut comes after its LF
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"1" * 4095 + b"\r\n2\r3\r")
+    with open(path, "rb") as fh:
+        assert [cli._cut(fh.fileno(), at) for at in (1, 4097, 4098, 4100)] == [
+            4097, 4097, 4099, 4101]
+
+
+def test_parse_range_reads_on_only_to_the_end_of_its_last_record(tmp_path):
+    # the row loop stops at the range's end, or past it at the end of the record that a
+    # quote holds open there, and not at the end of the input
+    data = b'a,b\n"1",2\n3,"4\n"\n5,6\n"7",8\n'
+    path = tmp_path / "t.csv"
+    path.write_bytes(data)
+    with open(path, "rb") as fh:
+        cuts = [4, data.index(b"3,"), data.index(b'"\n5'), data.index(b'"7'), len(data)]
+        got = [cli._parse_range(fh.fileno(), str(path), ["a", "b"], lo, hi)
+               for lo, hi in zip(cuts, cuts[1:])]
+    assert [(values.tolist(), end) for values, end, _ in got[:2]] == [
+        ([[1.0], [2.0]], cuts[1]), ([[3.0], [4.0]], cuts[2] + 2)]
+    assert got[3][0].tolist() == [[7.0], [8.0]] and got[3][1] == len(data)
+
+
+@pytest.mark.parametrize("end", ["\r", "\r\n"])
+def test_parse_csv_ranges_name_physical_lines(tmp_path, monkeypatch, cpus, end):
+    # 5-byte lines "1,2" + CRLF after a header of 5 bytes: a budget of 9 bytes ends each range
+    # between a CR and its LF, and the cut moves past the LF; a lone CR is a line end too
+    ranges = _small_ranges(monkeypatch, 9, 3)
+    lines = ["a,b"] + ["1,2"] * 30 + [""] + ["3,4"] * 10 + ["5,x"] + ["6,7"] * 10
+    path = tmp_path / "t.csv"
+    path.write_bytes(_lines_text(lines, end))
+    with pytest.raises(MalformedError, match="line 43: non-numeric value 'x' in column 'b'"):
+        parse_csv(str(path))
+    data = path.read_bytes()
+    assert len(ranges) > 5 and all(data[hi - len(end):hi] == end.encode() for _, hi in ranges)
+    if end == "\r\n":
+        assert any(data[lo + 9 - 1:lo + 9 + 1] == b"\r\n" for lo, _ in ranges[:-1])
+    path.write_bytes(_lines_text(lines[:42] + lines[43:], end))
+    ranges.clear()
+    assert parse_csv(str(path))[1].tobytes() == _row_loop_bits(str(path), ["a", "b"])
+    assert len(ranges) > 5
+
+
+def test_parse_csv_multibyte_cell_after_a_cut(tmp_path, monkeypatch, cpus):
+    # a fullwidth digit, which float reads, starts a range, and so does a bad cell "é"
+    ranges = _small_ranges(monkeypatch, 8, 4)
+    lines = ["a,b"] + ["1,2"] * 6 + ["３,4"] + ["1,2"] * 5 + ["é,4"] + ["1,2"] * 3
+    path = tmp_path / "t.csv"
+    path.write_bytes(_lines_text(lines[:13]))
+    values = parse_csv(str(path))[1]
+    assert values[0, 6] == 3.0 and values.tobytes() == _row_loop_bits(str(path), ["a", "b"])
+    path.write_bytes(_lines_text(lines))
+    with pytest.raises(MalformedError, match="line 14: non-numeric value 'é' in column 'a'"):
+        parse_csv(str(path))
+    data = path.read_bytes()
+    starts = {data[lo:lo + 2] for lo, _ in ranges}
+    assert {"３".encode()[:2], "é".encode()} <= starts
+
+
+def test_parse_csv_undecodable_bytes_in_a_later_range_outrank_a_bad_record(tmp_path,
+                                                                            monkeypatch, cpus):
+    ranges = _small_ranges(monkeypatch, 1 << 10, 1 << 8)
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"a,b\n1,x\n" + b"1,2\n" * 5000 + b"3,\xe2\x82\n" + b"1,2\n" * 10)
+    with pytest.raises(MalformedError, match=r"is not UTF-8 text: can't decode "
+                                             r"b'\\xe2\\x82': invalid continuation byte"):
+        parse_csv(str(path))
+    assert len(ranges) > 10 and ranges[-1][0] > 20000 - (1 << 10)
+
+
+def _through_a_pipe(data: bytes, parse):
+    """``parse(path)`` of a path that reads ``data`` from a pipe, fed by a thread."""
+    read, write = os.pipe()
+
+    def feed():
+        with open(write, "wb") as fh, contextlib.suppress(BrokenPipeError):
+            fh.write(data)
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    try:
+        return parse(f"/dev/fd/{read}")
+    finally:
+        os.close(read)
+        feeder.join()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="no /dev/fd")
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["no-bom", "bom"])
+def test_parse_csv_pipe_gives_the_file_outcome(tmp_path, monkeypatch, cpus, bom):
+    ranges = _small_ranges(monkeypatch, 1 << 10, 1 << 8)
+    rows = np.random.default_rng(7).standard_normal((400, 3))
+    lines = ["x,y,z"] + [",".join(map(repr, row)) for row in rows.tolist()]
+    lines[150] = '"%s",%s' % tuple(lines[150].split(",", 1))  # a quoted cell
+    for text in (lines, lines[:300] + ["1,x,2"] + lines[300:]):
+        path = tmp_path / "t.csv"
+        path.write_bytes(bom + _lines_text(text, "\r\n"))
+        ranges.clear()
+        want = _outcome(str(path))
+        n_ranges = len(ranges)
+        got = _through_a_pipe(path.read_bytes(), _outcome)
+        assert len(ranges) == 2 * n_ranges and n_ranges > 5
+        if want[0] is MalformedError:  # the same message, but for the path it names
+            got, want = got[1].split(": ", 1)[1], want[1].split(": ", 1)[1]
+        assert got == want
+    assert want == "line 301: non-numeric value 'x' in column 'y'"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="no /dev/fd")
+def test_parse_csv_spools_a_pipe_to_disk_not_memory(two_cpus):
+    # a bad line 2 and 32 MB after it, through a pipe: the copy is a temporary file
+    data = b"a,b\n1,x\n" + b"1,2\n" * 8_000_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedError, match="line 2: non-numeric value 'x'"):
+            _through_a_pipe(data, parse_csv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(data) / 4
 
 
 # ----------------------------------------------------------------- presets
@@ -1418,7 +1568,7 @@ def test_module_entry_point():
 def test_import_leaves_scipy_stats_unloaded():
     # scipy, and numpy.testing, which it pulls in, cost about 0.3 s of every CLI start, and
     # only the oracle needs scipy. The process pool's modules load only for a CSV of more
-    # than one block.
+    # than one range.
     prefixes = ("scipy", "numpy.testing", "concurrent.futures", "multiprocessing")
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -1433,7 +1583,7 @@ def test_import_leaves_scipy_stats_unloaded():
 
 
 def test_commands_other_than_oracle_load_no_scipy(tmp_path):
-    # in one child interpreter: simulate, analyze of a CSV of three blocks and graph
+    # in one child interpreter: simulate, analyze of a CSV of three ranges and graph
     # run on numpy alone; the oracle then imports scipy for its Lyapunov solve
     sim = str(tmp_path / "sim.csv")
     code = (
@@ -1442,7 +1592,7 @@ def test_commands_other_than_oracle_load_no_scipy(tmp_path):
         "def run(*argv):\n"
         "    assert cli.main(list(argv)) == 0, argv\n"
         f"sim = {sim!r}\n"
-        "run('simulate', '--preset', 'chain5', '--n', '10000', '--seed', '3', '--output', sim)\n"
+        "run('simulate', '--preset', 'chain5', '--n', '60000', '--seed', '3', '--output', sim)\n"
         "run('analyze', '--input', sim, '--output', sim + '.json')\n"
         "run('graph', '--input', sim, '--output', sim + '.dot')\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
@@ -1453,5 +1603,4 @@ def test_commands_other_than_oracle_load_no_scipy(tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\nTrue\n"
-    with open(sim, encoding="utf-8") as fh:
-        assert sum(1 for _ in fh) > 2 * cli._READ_BLOCK
+    assert os.path.getsize(sim) > 2 * cli._RANGE

@@ -79,6 +79,19 @@ def test_validate_rejects_nan_by_default():
         validate_series_set(raw, ["a", "b"], dt=-1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row", [0, 1])
+def test_one_non_finite_value_is_found_from_the_row_extremes(bad, row):
+    # a NaN reaches its row's max and min, +inf only the max, -inf only the min
+    raw = np.vstack([np.arange(8.0), np.arange(8.0) ** 2])
+    raw[row, 3] = bad
+    with pytest.raises(NaNsPresentError, match="^1 non-finite values present"):
+        validate_series_set(raw, ["a", "b"], 1.0)
+    tss = validate_series_set(raw, ["a", "b"], 1.0, nan_policy="interpolate")
+    assert tss.values[row, 3] == (3.0, 10.0)[row]  # linear between its neighbours
+    assert np.isfinite(tss.values).all() and tss.n_samples == 8
+
+
 def test_validate_bad_policy():
     with pytest.raises(ValueError):
         validate_series_set(np.ones((2, 10)), ["a", "b"], 1.0, nan_policy="drop")

@@ -191,6 +191,11 @@ def _float_rows(lines):
     return np.array([[float(c) for c in line.split(",")] for line in lines]).reshape(len(lines), -1)
 
 
+def _read_rows(texts, width: int):
+    """``floattext.read_rows`` of the UTF-8 bytes of each text."""
+    return floattext.read_rows([text.encode() for text in texts], width)
+
+
 @pytest.mark.parametrize("cell", [
     "2.2250738585072011e-308", "2.2250738585072012e-308", "4.9406564584124654e-324",
     "2.4703282292062327e-324", "2.4703282292062328e-324", "1.7976931348623158e308",
@@ -202,7 +207,7 @@ def _float_rows(lines):
     "-1e-400", "-2e-324",  # negative values that underflow read as -0.0
 ])
 def test_hard_decimals_read_as_float(cell):
-    values = floattext.read_rows([cell + "," + cell + "\n"], 2)
+    values = _read_rows([cell + "," + cell + "\n"], 2)
     assert values.tobytes() == _float_rows([cell + "," + cell]).tobytes()
 
 
@@ -210,7 +215,7 @@ def test_hard_decimals_read_as_float(cell):
                                    ["\t\n", "1\n"], ["1\n", " \n", "2\n"], ["1,2\n"], ["nan\n"],
                                    ["1\r2\n"], ["１\n"], ["1_0\n"]])
 def test_read_rows_gives_up(lines):
-    assert floattext.read_rows(["".join(lines)], 1) is None
+    assert _read_rows(["".join(lines)], 1) is None
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -219,7 +224,7 @@ def test_read_rows_gives_up(lines):
 def test_written_rows_read_back_with_the_same_bits(values, n_cols, form):
     values = np.resize(values, (-(-len(values) // n_cols), n_cols))
     lines = [",".join(form % v for v in row) + "\n" for row in values.tolist()]
-    got = floattext.read_rows(["".join(lines)], n_cols)
+    got = _read_rows(["".join(lines)], n_cols)
     if got is None:  # only the integer token -0, which %.17g writes for -0.0
         assert form == "%.17g" and np.signbit(values[values == 0]).any()
     else:
@@ -233,33 +238,33 @@ def test_written_rows_read_back_with_the_same_bits(values, n_cols, form):
     ("\n\r\n", np.empty((0, 2))),  # a part of empty lines only
 ])
 def test_read_rows_skips_empty_lines(text, rows):
-    values, want = floattext.read_rows([text], 2), np.array(rows, dtype=float)
+    values, want = _read_rows([text], 2), np.array(rows, dtype=float)
     assert values.shape == want.shape and values.tobytes() == want.tobytes()
 
 
 def test_read_rows_reads_empty_cells_as_nan():
-    values = floattext.read_rows([",1\n2,\r\n,\n3,\n"], 2)
+    values = _read_rows([",1\n2,\r\n,\n3,\n"], 2)
     nan = np.array([np.nan]).view(np.uint64)[0]
     assert values.view(np.uint64).tolist() == [[nan, 0x3FF0000000000000], [0x4000000000000000, nan],
                                                [nan, nan], [0x4008000000000000, nan]]
-    assert floattext.read_rows(["1, \n"], 2) is None  # a blank cell is not empty
+    assert _read_rows(["1, \n"], 2) is None  # a blank cell is not empty
 
 
 def test_read_rows_reads_a_block_in_pieces(monkeypatch):
     # a 4096-line block of 8 columns in parts of 100 lines or fewer, one orjson call a part
     rng = np.random.default_rng(5)
     lines = [",".join(map(repr, row)) + "\n" for row in rng.standard_normal((4096, 8)).tolist()]
-    parts = ["".join(lines[at:at + 100]) for at in range(0, len(lines), 100)]
+    parts = ["".join(lines[at:at + 100]).encode() for at in range(0, len(lines), 100)]
     pieces, rows = [], []
     read_piece, loads = floattext._read_piece, floattext.orjson.loads
     monkeypatch.setattr(floattext, "_read_piece", lambda piece, width: pieces.append(piece) or
                         read_piece(piece, width))
     monkeypatch.setattr(floattext.orjson, "loads", lambda text: rows.append(len(loads(text))) or
                         loads(text))
-    values = floattext.read_rows(parts, 8)
+    values = floattext.read_rows(iter(parts), 8)
     assert values.tobytes() == _float_rows([line.rstrip("\n") for line in lines]).tobytes()
     assert pieces == parts
-    assert rows == [part.count("\n") for part in parts]
+    assert rows == [part.count(b"\n") for part in parts]
 
 
 @pytest.mark.parametrize("part, width, rows", [
@@ -273,7 +278,7 @@ def test_read_rows_reads_a_block_in_pieces(monkeypatch):
 def test_read_rows_reads_a_part_at_most_twice(monkeypatch, part, width, rows):
     loads, texts = floattext.orjson.loads, []
     monkeypatch.setattr(floattext.orjson, "loads", lambda text: texts.append(text) or loads(text))
-    values = floattext.read_rows([part], width)
+    values = _read_rows([part], width)
     assert len(texts) <= 2
     if rows is None:
         assert values is None
@@ -284,14 +289,14 @@ def test_read_rows_reads_a_part_at_most_twice(monkeypatch, part, width, rows):
 def test_read_rows_takes_each_piece_on_its_own():
     nan = float("nan")
     parts = ["1,2\n", "3,\n", ",4e-400\n", "5.5,6\n", "7,-0.0\n"]  # the second has a gap
-    values = floattext.read_rows(parts, 2)
+    values = _read_rows(parts, 2)
     want = np.array([[1, 2], [3, nan], [nan, 0.0], [5.5, 6], [7, -0.0]])
     assert values.tobytes() == want.tobytes()
     # a blank line at a part's end is no row, as in the row loop
-    assert floattext.read_rows(["1,2\n\n", "3,4\n"], 2).tolist() == [[1, 2], [3, 4]]
+    assert _read_rows(["1,2\n\n", "3,4\n"], 2).tolist() == [[1, 2], [3, 4]]
     # a fault in the last part alone gives up on the text
     for last in ("7,-0\n", "7\n", "7,\r8\n", "7,nan\n"):
-        assert floattext.read_rows(["1,2\n", "3,4\n", last], 2) is None
+        assert _read_rows(["1,2\n", "3,4\n", last], 2) is None
 
 
 @pytest.mark.parametrize("sep, end", [("]", "\n"), ("1e", "\n"), (",", "e3"), ("0", "00")])

@@ -4,7 +4,7 @@ Datasets are small sparse VAR(1) systems drawn from a seed, so the rates
 are not all null. Tolerances are fixed beforehand from double precision:
 a reordered or rescaled regression changes the rounding of every
 quantity, never more than 1e-9 of a standard error here. CSV parsing
-has no tolerance: the block reader must return the bits of the row loop
+has no tolerance: the range reader must return the bits of the row loop
 run over the whole file, or raise its error.
 """
 
@@ -95,12 +95,12 @@ def test_affine_maps_of_components_leave_rates_unchanged(case, data, mode):
 EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, np.inf, -np.inf,
                1e308, -1e308, 1.7976931348623157e308)
 values64 = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, width=64))
-# lines per bulk read: the default and sizes small enough that blocks,
-# runs between gaps and quoted records cross each other
-BLOCK_SIZES = (4096, 1, 2, 3, 7)
-# characters per text read: the default and sizes that end reads inside lines, and between
-# a CR and its LF, so that a block takes several reads
-READ_PARTS = (1 << 16, 1, 2, 3)
+# bytes per range: the default and sizes small enough that ranges, runs between gaps and
+# quoted records cross each other
+RANGE_SIZES = (1 << 21, 1, 2, 3, 7)
+# bytes per orjson piece: the default and sizes that end inside lines, and between a CR and
+# its LF, so that a range takes several pieces
+PIECE_SIZES = (1 << 16, 1, 2, 3)
 
 
 @st.composite
@@ -142,13 +142,13 @@ def csv_texts(draw, faulty=False):
 
 
 @examples
-@given(csv_texts(), st.sampled_from(BLOCK_SIZES), st.sampled_from(READ_PARTS))
-def test_block_reader_returns_the_whole_file_row_loop_bits(tmp_path_factory, case, block, part):
+@given(csv_texts(), st.sampled_from(RANGE_SIZES), st.sampled_from(PIECE_SIZES))
+def test_block_reader_returns_the_whole_file_row_loop_bits(tmp_path_factory, case, size, piece):
     text, n, d = case
     path = str(tmp_path_factory.mktemp("csv") / "t.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
-    with mock.patch.object(cli, "_READ_BLOCK", block), mock.patch.object(cli, "_READ_PART", part):
+    with mock.patch.object(cli, "_RANGE", size), mock.patch.object(cli, "_PIECE", piece):
         names, values = parse_csv(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -160,17 +160,19 @@ def test_block_reader_returns_the_whole_file_row_loop_bits(tmp_path_factory, cas
 
 
 @examples
-@given(csv_texts(faulty=True), st.sampled_from(BLOCK_SIZES), st.sampled_from(READ_PARTS))
-def test_block_reads_end_at_line_ends(tmp_path_factory, case, block, part):
-    path = str(tmp_path_factory.mktemp("csv") / "t.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(case[0])
-    with mock.patch.object(cli, "_READ_BLOCK", block), mock.patch.object(cli, "_READ_PART", part):
-        with open(path, newline="", encoding="utf-8") as fh:
-            reads = [text for parts, _ in cli._blocks(fh, 0) for text in parts]
-    assert "".join(reads) == case[0]
-    assert all(text.endswith(("\n", "\r")) for text in reads[:-1])
-    assert not any(a.endswith("\r") and b.startswith("\n") for a, b in zip(reads, reads[1:]))
+@given(csv_texts(faulty=True), st.sampled_from(RANGE_SIZES), st.sampled_from(PIECE_SIZES))
+def test_block_reads_end_at_line_ends(tmp_path_factory, case, size, piece):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    data = case[0].encode()
+    path.write_bytes(data)
+    with mock.patch.object(cli, "_RANGE", size), mock.patch.object(cli, "_PIECE", piece):
+        with open(path, "rb") as fh:
+            ranges = list(cli._cuts(fh.fileno(), 0, len(data)))
+            pieces = list(cli._pieces(fh.fileno(), 0, len(data)))
+    for cut in ([data[lo:hi] for lo, hi in ranges], pieces):
+        assert b"".join(cut) == data
+        assert all(text.endswith((b"\n", b"\r")) for text in cut[:-1])
+        assert not any(a.endswith(b"\r") and b.startswith(b"\n") for a, b in zip(cut, cut[1:]))
 
 
 def _outcome(parse):
@@ -195,12 +197,12 @@ def test_block_reader_gives_the_whole_file_row_loop_outcome(tmp_path_factory, ca
             return names, _parse_rows(path, names, reader, 0).T
 
     want = _outcome(row_loop)
-    # one CPU reads the blocks one by one, two take the pool, as a pipe does too
-    sizes = zip(itertools.product((1, 2), BLOCK_SIZES), itertools.cycle(READ_PARTS))
-    for (cpus, block), part in sizes:
+    # one CPU reads the ranges one by one, two take the pool, as a pipe does too
+    sizes = zip(itertools.product((1, 2), RANGE_SIZES), itertools.cycle(PIECE_SIZES))
+    for (cpus, size), piece in sizes:
         with mock.patch.object(cli, "_usable_cpus", lambda: cpus), \
-                mock.patch.object(cli, "_READ_BLOCK", block), \
-                mock.patch.object(cli, "_READ_PART", part):
+                mock.patch.object(cli, "_RANGE", size), \
+                mock.patch.object(cli, "_PIECE", piece):
             assert _outcome(lambda: parse_csv(path)) == want
 
 
@@ -212,8 +214,8 @@ round_trip_values = st.one_of(values64, st.just(np.nan))
 @given(st.integers(1, 4).flatmap(
            lambda d: st.lists(st.lists(round_trip_values, min_size=d, max_size=d), min_size=1,
                               max_size=12)),
-       st.sampled_from((1, 2)), st.sampled_from(BLOCK_SIZES), st.sampled_from(BLOCK_SIZES))
-def test_write_then_parse_returns_the_bits(tmp_path_factory, rows, cpus, write_block, read_block):
+       st.sampled_from((1, 2)), st.sampled_from((4096, 1, 2, 3, 7)), st.sampled_from(RANGE_SIZES))
+def test_write_then_parse_returns_the_bits(tmp_path_factory, rows, cpus, write_block, read_range):
     values = np.array(rows, dtype=float).T
     names = [f"v{i}" for i in range(values.shape[0])]
     want = io.StringIO()
@@ -224,7 +226,7 @@ def test_write_then_parse_returns_the_bits(tmp_path_factory, rows, cpus, write_b
     # one CPU takes the builtin map, two the process pool
     with mock.patch.object(cli, "_usable_cpus", lambda: cpus), \
             mock.patch.object(cli, "_WRITE_BLOCK", write_block), \
-            mock.patch.object(cli, "_READ_BLOCK", read_block):
+            mock.patch.object(cli, "_RANGE", read_range):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             cli.write_csv(names, values, fh)
         got_names, got = parse_csv(str(path))
