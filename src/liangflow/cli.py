@@ -58,6 +58,7 @@ class _Fmt(argparse.ArgumentDefaultsHelpFormatter, argparse.RawDescriptionHelpFo
 
 _RANGE = 1 << 21  # bytes of input per task, then the rest of the line: ranges are cut once
 _PIECE = 1 << 16  # bytes per orjson call, likewise
+_HEAD = 1 << 12  # bytes of the first read for the header, likewise
 _LINE_END = re.compile(rb"\r\n?|\n")
 
 
@@ -76,17 +77,18 @@ def parse_csv(path: str):
     record of the range before it is parsed again here, from that
     record's end. The result is the row loop's over the whole input, bit
     for bit, and so is the error: the first bad record, unless undecodable
-    text comes anywhere in the input, which is then read to its end.
+    text comes anywhere in the input, which is then read on to its end.
     """
     try:
         with _opened(path) as fh:
             fd = fh.fileno()
+            size = os.fstat(fd).st_size
             try:
-                names, at = _header(path, fd)
+                names, at = _header(path, fd, size)
             except MalformedError:  # undecodable text after the bad record outranks it
                 _decode_from(fd, 0)
                 raise
-            blocks = _parse_ranges(path, fd, names, at, os.fstat(fd).st_size)
+            blocks = _parse_ranges(path, fd, names, at, size)
     except OSError as e:
         raise ValidationError(f"cannot read {path}: {e}") from None
     except UnicodeDecodeError as e:  # no position: it names the same bytes however cut
@@ -98,8 +100,9 @@ def parse_csv(path: str):
 
 
 def _opened(path: str):
-    """``path`` opened to read bytes at any offset: a pipe is copied to an unnamed
-    temporary file first, which the disk holds, not memory."""
+    """``path`` opened to read bytes at any offset. A pipe is copied first to an
+    unnamed temporary file in ``TMPDIR``, which must have room for all of it
+    (a tmpfs holds it in memory)."""
     fh = open(path, "rb")
     if fh.seekable():
         return fh
@@ -108,22 +111,26 @@ def _opened(path: str):
 
     with fh:
         spool = tempfile.TemporaryFile()
-        shutil.copyfileobj(fh, spool)
-    spool.flush()  # to the descriptor, where it is read
+        try:
+            shutil.copyfileobj(fh, spool)
+            spool.flush()  # to the descriptor, where it is read
+        except BaseException:
+            spool.close()
+            raise
     return spool
 
 
-def _header(path: str, fd: int):
+def _header(path: str, fd: int, size: int):
     """The names in the first record of ``fd`` that is not empty, and the offset
     just after it. A byte order mark, as Excel writes one, is not in them."""
-    at = [0]
-    lines = _lines(fd, at)
-    first = next(lines, "").removeprefix("\ufeff")
-    reader = csv.reader(itertools.chain(filter(None, [first]), lines))
-    header = next(filter(None, _records(path, reader, 0)), None)
+    lines = _Lines(_pieces(fd, 0, size, min(_PIECE, _HEAD)), 0)
+    text = iter(lines)
+    first = next(text, "").removeprefix("\ufeff")
+    reader = csv.reader(itertools.chain(filter(None, [first]), text))
+    header = next(filter(None, _records(path, reader, lambda: 0)), None)
     if header is None:
         raise EmptyFileError(f"{path}: no content")
-    return [cell.strip() for cell in header], at[0]
+    return [cell.strip() for cell in header], lines.end
 
 
 def _parse_ranges(path: str, fd: int, names, at: int, size: int) -> list:
@@ -138,11 +145,10 @@ def _parse_ranges(path: str, fd: int, names, at: int, size: int) -> list:
                 if hi <= at:
                     continue
                 result = _parse_range(fd, path, names, at, hi)
-            values, end, error = result
+            values, at, error = result
             if error is not None:
                 break
             blocks.append(values)
-            at = end
     if error is not None:
         _decode_from(fd, at)  # undecodable text after the bad record outranks it
         raise error
@@ -185,11 +191,12 @@ def _cut(fd: int, at: int) -> int:
     return at - 1 + max(len(data), 1)  # not before ``at``, even past the end
 
 
-def _pieces(fd: int, lo: int, hi: float = math.inf):
+def _pieces(fd: int, lo: int, hi: int, step: Optional[int] = None):
     """The bytes of ``fd`` from ``lo`` to ``hi`` (line ends, or its end) in pieces of
-    ``_PIECE`` bytes or more that end at line ends."""
+    ``step`` (``_PIECE``) bytes or more that end at line ends."""
+    step = step or _PIECE
     while lo < hi:
-        end = min(_cut(fd, lo + _PIECE), hi) if lo + _PIECE < hi else hi
+        end = min(_cut(fd, lo + step), hi) if lo + step < hi else hi
         piece = os.pread(fd, end - lo, lo)
         if not piece:
             return
@@ -197,63 +204,77 @@ def _pieces(fd: int, lo: int, hi: float = math.inf):
         lo += len(piece)
 
 
-def _lines(fd: int, at: list):
-    """The lines of ``fd`` from byte ``at[0]``, a line end, on, decoded, split as a
-    text reader with ``newline=""`` splits them; ``at[0]`` moves past each line
-    given."""
-    for piece in _pieces(fd, at[0]):
-        for line in piece.splitlines(keepends=True):  # bytes split at LF, CRLF and CR only
-            at[0] += len(line)
-            yield line.decode()
+class _Lines:
+    """The lines of ``pieces``, bytes that start at byte ``end`` and end at line
+    ends, decoded and split as a text reader with ``newline=""`` splits them
+    (``bytes.splitlines`` splits at LF, CRLF and CR only). As they are given,
+    ``end`` moves past each, once it is decoded."""
+
+    def __init__(self, pieces, end: int):
+        self.pieces, self.end = pieces, end
+
+    def __iter__(self):
+        for piece in self.pieces:
+            for line in piece.splitlines(keepends=True):
+                text = line.decode()
+                self.end += len(line)
+                yield text
 
 
 def _parse_range(fd: int, path: str, names, lo: int, hi: int):
     """The records of ``fd`` from byte ``lo``, a line end, through the one that
     holds byte ``hi - 1``, as (values, end, error): a d x N C-ordered array;
     the offset where the last record ends, past ``hi`` if a quote holds it
-    open; and, in place of both, the ``MalformedError`` of the first bad
-    record or the ``UnicodeDecodeError`` of undecodable text, returned, so
-    that a range found to begin inside a record raises nothing.
+    open; and, in place of the values, the ``MalformedError`` of the first
+    bad record or the ``UnicodeDecodeError`` of undecodable text, returned,
+    so that a range found to begin inside a record raises nothing, with the
+    offset up to which the range was decoded.
 
-    By orjson (``floattext.read_rows``, one call a piece), else by the row
-    loop, which defines every value and every error. Lines are counted
-    only for an error's message.
+    Each piece is read once: by orjson (``floattext.read_rows``), and from
+    the first piece it gives up on, by the row loop, which defines every
+    value and every error. Lines are counted only for an error's message.
     """
-    values = floattext.read_rows(_pieces(fd, lo, hi), len(names))
-    if values is not None:
-        return np.ascontiguousarray(values.T), hi, None
-    end = [lo]
+    width = len(names)
+    blocks = [np.empty((0, width))]
+    for piece in _pieces(fd, lo, hi):
+        rows = floattext.read_rows(piece, width)
+        if rows is None:
+            break
+        blocks.append(rows)
+        lo += len(piece)
+    else:
+        return np.ascontiguousarray(np.concatenate(blocks).T), hi, None
+    # this piece, read, then on past ``hi`` to the end of a record that a quote holds open
+    lines = _Lines(itertools.chain([piece], _pieces(fd, lo + len(piece), os.fstat(fd).st_size)),
+                   lo)
 
-    def rows(line: int):
-        end[0] = lo
-        reader = csv.reader(_lines(fd, end))
-        return _parse_rows(path, names, reader, line, lambda: end[0] >= hi)
+    def before():  # the physical lines before the row loop's first
+        return sum(text.count(b"\n") + text.count(b"\r") - text.count(b"\r\n")
+                   for text in _pieces(fd, 0, lo))
 
     try:
-        try:
-            values = rows(0)
-        except MalformedError:  # again, after the physical lines before the range, for its message
-            rows(sum(piece.count(b"\n") + piece.count(b"\r") - piece.count(b"\r\n")
-                     for piece in _pieces(fd, 0, lo)))
+        blocks.append(_parse_rows(path, names, csv.reader(lines), before,
+                                  lambda: lines.end >= hi))
     except (MalformedError, UnicodeDecodeError) as e:
-        return None, hi, e
-    return np.ascontiguousarray(values.T), end[0], None
+        return None, lines.end, e
+    return np.ascontiguousarray(np.concatenate(blocks).T), lines.end, None
 
 
-def _parse_rows(path: str, names, reader, line: int, done=None):
+def _parse_rows(path: str, names, reader, before, done=None):
     """Row-by-row reader of ``parse_csv``'s format, as an N x d array.
 
-    ``line`` is the physical line before the reader's first, so errors
-    name physical lines. With ``done``, it stops after the first record
-    after which ``done()`` holds.
+    ``before()`` is the number of physical lines before the reader's
+    first, asked only for an error's message, so errors name physical
+    lines. With ``done``, it stops after the first record after which
+    ``done()`` holds.
     """
     width = len(names)
     rows = []
-    for row in _records(path, reader, line):
+    for row in _records(path, reader, before):
         if row:
-            ln = line + reader.line_num
             if len(row) != width:
-                raise MalformedError(f"{path}: line {ln}: expected {width} cells, got {len(row)}")
+                raise MalformedError(f"{path}: line {before() + reader.line_num}: "
+                                     f"expected {width} cells, got {len(row)}")
             values = []
             for name, cell in zip(names, row):
                 cell = cell.strip()
@@ -264,7 +285,8 @@ def _parse_rows(path: str, names, reader, line: int, done=None):
                         values.append(float(cell))
                     except ValueError:
                         raise MalformedError(
-                            f"{path}: line {ln}: non-numeric value {cell!r} in column {name!r}"
+                            f"{path}: line {before() + reader.line_num}: "
+                            f"non-numeric value {cell!r} in column {name!r}"
                         ) from None
             rows.append(values)
         if done is not None and done():
@@ -272,19 +294,20 @@ def _parse_rows(path: str, names, reader, line: int, done=None):
     return np.array(rows, dtype=float).reshape(-1, width)
 
 
-def _records(path: str, reader, line: int):
+def _records(path: str, reader, before):
     """The rows of ``reader``; a csv error becomes a ``MalformedError``.
 
-    The error names the physical line its record starts on, not the one
-    where ``csv.reader`` gave up (a quoted cell may run on for many lines).
+    The error names the physical line its record starts on, ``before()``
+    lines after the reader's first, not the one where ``csv.reader`` gave
+    up (a quoted cell may run on for many lines).
     """
-    start = line + reader.line_num + 1
+    start = reader.line_num + 1
     try:
         for row in reader:
             yield row
-            start = line + reader.line_num + 1
+            start = reader.line_num + 1
     except csv.Error as e:
-        raise MalformedError(f"{path}: line {start}: {e}") from None
+        raise MalformedError(f"{path}: line {before() + start}: {e}") from None
 
 
 _WRITE_BLOCK = 4096  # samples per task of the pool: bounds the text in flight

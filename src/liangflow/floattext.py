@@ -284,30 +284,19 @@ _NUMBER_BYTES = b"0123456789+-.eE, \t\n"
 _INTEGER_MINUS_ZERO = re.compile(rb"-0(?![.0-9eE])")
 
 
-def read_rows(pieces, width: int):
-    """The CSV bytes ``pieces``, each of whole lines, as an N x ``width`` float
-    array, each cell as ``float`` reads it and an empty cell as NaN, or None.
+def read_rows(text: bytes, width: int):
+    """The CSV bytes ``text``, whole lines, as an N x ``width`` float array, each
+    cell as ``float`` reads it and an empty cell as NaN, or None.
 
-    orjson reads each piece as one JSON array of rows, in memory that the
-    piece before freed. Where that gives None, for any reason, it reads the
-    piece once more with each empty cell written ``null``, which numpy reads
-    as ``np.nan``'s bits, and without its empty lines, which the row loop
-    skips too. A byte that is not ASCII, a cell that is neither empty nor
-    a JSON number (``+1``, ``.5``, ``01``, ``nan``, a blank), a ragged line,
-    a line of only spaces or tabs, a lone CR and a number too large for a
-    float give None. So does ``-0``, which orjson reads as the integer 0;
-    it is looked for only where a zero was read.
+    orjson reads ``text`` as one JSON array of rows. Where that gives None,
+    for any reason, it reads ``text`` once more with each empty cell written
+    ``null``, which numpy reads as ``np.nan``'s bits, and without its empty
+    lines, which the row loop skips too. A byte that is not ASCII, a cell
+    that is neither empty nor a JSON number (``+1``, ``.5``, ``01``, ``nan``,
+    a blank), a ragged line, a line of only spaces or tabs, a lone CR and a
+    number too large for a float give None. So does ``-0``, which orjson
+    reads as the integer 0; it is looked for only where a zero was read.
     """
-    values = []
-    for piece in pieces:
-        rows = _read_piece(piece, width)
-        if rows is None:
-            return None
-        values.append(rows)
-    return np.concatenate(values) if values else None
-
-
-def _read_piece(text: bytes, width: int):
     if b"\r" in text:
         text = text.replace(b"\r\n", b"\n")
     if text.translate(None, _NUMBER_BYTES):  # non-ASCII too; a lone CR ends a line, JSON skips it

@@ -179,7 +179,7 @@ def _row_loop_bits(path, names):
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
-        return cli._parse_rows(path, names, reader, 1).T.tobytes()
+        return cli._parse_rows(path, names, reader, lambda: 1).T.tobytes()
 
 
 def test_parse_csv_gaps_take_the_filled_bulk_reader(tmp_path, row_loop_calls):
@@ -692,16 +692,25 @@ def test_csv_pool_leaves_no_children(tmp_path, monkeypatch, two_cpus):
     assert len(ranges) > 2 and ranges[-1][1] == os.path.getsize(path)
 
 
-def test_parse_csv_reads_a_malformed_file_to_its_end_once(tmp_path, monkeypatch, two_cpus):
-    # the pooled pass stops in its first range, then this process reads on to the end of
-    # the file (reads in pool workers are not counted here)
-    path = _write(tmp_path, "t.csv", "a,b\n1,x\n" + "1,2\n" * 1_000_000)
+def test_parse_csv_reads_a_malformed_file_to_its_end_once(tmp_path, monkeypatch):
+    # the first range stops at line 2, then this process reads on to the end of the file
+    # (reads in pool workers are not counted here)
+    path = _write(tmp_path, "t.csv", "a,b\n1,x\n" + "1,2\n" * 100_000)
     read, pread = [], os.pread
-    monkeypatch.setattr(os, "pread", lambda fd, n, at: read.append(n) or pread(fd, n, at))
-    with pytest.raises(MalformedError, match="line 2: non-numeric value 'x' in column 'b'"):
-        parse_csv(path)
+
+    def counted(fd, n, at):
+        data = pread(fd, n, at)
+        read.append(len(data))
+        return data
+
+    monkeypatch.setattr(os, "pread", counted)
     size = os.path.getsize(path)
-    assert size <= sum(read) < 1.5 * size
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        read.clear()
+        with pytest.raises(MalformedError, match="line 2: non-numeric value 'x' in column 'b'"):
+            parse_csv(path)
+        assert size <= sum(read) < 1.5 * size
 
 
 def test_parse_csv_drains_a_malformed_file_in_bounded_memory(tmp_path, two_cpus):
@@ -807,7 +816,7 @@ def test_parse_csv_pool_parses_quoted_blocks_in_the_workers(tmp_path, monkeypatc
     with open(path, newline="", encoding="utf-8") as fh:  # the whole-file row loop
         reader = csv.reader(fh)
         next(reader)
-        want = cli._parse_rows(path, ["a", "b"], reader, 0).T
+        want = cli._parse_rows(path, ["a", "b"], reader, lambda: 0).T
     calls = []
     rows = cli._parse_rows
 

@@ -192,8 +192,10 @@ def _float_rows(lines):
 
 
 def _read_rows(texts, width: int):
-    """``floattext.read_rows`` of the UTF-8 bytes of each text."""
-    return floattext.read_rows([text.encode() for text in texts], width)
+    """``floattext.read_rows`` of the UTF-8 bytes of each text, stacked, or None if
+    it gives up on any."""
+    values = [floattext.read_rows(text.encode(), width) for text in texts]
+    return None if any(rows is None for rows in values) else np.concatenate(values)
 
 
 @pytest.mark.parametrize("cell", [
@@ -254,17 +256,13 @@ def test_read_rows_reads_a_block_in_pieces(monkeypatch):
     # a 4096-line block of 8 columns in parts of 100 lines or fewer, one orjson call a part
     rng = np.random.default_rng(5)
     lines = [",".join(map(repr, row)) + "\n" for row in rng.standard_normal((4096, 8)).tolist()]
-    parts = ["".join(lines[at:at + 100]).encode() for at in range(0, len(lines), 100)]
-    pieces, rows = [], []
-    read_piece, loads = floattext._read_piece, floattext.orjson.loads
-    monkeypatch.setattr(floattext, "_read_piece", lambda piece, width: pieces.append(piece) or
-                        read_piece(piece, width))
+    parts = ["".join(lines[at:at + 100]) for at in range(0, len(lines), 100)]
+    rows, loads = [], floattext.orjson.loads
     monkeypatch.setattr(floattext.orjson, "loads", lambda text: rows.append(len(loads(text))) or
                         loads(text))
-    values = floattext.read_rows(iter(parts), 8)
+    values = _read_rows(parts, 8)
     assert values.tobytes() == _float_rows([line.rstrip("\n") for line in lines]).tobytes()
-    assert pieces == parts
-    assert rows == [part.count(b"\n") for part in parts]
+    assert rows == [part.count("\n") for part in parts]
 
 
 @pytest.mark.parametrize("part, width, rows", [

@@ -153,7 +153,7 @@ def test_block_reader_returns_the_whole_file_row_loop_bits(tmp_path_factory, cas
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         want_names = [cell.strip() for cell in next(filter(None, reader))]
-        want = _parse_rows(path, want_names, reader, 0).T
+        want = _parse_rows(path, want_names, reader, lambda: 0).T
     assert names == want_names == [f"v{i}" for i in range(d)]
     assert values.shape == want.shape == (d, n)
     assert values.tobytes() == want.tobytes()
@@ -194,7 +194,7 @@ def test_block_reader_gives_the_whole_file_row_loop_outcome(tmp_path_factory, ca
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             names = [cell.strip() for cell in next(filter(None, reader))]
-            return names, _parse_rows(path, names, reader, 0).T
+            return names, _parse_rows(path, names, reader, lambda: 0).T
 
     want = _outcome(row_loop)
     # one CPU reads the ranges one by one, two take the pool, as a pipe does too
