@@ -7,10 +7,12 @@ import io
 import json
 import multiprocessing
 import os
+import shutil
 import signal
 import statistics
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 import warnings
@@ -713,6 +715,16 @@ def test_parse_csv_reads_a_malformed_file_to_its_end_once(tmp_path, monkeypatch)
         assert size <= sum(read) < 1.5 * size
 
 
+def test_parse_csv_parses_a_bad_piece_once(tmp_path, monkeypatch, row_loop_calls):
+    # pieces of four 4-byte lines: orjson takes the first five, and the row loop the sixth,
+    # once, from its first line, which is bad; the lines before it are counted for the message
+    monkeypatch.setattr(cli, "_PIECE", 16)
+    path = _write(tmp_path, "t.csv", "a,b\n" + "1,2\n" * 20 + "3,x\n" + "1,2\n" * 20)
+    with pytest.raises(MalformedError, match="line 22: non-numeric value 'x' in column 'b'"):
+        parse_csv(path)
+    assert row_loop_calls == [(path, 1)]
+
+
 def test_parse_csv_drains_a_malformed_file_in_bounded_memory(tmp_path, two_cpus):
     # the rest of the file after a bad line 2 is read for undecodable text, not held
     path = _write(tmp_path, "t.csv", "a,b\n1,x\n" + "1,2\n" * 8_000_000)  # 32 MB
@@ -1020,7 +1032,7 @@ def _through_a_pipe(data: bytes, parse):
     read, write = os.pipe()
 
     def feed():
-        with open(write, "wb") as fh, contextlib.suppress(BrokenPipeError):
+        with contextlib.suppress(BrokenPipeError), open(write, "wb") as fh:  # closing flushes
             fh.write(data)
 
     feeder = threading.Thread(target=feed)
@@ -1054,8 +1066,9 @@ def test_parse_csv_pipe_gives_the_file_outcome(tmp_path, monkeypatch, cpus, bom)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="no /dev/fd")
-def test_parse_csv_spools_a_pipe_to_disk_not_memory(two_cpus):
-    # a bad line 2 and 32 MB after it, through a pipe: the copy is a temporary file
+def test_parse_csv_spools_a_pipe_to_a_file(two_cpus):
+    # a bad line 2 and 32 MB after it, through a pipe: the copy is a temporary file, out of
+    # the Python heap that tracemalloc sees (in memory all the same where TMPDIR is a tmpfs)
     data = b"a,b\n1,x\n" + b"1,2\n" * 8_000_000
     tracemalloc.start()
     try:
@@ -1065,6 +1078,24 @@ def test_parse_csv_spools_a_pipe_to_disk_not_memory(two_cpus):
     finally:
         tracemalloc.stop()
     assert peak < len(data) / 4
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="no /dev/fd")
+def test_parse_csv_closes_the_pipe_spool_when_the_copy_fails(monkeypatch):
+    spools, temporary = [], tempfile.TemporaryFile
+
+    def spool():
+        spools.append(temporary())
+        return spools[-1]
+
+    def full(source, target):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", spool)
+    monkeypatch.setattr(shutil, "copyfileobj", full)
+    with pytest.raises(ValidationError, match="cannot read .*No space left on device"):
+        _through_a_pipe(b"a,b\n1,2\n", parse_csv)
+    assert len(spools) == 1 and spools[0].closed
 
 
 # ----------------------------------------------------------------- presets
