@@ -10,10 +10,10 @@ configuration, 3 numerical degeneracy, 1 unexpected failure.
 from __future__ import annotations
 
 import argparse
-import codecs
 import collections
 import contextlib
 import csv
+import functools
 import io
 import itertools
 import json
@@ -76,18 +76,15 @@ def parse_csv(path: str):
     ``_parse_range``). A range that turns out to start inside a quoted
     record of the range before it is parsed again here, from that
     record's end. The result is the row loop's over the whole input, bit
-    for bit, and so is the error: the first bad record, unless undecodable
-    text comes anywhere in the input, which is then read on to its end.
+    for bit, and so is the error: the input's first fault in file order, a
+    bad record, a csv error or an undecodable line, after which nothing
+    more is read.
     """
     try:
         with _opened(path) as fh:
             fd = fh.fileno()
             size = os.fstat(fd).st_size
-            try:
-                names, at = _header(path, fd, size)
-            except MalformedError:  # undecodable text after the bad record outranks it
-                _decode_from(fd, 0)
-                raise
+            names, at = _header(path, fd, size)
             blocks = _parse_ranges(path, fd, names, at, size)
     except OSError as e:
         raise ValidationError(f"cannot read {path}: {e}") from None
@@ -135,35 +132,21 @@ def _header(path: str, fd: int, size: int):
 
 def _parse_ranges(path: str, fd: int, names, at: int, size: int) -> list:
     """The records of ``fd`` from byte ``at``, a line end, to ``size``, as d x N
-    blocks in order, parsed a range at a time; the first bad record raises."""
+    blocks in order, parsed a range at a time; the first fault in file order raises."""
     cuts = list(_cuts(fd, at, size))
-    blocks, error = [], None
-    # closed before the input is read on: the workers' results in flight are dropped
+    blocks = []
+    # closed as the error leaves it: the workers' results in flight are dropped
     with contextlib.closing(_in_order(_parse_range, cuts, fd, path, names)) as results:
         for (lo, hi), result in zip(cuts, results):
             if lo < at:  # it began inside the record before it: parse what is left
                 if hi <= at:
                     continue
                 result = _parse_range(fd, path, names, at, hi)
-            values, at, error = result
-            if error is not None:
-                break
+            values, at = result
+            if isinstance(values, Exception):
+                raise values
             blocks.append(values)
-    if error is not None:
-        _decode_from(fd, at)  # undecodable text after the bad record outranks it
-        raise error
     return blocks
-
-
-def _decode_from(fd: int, at: int):
-    """Decode ``fd`` from byte ``at``, a line end, to its end, in chunks, so that
-    it is never held at once; ``UnicodeDecodeError`` names its first undecodable
-    text."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    while chunk := os.pread(fd, 1 << 20, at):
-        decoder.decode(chunk)
-        at += len(chunk)
-    decoder.decode(b"", final=True)
 
 
 def _cuts(fd: int, lo: int, size: int):
@@ -221,43 +204,44 @@ class _Lines:
                 yield text
 
 
+def _lines_before(fd: int, at: int) -> int:
+    """The physical lines of ``fd`` before byte ``at``, a line end."""
+    return sum(text.count(b"\n") + text.count(b"\r") - text.count(b"\r\n")
+               for text in _pieces(fd, 0, at))
+
+
 def _parse_range(fd: int, path: str, names, lo: int, hi: int):
     """The records of ``fd`` from byte ``lo``, a line end, through the one that
-    holds byte ``hi - 1``, as (values, end, error): a d x N C-ordered array;
-    the offset where the last record ends, past ``hi`` if a quote holds it
-    open; and, in place of the values, the ``MalformedError`` of the first
-    bad record or the ``UnicodeDecodeError`` of undecodable text, returned,
-    so that a range found to begin inside a record raises nothing, with the
-    offset up to which the range was decoded.
+    holds byte ``hi - 1``, as (values, end): a d x N C-ordered array, and the
+    offset where the last record ends, past ``hi`` if a quote holds it open.
+    In place of the values, the ``MalformedError`` of the range's first bad
+    record or the ``UnicodeDecodeError`` of its first undecodable line is
+    returned, so that a range found to begin inside a record raises nothing.
 
-    Each piece is read once: by orjson (``floattext.read_rows``), and from
-    the first piece it gives up on, by the row loop, which defines every
-    value and every error. Lines are counted only for an error's message.
+    Each piece is read by orjson (``floattext.read_rows``) or, where that
+    gives up, by the row loop, which defines every value and every error.
+    The row loop runs through the record that holds the piece's last byte,
+    and the next piece starts where that record ends. Lines are counted only
+    for an error's message.
     """
-    width = len(names)
-    blocks = [np.empty((0, width))]
-    for piece in _pieces(fd, lo, hi):
-        rows = floattext.read_rows(piece, width)
-        if rows is None:
-            break
-        blocks.append(rows)
-        lo += len(piece)
-    else:
-        return np.ascontiguousarray(np.concatenate(blocks).T), hi, None
-    # this piece, read, then on past ``hi`` to the end of a record that a quote holds open
-    lines = _Lines(itertools.chain([piece], _pieces(fd, lo + len(piece), os.fstat(fd).st_size)),
-                   lo)
-
-    def before():  # the physical lines before the row loop's first
-        return sum(text.count(b"\n") + text.count(b"\r") - text.count(b"\r\n")
-                   for text in _pieces(fd, 0, lo))
-
+    size = os.fstat(fd).st_size
+    blocks = [np.empty((0, len(names)))]
     try:
-        blocks.append(_parse_rows(path, names, csv.reader(lines), before,
-                                  lambda: lines.end >= hi))
+        while lo < hi:
+            piece = next(_pieces(fd, lo, hi))
+            end = lo + len(piece)
+            rows = floattext.read_rows(piece, len(names))
+            if rows is None:  # this piece, then on to the end of a record a quote holds open
+                lines = _Lines(itertools.chain([piece], _pieces(fd, end, size)), lo)
+                rows = _parse_rows(path, names, csv.reader(lines),
+                                   functools.partial(_lines_before, fd, lo),
+                                   lambda: lines.end >= end)
+                end = lines.end
+            blocks.append(rows)
+            lo = end
     except (MalformedError, UnicodeDecodeError) as e:
-        return None, lines.end, e
-    return np.ascontiguousarray(np.concatenate(blocks).T), lines.end, None
+        return e, None
+    return np.ascontiguousarray(np.concatenate(blocks).T), lo
 
 
 def _parse_rows(path: str, names, reader, before, done=None):
@@ -322,7 +306,7 @@ def write_csv(names, values: np.ndarray, fh):
     """
     csv.writer(fh, lineterminator="\n").writerow(names)
     values = np.asarray(values, dtype=float)
-    starts = ((start,) for start in range(0, values.shape[1], _WRITE_BLOCK))
+    starts = [(start,) for start in range(0, values.shape[1], _WRITE_BLOCK)]
     for _ in _in_order(_format_block, starts, values, out=fh):
         pass
 
@@ -388,7 +372,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _in_order(fn, tasks, *shared, out=None):
+def _in_order(fn, tasks: list, *shared, out=None):
     """``fn(*shared, *task)`` for each argument tuple in ``tasks``, yielded in task order.
 
     With ``out``, a text file, each result (ASCII text) is written to ``out``
@@ -397,7 +381,7 @@ def _in_order(fn, tasks, *shared, out=None):
     With more than one usable CPU and more than one task, the calls run in
     a pool of forked processes, one per CPU but no more than there are
     tasks. At most one task more than there are workers waits for its
-    result, so tasks read from a stream stay bounded. ``shared`` reaches
+    result, so the results in flight stay bounded. ``shared`` reaches
     each worker once, through fork, not pickled per task; tasks and
     results are pickled, and once the caller stops taking results (the
     generator is closed), a task still running sends none back. With
@@ -418,11 +402,7 @@ def _in_order(fn, tasks, *shared, out=None):
     semaphores), is made for them before the fork and never held by a
     thread of this process.
     """
-    cpus = _usable_cpus()
-    tasks = iter(tasks)
-    head = list(itertools.islice(tasks, cpus + 1))
-    tasks = itertools.chain(head, tasks)
-    workers = min(cpus, len(head))
+    workers = min(_usable_cpus(), len(tasks))
     fd = None if out is None else _descriptor(out)
     if _FORK_POOL and workers > 1 and (out is None or fd is not None):
         import multiprocessing  # here, not at the top: it would add to every CLI start
@@ -437,7 +417,7 @@ def _in_order(fn, tasks, *shared, out=None):
             turns = (fd, turn, None if out is None else context.Condition())
             pool = ProcessPoolExecutor(workers, mp_context=context,
                                        initializer=_share, initargs=(turns, *shared))
-            pending = collections.deque([pool.submit(_call, fn, next(tasks), 0)])
+            pending = collections.deque([pool.submit(_call, fn, tasks[0], 0)])
         except OSError as e:
             # no shutdown reaches a worker forked before the failure, and exit would wait for it
             for worker in multiprocessing.active_children():
@@ -445,7 +425,7 @@ def _in_order(fn, tasks, *shared, out=None):
                 worker.join()
             raise BrokenProcessPool(f"cannot start the pool: {e}") from e
         try:
-            for index, task in enumerate(tasks, 1):
+            for index, task in enumerate(tasks[1:], 1):
                 pending.append(pool.submit(_call, fn, task, index))
                 if len(pending) > workers:
                     yield pending.popleft().result()

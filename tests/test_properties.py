@@ -101,16 +101,19 @@ RANGE_SIZES = (1 << 21, 1, 2, 3, 7)
 # bytes per orjson piece: the default and sizes that end inside lines, and between a CR and
 # its LF, so that a range takes several pieces
 PIECE_SIZES = (1 << 16, 1, 2, 3)
+# a bad cell, a ragged row, a stray or unterminated quote, and lone surrogates, written as
+# the bytes 0xff, an invalid start byte, and 0xe2 0x82, a character cut short
+FAULTS = ("x", ",0", '"', "unterminated", "\udcff", "\udce2\udc82")
 
 
 @st.composite
 def csv_texts(draw, faulty=False):
-    """(text, n_rows, d): a float64 matrix, with gaps and NaN, in one of the layouts parse_csv
-    reads. The formats are ``repr``'s, ``%.17g`` and ``%.18e``, ``numpy.savetxt``'s default,
-    which write NaN as ``nan``.
+    """(data, n_rows, d): a float64 matrix, with gaps and NaN, in one of the layouts parse_csv
+    reads, as UTF-8 bytes. The formats are ``repr``'s, ``%.17g`` and ``%.18e``,
+    ``numpy.savetxt``'s default, which write NaN as ``nan``.
 
-    ``faulty`` draws at most one fault in a data line: a bad cell, a ragged row, or a stray
-    or unterminated quote.
+    ``faulty`` draws up to two faults in data lines, each of a different kind: a bad cell, a
+    ragged row, a stray or unterminated quote, or bytes that are not UTF-8.
     """
     d = draw(st.integers(1, 4))
     # None is an empty cell; with d = 1 it could be a blank line, which is no row
@@ -129,25 +132,26 @@ def csv_texts(draw, faulty=False):
         lines.append(end * blank + ",".join(
             quote + pad + ("" if v is None else fmt(v)) + pad + tail + quote for v in row
         ))
-    fault = draw(st.sampled_from((None, "x", ",0", '"', "unterminated"))) if faulty else None
-    if fault is not None:
+    faults = draw(st.lists(st.sampled_from(FAULTS), max_size=2, unique=True)) if faulty else []
+    for fault in faults:
         k = draw(st.integers(1, len(rows)))  # each item of lines starts a record
         if fault == "unterminated":  # a quote that no quote after it closes
             lines[k:] = ['"' + line.replace('"', "") if i == k else line.replace('"', "")
                          for i, line in enumerate(lines[k:], k)]
-        else:  # a bad cell, a ragged row, or a stray quote
+        else:  # a bad cell, a ragged row, a stray quote, or undecodable bytes
             at = draw(st.integers(0, len(lines[k])))
             lines[k] = lines[k][:at] + fault + lines[k][at:]
-    return end.join(lines) + end * (1 + blanks[-1]), len(rows), d
+    text = end.join(lines) + end * (1 + blanks[-1])
+    return text.encode("utf-8", "surrogateescape"), len(rows), d
 
 
 @examples
 @given(csv_texts(), st.sampled_from(RANGE_SIZES), st.sampled_from(PIECE_SIZES))
 def test_block_reader_returns_the_whole_file_row_loop_bits(tmp_path_factory, case, size, piece):
-    text, n, d = case
-    path = str(tmp_path_factory.mktemp("csv") / "t.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    data, n, d = case
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_bytes(data)
+    path = str(path)
     with mock.patch.object(cli, "_RANGE", size), mock.patch.object(cli, "_PIECE", piece):
         names, values = parse_csv(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -163,7 +167,7 @@ def test_block_reader_returns_the_whole_file_row_loop_bits(tmp_path_factory, cas
 @given(csv_texts(faulty=True), st.sampled_from(RANGE_SIZES), st.sampled_from(PIECE_SIZES))
 def test_block_reads_end_at_line_ends(tmp_path_factory, case, size, piece):
     path = tmp_path_factory.mktemp("csv") / "t.csv"
-    data = case[0].encode()
+    data = case[0]
     path.write_bytes(data)
     with mock.patch.object(cli, "_RANGE", size), mock.patch.object(cli, "_PIECE", piece):
         with open(path, "rb") as fh:
@@ -175,35 +179,36 @@ def test_block_reads_end_at_line_ends(tmp_path_factory, case, size, piece):
         assert not any(a.endswith(b"\r") and b.startswith(b"\n") for a, b in zip(cut, cut[1:]))
 
 
-def _outcome(parse):
+def _outcome(path, parse):
     try:
         names, values = parse()
     except MalformedError as e:
         return str(e)
+    except UnicodeDecodeError as e:  # the row loop's, in parse_csv's words
+        return f"{path} is not UTF-8 text: can't decode {e.object[e.start:e.end]!r}: {e.reason}"
     return names, values.shape, values.tobytes()
 
 
 @examples
 @given(csv_texts(faulty=True))
 def test_block_reader_gives_the_whole_file_row_loop_outcome(tmp_path_factory, case):
-    path = str(tmp_path_factory.mktemp("csv") / "t.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(case[0])
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_bytes(case[0])
+    path = str(path)
 
-    def row_loop():
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            names = [cell.strip() for cell in next(filter(None, reader))]
-            return names, _parse_rows(path, names, reader, lambda: 0).T
+    def row_loop():  # one pass in file order, each line decoded before csv reads it
+        lines = (line.decode() for line in case[0].splitlines(keepends=True))
+        reader = csv.reader(lines)
+        names = [cell.strip() for cell in next(filter(None, reader))]
+        return names, _parse_rows(path, names, reader, lambda: 0).T
 
-    want = _outcome(row_loop)
+    want = _outcome(path, row_loop)
     # one CPU reads the ranges one by one, two take the pool, as a pipe does too
-    sizes = zip(itertools.product((1, 2), RANGE_SIZES), itertools.cycle(PIECE_SIZES))
-    for (cpus, size), piece in sizes:
+    for cpus, size, piece in itertools.product((1, 2), RANGE_SIZES, PIECE_SIZES):
         with mock.patch.object(cli, "_usable_cpus", lambda: cpus), \
                 mock.patch.object(cli, "_RANGE", size), \
                 mock.patch.object(cli, "_PIECE", piece):
-            assert _outcome(lambda: parse_csv(path)) == want
+            assert _outcome(path, lambda: parse_csv(path)) == want
 
 
 # write_csv writes every NaN as "nan", which reads back as np.nan: only that NaN keeps its bits
