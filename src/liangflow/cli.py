@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import floattext
-from .core import TimeSeriesSet, validate_series_set
+from .core import validate_series_set
 from .dynamics import (
     LinearSDE,
     _exact_rates,
@@ -38,7 +38,7 @@ from .dynamics import (
 )
 from .errors import EmptyFileError, MalformedError, NumericalError, ValidationError
 from .estimator import budget_shares
-from .graph import all_pairs, build_graph, emit_dot, emit_json
+from .graph import FlowMatrix, _oriented_json, all_pairs, build_graph, emit_dot, emit_json
 
 _EPILOG = """\
 conventions:
@@ -494,9 +494,11 @@ def _write_text(text: str, path: Optional[str]):
         fh.write(text)
 
 
-def _load_series(args: argparse.Namespace) -> TimeSeriesSet:
+def _flow_matrix(args: argparse.Namespace) -> FlowMatrix:
+    """``all_pairs`` of the ``--input`` CSV under the series options."""
     names, values = parse_csv(args.input)  # a fresh array, handed over without a copy
-    return validate_series_set(values, names, args.dt, nan_policy=args.nan_policy, _owned=True)
+    tss = validate_series_set(values, names, args.dt, nan_policy=args.nan_policy, _owned=True)
+    return all_pairs(tss, k=args.k, alpha=args.alpha, normalize=args.normalize, mode=args.mode)
 
 
 def _cells(values: np.ndarray, nan: str = "nan") -> list:
@@ -521,8 +523,7 @@ def _flow_matrix_csv(fm) -> str:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     """All-pairs rates with significance (and shares unless --no-normalize)."""
-    tss = _load_series(args)
-    fm = all_pairs(tss, k=args.k, alpha=args.alpha, normalize=args.normalize, mode=args.mode)
+    fm = _flow_matrix(args)
     text = emit_json(fm) if args.format == "json" else _flow_matrix_csv(fm)
     _write_text(text, args.output)
     return 0
@@ -530,9 +531,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_graph(args: argparse.Namespace) -> int:
     """Analyze, filter by significance, emit the directed graph."""
-    tss = _load_series(args)
-    fm = all_pairs(tss, k=args.k, alpha=args.alpha, normalize=args.normalize, mode=args.mode)
-    g = build_graph(fm, alpha=args.alpha, min_tau=args.min_tau, bonferroni=args.bonferroni)
+    g = build_graph(_flow_matrix(args), alpha=args.alpha, min_tau=args.min_tau,
+                    bonferroni=args.bonferroni)
     text = emit_dot(g) if args.format == "dot" else emit_json(g)
     _write_text(text, args.output)
     return 0
@@ -556,8 +556,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     sc = stationary_covariance(sde)
     rates, noise, residual = _exact_rates(sde, sc.Sigma)
     tau, noise_share, _ = budget_shares(rates, noise)
-    payload = {
-        "orientation": "T[target][source]",
+    _write_text(_oriented_json({
         "names": list(sde.names),
         "T": rates.tolist(),
         "TAU": tau.tolist(),
@@ -565,8 +564,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "noise_rate": noise.tolist(),
         "budget_residual": residual.tolist(),
         "lyapunov_residual": sc.residual,
-    }
-    _write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.output)
+    }), args.output)
     return 0
 
 

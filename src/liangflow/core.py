@@ -63,6 +63,12 @@ def _check_names(names, d: int, error=None) -> tuple[str, ...]:
     return names
 
 
+def _check_step(value, name: str = "dt", error=ValidationError) -> None:
+    """Require a finite step ``value`` > 0; ``error`` names it otherwise."""
+    if not 0.0 < float(value) < np.inf:
+        raise error(f"{name} must be finite and positive, got {value}")
+
+
 def _check_index(d: int, **indices) -> None:
     """Raise ``IndexError`` at the first of the named ``indices`` outside ``[0, d)``."""
     for name, i in indices.items():
@@ -95,8 +101,7 @@ class TimeSeriesSet:
         if d < 1 or n < 1:
             raise TooShortError(f"empty series set of shape {values.shape}")
         object.__setattr__(self, "names", _check_names(self.names, d))
-        if not 0.0 < float(self.dt) < np.inf:
-            raise ValidationError(f"dt must be finite and positive, got {self.dt}")
+        _check_step(self.dt)
         object.__setattr__(self, "dt", float(self.dt))
         if not (_finite or np.isfinite(values).all()):
             raise NaNsPresentError("non-finite values in series set")
@@ -160,8 +165,7 @@ class PanelPairs:
         object.__setattr__(self, "names", _check_names(self.names, d))
         if m < d + 3:
             raise TooShortError(f"{m} panel pairs < d + 3 = {d + 3}")
-        if not 0.0 < float(self.dt_gap) < np.inf:
-            raise ValidationError(f"dt_gap must be finite and positive, got {self.dt_gap}")
+        _check_step(self.dt_gap, "dt_gap")
         object.__setattr__(self, "dt_gap", float(self.dt_gap))
         if not (np.isfinite(x0).all() and np.isfinite(x1).all()):
             raise NaNsPresentError("non-finite values in panel data")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeSeriesSet, _check_index, _check_names, _readonly
+from .core import TimeSeriesSet, _check_index, _check_names, _check_step, _readonly
 from .errors import (
     BadMatrixSpecError,
     LyapunovResidualError,
@@ -141,16 +141,11 @@ def simulate(
     With ``burn_in=0`` the first recorded sample is exactly ``x0``.
     """
     d = sde.d
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and positive, got {dt}")
+    _check_step(dt, "dt", ValueError)
     n_steps = int(n_steps)
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    x0 = np.asarray(x0, dtype=float).ravel()
-    if x0.shape != (d,):
-        raise BadMatrixSpecError(f"x0 has shape {x0.shape}, expected ({d},)")
-    if not np.isfinite(x0).all():
-        raise BadMatrixSpecError("x0 contains non-finite entries")
+    x0 = _frozen(np.asarray(x0, dtype=float).ravel(), (d,), "x0")
     if burn_in is None:
         burn_in = default_burn_in(sde, dt)
     burn_in = int(burn_in)

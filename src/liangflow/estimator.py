@@ -24,13 +24,15 @@ all reported quantities are mapped back to original units.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import PanelPairs, TimeSeriesSet, _check_index, _readonly, check_k, forward_difference
+from .core import (PanelPairs, TimeSeriesSet, _check_index, _check_step, _readonly, check_k,
+                   forward_difference)
 from .errors import (
     DegenerateBudgetError,
     NaNsPresentError,
@@ -39,7 +41,6 @@ from .errors import (
     SameIndexError,
     SingularCovarianceError,
     TooShortError,
-    ValidationError,
     ZeroVarianceWarning,
 )
 
@@ -300,11 +301,11 @@ def _p_values(value, std_err):
     zero = std_err == 0.0
     pinned = zero & (value != 0.0)
     if pinned.any():
-        warnings.warn(
-            "zero standard error with a nonzero estimate; p-value pinned to 0",
-            ZeroVarianceWarning,
-            stacklevel=3,
-        )
+        frame, level = sys._getframe(), 1  # the warning names the first frame outside the package
+        while frame and frame.f_globals.get("__name__", "").split(".")[0] == __package__:
+            frame, level = frame.f_back, level + 1
+        warnings.warn("zero standard error with a nonzero estimate; p-value pinned to 0",
+                      ZeroVarianceWarning, stacklevel=level)
     return np.where(zero, np.where(pinned, 0.0, 1.0), p), pinned
 
 
@@ -332,19 +333,25 @@ def significance(flow: FlowEstimate, fit: LinearModelFit) -> FlowEstimate:
     return replace(flow, **_inference(flow.value, float(_std_err(flow.coef_scale, var))))
 
 
-def _entry(eng: _Design, target: int, source: int) -> FlowEstimate:
-    """The engine's rate from ``source`` into ``target`` with its inference;
-    ``source == target`` gives the target's self rate."""
-    value = float(eng.T[target, source])
+def _estimate(target: int, source: int, value, scale, std_err) -> FlowEstimate:
+    """The rate ``value`` from ``source`` into ``target``, coefficient ``source`` times
+    ``scale``, with its inference; ``source == target`` gives the target's self rate."""
+    value = float(value)
     return FlowEstimate(
         kind="self" if source == target else "pairwise",
         source=None if source == target else int(source),
         target=int(target),
         value=value,
         coef_index=int(source),
-        coef_scale=float(eng.scale[target, source]),
-        **_inference(value, float(eng.SE[target, source])),
+        coef_scale=float(scale),
+        **_inference(value, float(std_err)),
     )
+
+
+def _entry(eng: _Design, target: int, source: int) -> FlowEstimate:
+    """The engine's rate from ``source`` into ``target`` (the self rate when equal)."""
+    return _estimate(target, source, eng.T[target, source], eng.scale[target, source],
+                     eng.SE[target, source])
 
 
 def flow_multivariate(
@@ -390,8 +397,7 @@ def flow_bivariate(x1, x2, dt: float = 1.0, k: int = 1) -> FlowEstimate:
         raise NonRectangularError(f"series lengths differ: {x1.size} vs {x2.size}")
     if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
         raise NaNsPresentError("non-finite values in input series")
-    if not 0.0 < dt < math.inf:
-        raise ValidationError(f"dt must be finite and positive, got {dt}")
+    _check_step(dt)
     n = x1.size
     check_k(n, 2, k)
     n_eff = n - k
@@ -406,19 +412,11 @@ def flow_bivariate(x1, x2, dt: float = 1.0, k: int = 1) -> FlowEstimate:
     )
     if not ok:
         raise SingularCovarianceError(_PAIR_SINGULAR)
-    value = float(value)
-    return FlowEstimate(
-        kind="pairwise",
-        source=1,
-        target=0,
-        value=value,
-        coef_index=1,
-        coef_scale=float(scale),
-        **_inference(value, float(std_err)),
-    )
+    return _estimate(0, 1, value, scale, std_err)
 
 
 _PAIR_SINGULAR = "pair covariance matrix is numerically singular (perfectly correlated series)"
+_ZERO_BUDGET = "entropy budget for target {} is zero; nothing to normalize"
 
 
 def _bivariate_from_moments(c11, c22, c12, c1d, c2d, cdd, n_eff):
@@ -495,9 +493,7 @@ def normalize_flows(
     )
     z = float(z)
     if not z > _TINY:
-        raise DegenerateBudgetError(
-            f"entropy budget for target {fit.target} is zero; nothing to normalize"
-        )
+        raise DegenerateBudgetError(_ZERO_BUDGET.format(fit.target))
     out_flows = tuple(replace(fl, normalized=float(t)) for fl, t in zip(flows, tau))
     out_self = replace(self_flow, normalized=float(tau[-1]))
     return NormalizedBudget(

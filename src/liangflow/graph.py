@@ -27,6 +27,7 @@ from .errors import (
     ValidationError,
 )
 
+_ORIENTATION = "T[target][source]"  # stamped into every JSON output: row = receiving variable
 _MODES = ("multivariate", "bivariate")
 _ARRAYS = ("T", "P", "TAU", "SE", "noise_share")  # FlowMatrix fields, in JSON key order
 # the FlowMatrix scalars, each with the rule all_pairs meets; type() keeps a JSON bool out
@@ -71,16 +72,8 @@ class FlowMatrix:
     def __eq__(self, other):
         if not isinstance(other, FlowMatrix):
             return NotImplemented
-        scalars = (
-            self.names == other.names
-            and self.dt == other.dt
-            and self.k == other.k
-            and self.alpha == other.alpha
-            and self.mode == other.mode
-        )
-        return scalars and all(
-            np.array_equal(getattr(self, f), getattr(other, f), equal_nan=True)
-            for f in _ARRAYS
+        return all(getattr(self, f) == getattr(other, f) for f in ("names", *_SCALARS)) and all(
+            np.array_equal(getattr(self, f), getattr(other, f), equal_nan=True) for f in _ARRAYS
         )
 
 
@@ -173,9 +166,7 @@ def all_pairs(
         if pair_bad[i]:
             err = SingularCovarianceError(_est._PAIR_SINGULAR)
         else:
-            err = DegenerateBudgetError(
-                f"entropy budget for target {i} is zero; nothing to normalize"
-            )
+            err = DegenerateBudgetError(_est._ZERO_BUDGET.format(i))
         raise _into(tss.names[i], err)
 
     p, _ = _est._p_values(t, se)
@@ -312,7 +303,7 @@ def emit_json(obj) -> str:
     """
     if isinstance(obj, FlowMatrix):
         payload = {
-            "orientation": "T[target][source]",
+            "orientation": _ORIENTATION,
             "names": list(obj.names),
             "dt": obj.dt,
             "k": obj.k,
@@ -322,9 +313,8 @@ def emit_json(obj) -> str:
         }
         fields = (f"  {_C_JSON.encode(key)}: {_indented(v, 1)}" for key, v in payload.items())
         return "{\n" + ",\n".join(fields) + "\n}\n"
-    elif isinstance(obj, CausalGraph):
-        payload = {
-            "orientation": "T[target][source]",
+    if isinstance(obj, CausalGraph):
+        return _oriented_json({
             "nodes": list(obj.nodes),
             "alpha": obj.alpha,
             "min_tau": obj.min_tau,
@@ -342,10 +332,13 @@ def emit_json(obj) -> str:
                 {"node": s.node, "value": s.value, "tau": _null_nan(s.tau), "p": s.p}
                 for s in obj.self_loops
             ],
-        }
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        })
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _oriented_json(payload: dict) -> str:
+    """``payload`` as indented JSON, after an ``orientation`` field stamped first."""
+    return json.dumps({"orientation": _ORIENTATION, **payload}, indent=2, allow_nan=False) + "\n"
 
 
 def flow_matrix_from_json(text: str) -> FlowMatrix:
@@ -361,7 +354,7 @@ def flow_matrix_from_json(text: str) -> FlowMatrix:
     missing = [key for key in required if key not in raw]
     if missing:
         raise MalformedError(f"flow-matrix JSON is missing keys: {missing}")
-    if raw["orientation"] != "T[target][source]":
+    if raw["orientation"] != _ORIENTATION:
         raise MalformedError(f"unsupported orientation {raw['orientation']!r}")
     names = raw["names"]
     if not isinstance(names, list) or not all(isinstance(name, str) for name in names):

@@ -261,8 +261,11 @@ def test_c10_benchmark_wall_time():
 ENGINE_TOL = 1e-12
 
 
-def _engine_vs_scalar(tss):
-    """Worst deviation of all_pairs from the scalar route over every (target, source).
+ENGINE_STRIDES = (1, 5, 20)
+
+
+def _engine_vs_scalar(tss, k):
+    """Worst deviation of all_pairs from the scalar route over every (target, source), at stride k.
 
     The scalar route is flow_multivariate and self_contribution for T, SE
     and P, normalize_flows for TAU and noise_share, and, off the diagonal
@@ -278,18 +281,18 @@ def _engine_vs_scalar(tss):
     d = tss.d
     for mode in ("multivariate", "bivariate"):
         for normalize in (True, False):
-            fm = all_pairs(tss, normalize=normalize, mode=mode)
+            fm = all_pairs(tss, k=k, normalize=normalize, mode=mode)
             for i in range(d):
                 flows = []
                 for j in range(d):
                     if j == i:
                         continue
                     if mode == "multivariate":
-                        flows.append(flow_multivariate(tss, source=j, target=i))
+                        flows.append(flow_multivariate(tss, source=j, target=i, k=k))
                     else:
-                        est = flow_bivariate(tss.values[i], tss.values[j], dt=tss.dt)
+                        est = flow_bivariate(tss.values[i], tss.values[j], dt=tss.dt, k=k)
                         flows.append(replace(est, source=j, target=i))
-                self_est = self_contribution(tss, target=i)
+                self_est = self_contribution(tss, target=i, k=k)
                 for j, est in [(fl.source, fl) for fl in flows] + [(i, self_est)]:
                     dev("T", fm.T[i, j], est.value, est.std_err)
                     dev("SE", fm.SE[i, j], est.std_err, est.std_err)
@@ -298,7 +301,7 @@ def _engine_vs_scalar(tss):
                     if not (np.isnan(fm.TAU[i]).all() and np.isnan(fm.noise_share[i])):
                         worst["TAU"] = worst["noise_share"] = np.inf
                     continue
-                budget = normalize_flows(flows, self_est, fit_linear_model(tss, target=i))
+                budget = normalize_flows(flows, self_est, fit_linear_model(tss, target=i, k=k))
                 z = budget.z_total
                 for j, est in [(fl.source, fl) for fl in budget.flows] + [(i, budget.self_flow)]:
                     dev("TAU", fm.TAU[i, j] * z, est.normalized * z, est.std_err + abs(est.value))
@@ -315,7 +318,8 @@ def test_c11_determinism(ou2, tmp_path):
         np.random.default_rng(11).standard_normal((6, 2000)),
         1.0,
     )
-    worst = _engine_vs_scalar(tss)
+    per_k = [_engine_vs_scalar(tss, k) for k in ENGINE_STRIDES]
+    worst = {field: max(w[field] for w in per_k) for field in per_k[0]}
     checks.append(("engine-vs-scalar", max(worst.values()) <= ENGINE_TOL))
 
     paths = []
@@ -337,7 +341,8 @@ def test_c11_determinism(ou2, tmp_path):
     ok = not failed
     deviations = ", ".join(f"{name} {value:.1e}" for name, value in worst.items())
     detail = (
-        f"all_pairs = scalar route (max dev {deviations}; <= {ENGINE_TOL:g}), "
+        f"all_pairs = scalar route at k in {ENGINE_STRIDES} (max dev {deviations}; "
+        f"<= {ENGINE_TOL:g}), "
         f"simulate/emitters byte-identical"
         if ok
         else f"failed: {failed} (all_pairs vs scalar route: {deviations})"

@@ -23,12 +23,14 @@ from liangflow import (
     cofactor,
     emit_json,
     fit_linear_model,
+    flow_bivariate,
     flow_matrix_from_json,
     flow_multivariate,
     flow_panel,
     forward_difference,
     sample_covariance_matrix,
     self_contribution,
+    simulate,
     theoretical_budget,
     theoretical_flow,
     validate_series_set,
@@ -409,6 +411,26 @@ def test_every_entry_point_checks_indices_by_one_rule(caller):
         with pytest.raises(SameIndexError):
             call(_IN_RANGE, _IN_RANGE)
     call(0, _IN_RANGE)
+
+
+# each entry point that takes a step size, with the name and exception class it reports
+_STEP_CALLERS = {
+    "TimeSeriesSet": (lambda dt: TimeSeriesSet(("a",), np.arange(5.0), dt), "dt", ValidationError),
+    "PanelPairs": (lambda dt: PanelPairs(("a",), np.arange(5.0), np.arange(5.0), dt), "dt_gap",
+                   ValidationError),
+    "flow_bivariate": (lambda dt: flow_bivariate(np.arange(9.0), np.arange(9.0) ** 2, dt), "dt",
+                       ValidationError),
+    "simulate": (lambda dt: simulate(_SDE, np.zeros(3), 5, dt, seed=0), "dt", ValueError),
+}
+
+
+@pytest.mark.parametrize("caller", list(_STEP_CALLERS))
+def test_every_entry_point_checks_its_step_by_one_rule(caller):
+    call, name, error = _STEP_CALLERS[caller]
+    for bad, text in ((0.0, "0.0"), (-1, "-1"), (np.nan, "nan"), (np.inf, "inf")):
+        with pytest.raises(error, match=f"^{name} must be finite and positive, got {text}$"):
+            call(bad)
+    call(0.5)
 
 
 def test_readonly_keeps_the_shape_and_copies_only_what_the_caller_still_holds():

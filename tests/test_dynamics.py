@@ -173,8 +173,11 @@ def test_simulate_argument_checks(ou2):
         simulate(sde, [0.0, 0.0], 0, dt, seed=0)
     with pytest.raises(ValueError):
         simulate(sde, [0.0, 0.0], 10, dt, seed=0, burn_in=-1)
-    with pytest.raises(BadMatrixSpecError):
+    with pytest.raises(BadMatrixSpecError, match=r"^x0 has shape \(1,\), expected \(2,\)$"):
         simulate(sde, [0.0], 10, dt, seed=0)
+    for x0 in ([0.0, np.nan], [[np.inf], [0.0]]):
+        with pytest.raises(BadMatrixSpecError, match="^x0 contains non-finite entries$"):
+            simulate(sde, x0, 10, dt, seed=0)
 
 
 def _reference_scan(sde, x0, n_steps, dt, seed, burn_in):

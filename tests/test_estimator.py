@@ -564,6 +564,27 @@ def test_zero_variance_warning():
     assert not out.zero_variance
 
 
+def test_zero_variance_warning_names_the_callers_line():
+    # x1 integrates x2 exactly (small integers): the pair's closed form leaves no residual,
+    # so its nonzero rate's p-value is pinned to 0 with a warning
+    x2 = np.random.default_rng(0).integers(-3, 4, 60).astype(float)
+    x1 = np.concatenate([[0.0], np.cumsum(x2[:-1])])
+    tss = TimeSeriesSet(("a", "b"), np.vstack([x1, x2]), 1.0)
+    fit = _hand_fit(coeff_var=[0.0, 0.0], cov_row=[2.0, 0.3])
+    est = FlowEstimate(kind="self", source=None, target=0, value=0.5,
+                       coef_index=0, coef_scale=1.0)
+    routes = {
+        "all_pairs": lambda: all_pairs(tss, mode="bivariate", normalize=False),
+        "flow_bivariate": lambda: flow_bivariate(x1, x2),
+        "significance": lambda: significance(est, fit),
+        "_estimate": lambda: estimator._estimate(0, 1, 2.0, 1.0, 0.0),  # the engine routes' record
+    }
+    for name, call in routes.items():
+        with pytest.warns(ZeroVarianceWarning) as records:
+            call()
+        assert [r.filename for r in records] == [__file__] * len(records), name
+
+
 def test_ci_coverage_on_null_direction(ou2_null_trials):
     values, std_errs, _ = ou2_null_trials
     z95 = stats.norm.isf(0.025)
@@ -605,7 +626,8 @@ def test_normalization_degenerate_budget():
                              coef_index=1, coef_scale=0.0)
     zero_self = FlowEstimate(kind="self", source=None, target=0, value=0.0,
                              coef_index=0, coef_scale=1.0)
-    with pytest.raises(DegenerateBudgetError):
+    with pytest.raises(DegenerateBudgetError,
+                       match="^entropy budget for target 0 is zero; nothing to normalize$"):
         normalize_flows([zero_pair], zero_self, fit)
 
 

@@ -155,7 +155,8 @@ def test_degenerate_budget_names_the_target():
     values = np.vstack([rng.standard_normal(120), np.resize([1.0, -1.0], 120),
                         rng.standard_normal(120)])
     tss = TimeSeriesSet(("a", "b", "c"), values, 1.0)
-    with pytest.raises(DegenerateBudgetError, match="while computing flows into 'b'"):
+    with pytest.raises(DegenerateBudgetError, match="^while computing flows into 'b': entropy "
+                       "budget for target 1 is zero; nothing to normalize$"):
         all_pairs(tss, k=2)
     fm = all_pairs(tss, k=2, normalize=False)
     assert np.all(fm.T[1] == 0.0) and np.all(fm.P[1] == 1.0)
@@ -558,7 +559,7 @@ def test_flow_matrix_from_json_malformed():
     tss = _random_set(2, 100, seed=21)
     payload = json.loads(emit_json(all_pairs(tss)))
     payload["orientation"] = "T[source][target]"
-    with pytest.raises(MalformedError, match="orientation"):
+    with pytest.raises(MalformedError, match=r"^unsupported orientation 'T\[source\]\[target\]'$"):
         flow_matrix_from_json(json.dumps(payload))
     payload["orientation"] = "T[target][source]"
     with pytest.raises(MalformedError, match="not an object"):
