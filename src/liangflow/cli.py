@@ -17,7 +17,6 @@ import functools
 import io
 import itertools
 import json
-import math
 import os
 import re
 import sys
@@ -28,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import floattext
-from .core import validate_series_set
+from .core import _MODES, _NAN_POLICIES, _RULES, validate_series_set
 from .dynamics import (
     LinearSDE,
     _exact_rates,
@@ -443,17 +442,15 @@ def _in_order(fn, tasks: list, *shared, out=None):
         yield result
 
 
+_PRESETS = ("ou2", "chain5")  # the bundled systems, under presets/<name>.json
+
+
 def load_preset(name: str):
     """Load a bundled system preset; returns (LinearSDE, dt)."""
-    try:
-        text = (
-            resources.files("liangflow")
-            .joinpath("presets", f"{name}.json")
-            .read_text(encoding="utf-8")
-        )
-    except FileNotFoundError:
-        raise ValidationError(f"unknown preset {name!r} (available: ou2, chain5)") from None
-    spec = json.loads(text)
+    if name not in _PRESETS:
+        raise ValidationError(f"unknown preset {name!r} (available: {', '.join(_PRESETS)})")
+    path = resources.files("liangflow").joinpath("presets", f"{name}.json")
+    spec = json.loads(path.read_text(encoding="utf-8"))
     sde = LinearSDE(
         A=spec["A"], B=spec["B"], f=spec.get("f"), names=tuple(spec.get("names", ()))
     )
@@ -577,10 +574,8 @@ _DISPATCH = {
 
 
 def _checked(kind, ok, rule: str):
-    """An argparse ``type=``: ``kind(text)``, accepted only if ``ok`` holds for it.
-
-    Every rule on a number is a comparison, so a NaN number fails each one.
-    """
+    """An argparse ``type=``: ``kind(text)``, accepted only if ``ok`` holds for it; each
+    scalar option takes its kind, predicate and phrase from ``core._RULES``."""
     def convert(text: str):
         try:
             value = kind(text)
@@ -594,9 +589,9 @@ def _checked(kind, ok, rule: str):
     return convert
 
 
-_STEP = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
-_COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
-_NON_NEGATIVE = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_STEP = _checked(*_RULES["step"])
+_COUNT = _checked(*_RULES["count"])
+_NON_NEGATIVE = _checked(*_RULES["non_negative"])
 
 
 def _burn_in_arg(text: str):
@@ -622,19 +617,19 @@ def _add_series_options(sp):
     sp.add_argument("--dt", type=_STEP, default=1.0,
                     help="sampling interval; rates scale as 1/dt")
     sp.add_argument("--k", type=_COUNT, default=1, help="difference stride in steps")
-    sp.add_argument("--alpha", type=_checked(float, lambda v: 0 < v < 1, "a number in (0, 1)"),
-                    default=0.05, help="significance level")
-    sp.add_argument("--mode", choices=("multivariate", "bivariate"), default="multivariate",
+    sp.add_argument("--alpha", type=_checked(*_RULES["level"]), default=0.05,
+                    help="significance level")
+    sp.add_argument("--mode", choices=_MODES, default="multivariate",
                     help="condition pairwise rates on all components, or on the pair only")
     sp.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=True,
                     help="attach relative-importance shares (tau)")
-    sp.add_argument("--nan-policy", choices=("reject", "interpolate"), default="reject",
+    sp.add_argument("--nan-policy", choices=_NAN_POLICIES, default="reject",
                     help="reject NaNs, or interpolate interior gaps and trim edges")
     sp.add_argument("--output", help="output path (default: stdout)")
 
 
 def _add_system_options(sp):
-    sp.add_argument("--preset", choices=("ou2", "chain5"), help="bundled example system")
+    sp.add_argument("--preset", choices=_PRESETS, help="bundled example system")
     sp.add_argument("--A", type=_MATRIX,
                     help='drift matrix, rows separated by ";" '
                          '(values starting with "-" need the = form: --A="-1,0.5;0,-1")')
@@ -642,7 +637,6 @@ def _add_system_options(sp):
     sp.add_argument("--f", type=_VECTOR, help="constant offset vector, comma-separated")
     sp.add_argument("--names", type=_names_arg, help="comma-separated variable names")
     sp.add_argument("--output", help="output path (default: stdout)")
-
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -669,8 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
                         description="Estimate all rates, keep relations with p < alpha "
                                     "(optionally also |tau| >= --min-tau), emit the graph.")
     _add_series_options(sp)
-    sp.add_argument("--min-tau", default=None,
-                    type=_checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0"),
+    sp.add_argument("--min-tau", type=_checked(*_RULES["cut"]), default=None,
                     help="minimum |normalized share| for an edge (needs --normalize)")
     sp.add_argument("--bonferroni", action="store_true",
                     help="divide alpha by d^2 (number of tested relations)")

@@ -20,6 +20,7 @@ Covariance conventions used throughout the package:
 from __future__ import annotations
 
 import logging
+import math
 import numbers
 from dataclasses import KW_ONLY, InitVar, dataclass
 
@@ -63,10 +64,30 @@ def _check_names(names, d: int, error=None) -> tuple[str, ...]:
     return names
 
 
-def _check_step(value, name: str = "dt", error=ValidationError) -> None:
-    """Require a finite step ``value`` > 0; ``error`` names it otherwise."""
-    if not 0.0 < float(value) < np.inf:
-        raise error(f"{name} must be finite and positive, got {value}")
+_MODES = ("multivariate", "bivariate")
+_NAN_POLICIES = ("reject", "interpolate")
+# Each scalar argument's rule: the type its text converts to, a predicate, a phrase. Every
+# check reads it: ``_check`` here, ``graph.flow_matrix_from_json`` and the CLI's ``type=``
+# converters. Each number rule is a comparison, so NaN fails it.
+_RULES = {
+    "step": (float, lambda v: 0 < v < math.inf, "a finite number > 0"),
+    "count": (int, lambda v: v >= 1, "an integer >= 1"),
+    "non_negative": (int, lambda v: v >= 0, "an integer >= 0"),
+    "level": (float, lambda v: 0 < v < 1, "a number in (0, 1)"),
+    "threshold": (float, lambda v: 0 <= v <= 1, "a number in [0, 1]"),
+    "cut": (float, lambda v: 0 <= v < math.inf, "a finite number >= 0"),
+    "mode": (str, lambda v: v in _MODES, f"one of {_MODES}"),
+    "nan_policy": (str, lambda v: v in _NAN_POLICIES, f"one of {_NAN_POLICIES}"),
+}
+_KINDS = {int: numbers.Integral, float: numbers.Real, str: str}  # numpy scalars are numbers too
+
+
+def _check(rule: str, value, name: str, error=ValidationError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is of ``_RULES[rule]``'s kind, not a
+    bool, and passes its predicate."""
+    kind, ok, phrase = _RULES[rule]
+    if isinstance(value, bool) or not isinstance(value, _KINDS[kind]) or not ok(value):
+        raise error(f"{name} must be {phrase}, got {value!r}")
 
 
 def _check_index(d: int, **indices) -> None:
@@ -101,7 +122,7 @@ class TimeSeriesSet:
         if d < 1 or n < 1:
             raise TooShortError(f"empty series set of shape {values.shape}")
         object.__setattr__(self, "names", _check_names(self.names, d))
-        _check_step(self.dt)
+        _check("step", self.dt, "dt")
         object.__setattr__(self, "dt", float(self.dt))
         if not (_finite or np.isfinite(values).all()):
             raise NaNsPresentError("non-finite values in series set")
@@ -165,7 +186,7 @@ class PanelPairs:
         object.__setattr__(self, "names", _check_names(self.names, d))
         if m < d + 3:
             raise TooShortError(f"{m} panel pairs < d + 3 = {d + 3}")
-        _check_step(self.dt_gap, "dt_gap")
+        _check("step", self.dt_gap, "dt_gap")
         object.__setattr__(self, "dt_gap", float(self.dt_gap))
         if not (np.isfinite(x0).all() and np.isfinite(x1).all()):
             raise NaNsPresentError("non-finite values in panel data")
@@ -197,8 +218,7 @@ def validate_series_set(
         interpolated per variable and non-finite edges are trimmed
         consistently across all variables.
     """
-    if nan_policy not in ("reject", "interpolate"):
-        raise ValueError(f"nan_policy must be 'reject' or 'interpolate', got {nan_policy!r}")
+    _check("nan_policy", nan_policy, "nan_policy", ValueError)
     try:
         values = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as e:
@@ -271,7 +291,7 @@ def _interpolate_gaps(values: np.ndarray, finite: np.ndarray, names):
 def forward_difference(x: np.ndarray, k: int, dt: float) -> np.ndarray:
     """Forward difference quotient ``(x[n + k] - x[n]) / (k * dt)`` along the last axis."""
     x = np.asarray(x, dtype=float)
-    _check_stride(k)
+    _check("count", k, "k", ValueError)
     if k >= x.shape[-1]:
         raise KTooLargeError(f"k = {k} leaves no aligned samples (N = {x.shape[-1]})")
     out = x[..., k:] - x[..., :-k]
@@ -280,15 +300,9 @@ def forward_difference(x: np.ndarray, k: int, dt: float) -> np.ndarray:
     return out
 
 
-def _check_stride(k) -> None:
-    """Require an integer k >= 1 (a numpy integer too); ``ValueError`` otherwise."""
-    if not isinstance(k, numbers.Integral) or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
-
-
 def check_k(n: int, d: int, k: int) -> None:
     """Require an integer 1 <= k <= N - d - 2 so the fit keeps residual degrees of freedom."""
-    _check_stride(k)
+    _check("count", k, "k", ValueError)
     if k > n - d - 2:
         raise KTooLargeError(f"k = {k} exceeds N - d - 2 = {n - d - 2} (N = {n}, d = {d})")
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeSeriesSet, _check_index, _check_names, _check_step, _readonly
+from .core import TimeSeriesSet, _check, _check_index, _check_names, _readonly
 from .errors import (
     BadMatrixSpecError,
     LyapunovResidualError,
@@ -141,16 +141,13 @@ def simulate(
     With ``burn_in=0`` the first recorded sample is exactly ``x0``.
     """
     d = sde.d
-    _check_step(dt, "dt", ValueError)
-    n_steps = int(n_steps)
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    _check("step", dt, "dt", ValueError)
+    _check("count", n_steps, "n_steps", ValueError)
     x0 = _frozen(np.asarray(x0, dtype=float).ravel(), (d,), "x0")
     if burn_in is None:
         burn_in = default_burn_in(sde, dt)
-    burn_in = int(burn_in)
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+    _check("non_negative", burn_in, "burn_in", ValueError)
+    n_steps, burn_in = int(n_steps), int(burn_in)  # a numpy integer becomes an int
 
     total = burn_in + n_steps  # states to realize, including the start
     steps = total - 1

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (PanelPairs, TimeSeriesSet, _check_index, _check_step, _readonly, check_k,
+from .core import (PanelPairs, TimeSeriesSet, _check, _check_index, _readonly, check_k,
                    forward_difference)
 from .errors import (
     DegenerateBudgetError,
@@ -397,7 +397,7 @@ def flow_bivariate(x1, x2, dt: float = 1.0, k: int = 1) -> FlowEstimate:
         raise NonRectangularError(f"series lengths differ: {x1.size} vs {x2.size}")
     if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
         raise NaNsPresentError("non-finite values in input series")
-    _check_step(dt)
+    _check("step", dt, "dt")
     n = x1.size
     check_k(n, 2, k)
     n_eff = n - k

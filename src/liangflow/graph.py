@@ -10,7 +10,6 @@ outputs can be diffed and cached.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import estimator as _est
 from . import floattext
-from .core import TimeSeriesSet, _check_names, _readonly
+from .core import TimeSeriesSet, _check, _check_names, _readonly
 from .errors import (
     DegenerateBudgetError,
     MalformedError,
@@ -28,15 +27,9 @@ from .errors import (
 )
 
 _ORIENTATION = "T[target][source]"  # stamped into every JSON output: row = receiving variable
-_MODES = ("multivariate", "bivariate")
 _ARRAYS = ("T", "P", "TAU", "SE", "noise_share")  # FlowMatrix fields, in JSON key order
-# the FlowMatrix scalars, each with the rule all_pairs meets; type() keeps a JSON bool out
-_SCALARS = {
-    "dt": ("a finite number > 0", lambda v: type(v) in (int, float) and 0 < v < np.inf),
-    "k": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
-    "alpha": ("a number in (0, 1)", lambda v: type(v) in (int, float) and 0 < v < 1),
-    "mode": (f"one of {_MODES}", lambda v: v in _MODES),
-}
+# the FlowMatrix scalars, each with the core._RULES entry its value meets as all_pairs writes it
+_SCALARS = {"dt": "step", "k": "count", "alpha": "level", "mode": "mode"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,10 +119,8 @@ def all_pairs(
     numerical failure names the first target whose flows cannot be
     computed; a failure of the whole design names the first target.
     """
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    if not 0 < alpha < 1:  # NaN fails too
-        raise ValidationError(f"alpha must be a number in (0, 1), got {alpha!r}")
+    _check("mode", mode, "mode", ValueError)
+    _check("level", alpha, "alpha")
     if tss.d < 2:
         raise ValidationError("all-pairs analysis needs at least two variables")
     try:
@@ -196,14 +187,14 @@ def build_graph(
     ``bonferroni=True`` the threshold becomes alpha / d^2 (d^2 tests:
     d(d-1) pairs plus d self rates). Self loops are filtered by the same
     rule. Edges are emitted in (target index, source index) order. An
-    ``alpha`` outside [0, 1] or a ``min_tau`` that is not finite and >= 0
-    raises ``ValidationError``.
+    ``alpha`` that is not a number in [0, 1] or a ``min_tau`` that is not a
+    finite number >= 0 raises ``ValidationError``.
     """
-    alpha = fm.alpha if alpha is None else float(alpha)
-    if not 0 <= alpha <= 1:  # NaN fails too
-        raise ValidationError(f"alpha must be in [0, 1], got {alpha}")
-    if min_tau is not None and not 0 <= min_tau < math.inf:
-        raise ValidationError(f"min_tau must be finite and >= 0, got {min_tau}")
+    alpha = fm.alpha if alpha is None else alpha
+    _check("threshold", alpha, "alpha")
+    alpha = float(alpha)
+    if min_tau is not None:
+        _check("cut", min_tau, "min_tau")
     d = fm.d
     if min_tau is not None and np.isnan(fm.TAU).all():
         raise ValidationError("min_tau filtering needs a matrix computed with normalize=True")
@@ -365,10 +356,8 @@ def flow_matrix_from_json(text: str) -> FlowMatrix:
         raise MalformedError(f"flow-matrix JSON field 'names': {e}") from None
     raw.setdefault("mode", "multivariate")  # as all_pairs' default
     fields = {}
-    for key, (rule, ok) in _SCALARS.items():
-        if not ok(raw[key]):
-            raise MalformedError(f"flow-matrix JSON field {key!r}: expected {rule}, "
-                                 f"got {raw[key]!r}")
+    for key, rule in _SCALARS.items():
+        _check(rule, raw[key], f"flow-matrix JSON field {key!r}", MalformedError)
         fields[key] = float(raw[key]) if key == "dt" else raw[key]
     for key in _ARRAYS:
         try:  # d x d, or d for noise_share, with d from the names

@@ -17,6 +17,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -1142,8 +1143,14 @@ def test_load_preset_systems():
         assert chain.A[i + 1, i] == 0.5
     assert np.count_nonzero(chain.A) == 9
 
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^unknown preset 'does-not-exist' "
+                                              r"\(available: ou2, chain5\)$"):
         load_preset("does-not-exist")
+
+
+def test_the_preset_list_names_every_bundled_preset():
+    bundled = resources.files("liangflow").joinpath("presets").iterdir()
+    assert sorted(cli._PRESETS) == sorted(p.name[:-5] for p in bundled if p.name.endswith(".json"))
 
 
 # ---------------------------------------------------------------- commands
@@ -1577,33 +1584,63 @@ def test_a_pool_that_cannot_fork_is_not_a_write_failure(tmp_path, monkeypatch, c
     assert left == []
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["analyze", "--input", "x.csv", "--dt", "-1"],
-        ["analyze", "--input", "x.csv", "--k", "0"],
-        ["analyze", "--input", "x.csv", "--alpha", "1.5"],
-        ["graph", "--input", "x.csv", "--min-tau", "-0.2"],
-        ["graph", "--input", "x.csv", "--min-tau", "nan"],
-        ["analyze", "--input", "x.csv", "--dt", "inf"],
-        ["analyze", "--input", "x.csv", "--dt", "nan"],
-        ["analyze", "--input", "x.csv", "--alpha", "nan"],
-        ["simulate", "--preset", "ou2", "--n", "0"],
-        ["graph", "--input", "x.csv", "--min-tau", "inf", "--format", "json"],
-        ["simulate", "--preset", "ou2", "--n", "10", "--seed", "-1"],
-        ["simulate", "--A=", "--B=1", "--n", "5"],
-        ["simulate", "--A=1,2;3", "--B=1,0;0,1", "--n", "5"],
-        ["simulate", "--A=-1", "--B=x", "--n", "5"],
-        ["simulate", "--preset", "ou2", "--A=", "--n", "5"],
-        ["simulate", "--A=-1", "--B=1", "--x0=1,,2", "--n", "5"],
-        ["oracle", "--A=-1", "--B=1", "--f="],
-    ],
-)
-def test_exit_code_bad_config(argv):
+_MATRIX_RULE = "rows of equally many numbers, split by ';' and ','"
+# each bad configuration with the last line argparse prints for it, before any file access
+_BAD_CONFIG = {
+    ("analyze", "--input", "x.csv", "--dt", "-1"):
+        "liangflow analyze: error: argument --dt: expected a finite number > 0, got '-1'",
+    ("analyze", "--input", "x.csv", "--k", "0"):
+        "liangflow analyze: error: argument --k: expected an integer >= 1, got '0'",
+    ("analyze", "--input", "x.csv", "--alpha", "1.5"):
+        "liangflow analyze: error: argument --alpha: expected a number in (0, 1), got '1.5'",
+    ("graph", "--input", "x.csv", "--min-tau", "-0.2"):
+        "liangflow graph: error: argument --min-tau: expected a finite number >= 0, got '-0.2'",
+    ("graph", "--input", "x.csv", "--min-tau", "nan"):
+        "liangflow graph: error: argument --min-tau: expected a finite number >= 0, got 'nan'",
+    ("analyze", "--input", "x.csv", "--dt", "inf"):
+        "liangflow analyze: error: argument --dt: expected a finite number > 0, got 'inf'",
+    ("analyze", "--input", "x.csv", "--dt", "nan"):
+        "liangflow analyze: error: argument --dt: expected a finite number > 0, got 'nan'",
+    ("analyze", "--input", "x.csv", "--alpha", "nan"):
+        "liangflow analyze: error: argument --alpha: expected a number in (0, 1), got 'nan'",
+    ("simulate", "--preset", "ou2", "--n", "0"):
+        "liangflow simulate: error: argument --n: expected an integer >= 1, got '0'",
+    ("graph", "--input", "x.csv", "--min-tau", "inf", "--format", "json"):
+        "liangflow graph: error: argument --min-tau: expected a finite number >= 0, got 'inf'",
+    ("simulate", "--preset", "ou2", "--n", "10", "--seed", "-1"):
+        "liangflow simulate: error: argument --seed: expected an integer >= 0, got '-1'",
+    ("simulate", "--A=", "--B=1", "--n", "5"):
+        f"liangflow simulate: error: argument --A: expected {_MATRIX_RULE}, got ''",
+    ("simulate", "--A=1,2;3", "--B=1,0;0,1", "--n", "5"):
+        f"liangflow simulate: error: argument --A: expected {_MATRIX_RULE}, got '1,2;3'",
+    ("simulate", "--A=-1", "--B=x", "--n", "5"):
+        f"liangflow simulate: error: argument --B: expected {_MATRIX_RULE}, got 'x'",
+    ("simulate", "--preset", "ou2", "--A=", "--n", "5"):
+        f"liangflow simulate: error: argument --A: expected {_MATRIX_RULE}, got ''",
+    ("simulate", "--A=-1", "--B=1", "--x0=1,,2", "--n", "5"):
+        "liangflow simulate: error: argument --x0: expected numbers split by ',', got '1,,2'",
+    ("oracle", "--A=-1", "--B=1", "--f="):
+        "liangflow oracle: error: argument --f: expected numbers split by ',', got ''",
+    ("simulate", "--preset", "ou2", "--n", "5", "--burn-in", "-1"):
+        "liangflow simulate: error: argument --burn-in: expected an integer >= 0, got '-1'",
+    ("simulate", "--preset", "ou2", "--n", "5", "--burn-in", "1.5"):
+        "liangflow simulate: error: argument --burn-in: expected an integer >= 0, got '1.5'",
+    ("simulate", "--preset", "ou2", "--n", "1.5"):
+        "liangflow simulate: error: argument --n: expected an integer >= 1, got '1.5'",
+    ("analyze", "--input", "x.csv", "--k", "true"):
+        "liangflow analyze: error: argument --k: expected an integer >= 1, got 'true'",
+    ("simulate", "--preset", "ou2", "--n", "5", "--dt", "0"):
+        "liangflow simulate: error: argument --dt: expected a finite number > 0, got '0'",
+}
+
+
+@pytest.mark.parametrize("argv", [list(argv) for argv in _BAD_CONFIG])
+def test_exit_code_bad_config(argv, capsys):
     # configuration is rejected before any file access
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == _BAD_CONFIG[tuple(argv)]
 
 
 def test_argparse_rejects_missing_required():

@@ -1,6 +1,7 @@
 """Data validation, covariance conventions, and cofactor arithmetic."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from liangflow import (
     TooShortError,
     ValidationError,
     all_pairs,
+    build_graph,
     cofactor,
     emit_json,
     fit_linear_model,
@@ -427,10 +429,55 @@ _STEP_CALLERS = {
 @pytest.mark.parametrize("caller", list(_STEP_CALLERS))
 def test_every_entry_point_checks_its_step_by_one_rule(caller):
     call, name, error = _STEP_CALLERS[caller]
-    for bad, text in ((0.0, "0.0"), (-1, "-1"), (np.nan, "nan"), (np.inf, "inf")):
-        with pytest.raises(error, match=f"^{name} must be finite and positive, got {text}$"):
+    for bad, text in ((0.0, "0.0"), (-1, "-1"), (np.nan, "nan"), (np.inf, "inf"),
+                      (True, "True"), ("0.5", "'0.5'"), (None, "None")):
+        with pytest.raises(error, match=f"^{name} must be a finite number > 0, got {text}$"):
             call(bad)
     call(0.5)
+    call(np.float32(0.5))
+
+
+_FM = all_pairs(_TSS)
+_STRIDE_BAD = (0, -1, 1.5, True, np.True_, "2", None)
+_STRIDE = "k must be an integer >= 1"
+# each entry point's other scalar arguments: (call, the message's name and rule, the class it
+# raises, values the rule rejects, a value it accepts)
+_SCALAR_CALLERS = {
+    "check_k.k": (lambda k: check_k(50, 3, k), _STRIDE, ValueError, _STRIDE_BAD, 2),
+    "forward_difference.k": (lambda k: forward_difference(np.arange(9.0), k, 1.0), _STRIDE,
+                             ValueError, _STRIDE_BAD, np.int64(2)),
+    "all_pairs.k": (lambda k: all_pairs(_TSS, k=k), _STRIDE, ValueError, _STRIDE_BAD, 3),
+    "flow_bivariate.k": (lambda k: flow_bivariate(_RAW[0], _RAW[1], k=k), _STRIDE, ValueError,
+                         _STRIDE_BAD, 2),
+    "simulate.n_steps": (lambda n: simulate(_SDE, np.zeros(3), n, 0.1, seed=0),
+                         "n_steps must be an integer >= 1", ValueError,
+                         (0, 2.7, True, "5", None), np.uint8(5)),
+    "simulate.burn_in": (lambda b: simulate(_SDE, np.zeros(3), 5, 0.1, seed=0, burn_in=b),
+                         "burn_in must be an integer >= 0", ValueError, (-1, 3.9, True, "3"), 0),
+    "all_pairs.alpha": (lambda a: all_pairs(_TSS, alpha=a), "alpha must be a number in (0, 1)",
+                        ValidationError, (0, 1, 1.5, np.nan, True, "0.05", None), 0.5),
+    "build_graph.alpha": (lambda a: build_graph(_FM, alpha=a), "alpha must be a number in [0, 1]",
+                          ValidationError, (-0.5, 1.5, np.nan, True, "0.5"), 1),
+    "build_graph.min_tau": (lambda m: build_graph(_FM, min_tau=m),
+                            "min_tau must be a finite number >= 0", ValidationError,
+                            (-0.1, np.inf, np.nan, True, "0.1"), 0),
+    "all_pairs.mode": (lambda m: all_pairs(_TSS, mode=m),
+                       "mode must be one of ('multivariate', 'bivariate')", ValueError,
+                       ("x", "Bivariate", None, 1), "bivariate"),
+    "validate_series_set.nan_policy": (
+        lambda p: validate_series_set(_RAW, ("p", "q"), 1.0, nan_policy=p),
+        "nan_policy must be one of ('reject', 'interpolate')", ValueError, ("x", None),
+        "interpolate"),
+}
+
+
+@pytest.mark.parametrize("caller", list(_SCALAR_CALLERS))
+def test_every_scalar_argument_meets_its_rule(caller):
+    call, rule, error, bads, good = _SCALAR_CALLERS[caller]
+    for bad in bads:
+        with pytest.raises(error, match=f"^{re.escape(rule)}, got {re.escape(repr(bad))}$"):
+            call(bad)
+    call(good)
 
 
 def test_readonly_keeps_the_shape_and_copies_only_what_the_caller_still_holds():

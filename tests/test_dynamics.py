@@ -167,7 +167,7 @@ def test_divergent_trajectory():
 def test_simulate_argument_checks(ou2):
     sde, dt = ou2
     for dt_bad in (0.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="dt must be finite and positive"):
+        with pytest.raises(ValueError, match="^dt must be a finite number > 0, got "):
             simulate(sde, [0.0, 0.0], 10, dt_bad, seed=0)
     with pytest.raises(ValueError):
         simulate(sde, [0.0, 0.0], 0, dt, seed=0)

@@ -247,7 +247,7 @@ def test_bivariate_input_checks():
         flow_bivariate(x, y)
     y = np.random.default_rng(0).standard_normal(20)
     for dt in (0.0, np.nan, -1.0, np.inf):
-        with pytest.raises(ValidationError, match="dt must be finite and positive"):
+        with pytest.raises(ValidationError, match="^dt must be a finite number > 0, got "):
             flow_bivariate(x, y, dt=dt)
 
 
@@ -590,6 +590,26 @@ def test_ci_coverage_on_null_direction(ou2_null_trials):
     z95 = stats.norm.isf(0.025)
     coverage = float(np.mean(np.abs(values) <= z95 * std_errs))
     assert 0.93 <= coverage <= 0.97, f"95% CI covered 0 in {coverage:.1%} of trials"
+
+
+@pytest.fixture(scope="module")
+def ou2_null_sets(ou2):
+    """200 ou2 trajectories (seeds 20000-20199, N = 2500, dt = 0.05, 400 burn-in steps), whose
+    flow x1 -> x2, ``P[1, 0]``, is exactly zero in the generating model."""
+    sde, _ = ou2
+    return [simulate(sde, [0.0, 0.0], 2500, 0.05, seed=seed, burn_in=400)
+            for seed in range(20000, 20200)]
+
+
+# ROADMAP item 1: at k > 1 the overlapping differences leave MA(k - 1) residuals that the OLS
+# standard error ignores, so k = 5 rejects this null in about 37% of the sets; the change that
+# mends it turns the xfail into a pass
+@pytest.mark.parametrize("k", [1, pytest.param(5, marks=pytest.mark.xfail(
+    strict=True, reason="OLS standard errors ignore the MA(k - 1) residuals at k > 1"))])
+def test_null_false_positives_at_stride(ou2_null_sets, k):
+    for mode in ("multivariate", "bivariate"):
+        rate = np.mean([all_pairs(tss, k=k, mode=mode).P[1, 0] < 0.05 for tss in ou2_null_sets])
+        assert rate <= 0.08, f"{mode}, k = {k}: {rate:.1%} false positives at alpha = 0.05"
 
 
 # ------------------------------------------------------------ normalization
