@@ -69,22 +69,23 @@ def parse_csv(path: str):
     input transposed to row-per-variable), in C order.
 
     The input is read as bytes, at offsets: a pipe is first copied to an
-    unnamed temporary file. The data rows are cut into ranges of about
+    unnamed temporary file. Each data record is one physical line: a quote
+    still open at a line end is an error (only the header's names may hold
+    a quoted line end). So the data rows are cut into ranges of about
     ``_RANGE`` bytes that end at line ends (``_cuts``), and each range is
-    read and parsed where it runs, on every usable CPU (``_in_order``,
-    ``_parse_range``). A range that turns out to start inside a quoted
-    record of the range before it is parsed again here, from that
-    record's end. The result is the row loop's over the whole input, bit
-    for bit, and so is the error: the input's first fault in file order, a
-    bad record, a csv error or an undecodable line, after which nothing
-    more is read.
+    read and parsed on its own where it runs, on every usable CPU
+    (``_in_order``, ``_parse_range``). The result is the row loop's over
+    the whole input, bit for bit, and so is the error: the input's first
+    fault in file order, a bad line, a csv error or an undecodable line;
+    the ranges not yet begun are then not read.
     """
     try:
         with _opened(path) as fh:
             fd = fh.fileno()
             size = os.fstat(fd).st_size
             names, at = _header(path, fd, size)
-            blocks = _parse_ranges(path, fd, names, at, size)
+            # _in_order raises the first error in task order, the input's first fault
+            blocks = list(_in_order(_parse_range, list(_cuts(fd, at, size)), fd, path, names))
     except OSError as e:
         raise ValidationError(f"cannot read {path}: {e}") from None
     except UnicodeDecodeError as e:  # no position: it names the same bytes however cut
@@ -118,34 +119,22 @@ def _opened(path: str):
 
 def _header(path: str, fd: int, size: int):
     """The names in the first record of ``fd`` that is not empty, and the offset
-    just after it. A byte order mark, as Excel writes one, is not in them."""
+    just after it. A byte order mark, as Excel writes one, is not in them. A
+    name may hold a quoted line end, as ``csv.writer`` writes one, so the
+    record may run over several lines; a csv error names the line it starts on."""
     lines = _Lines(_pieces(fd, 0, size, min(_PIECE, _HEAD)), 0)
     text = iter(lines)
     first = next(text, "").removeprefix("\ufeff")
     reader = csv.reader(itertools.chain(filter(None, [first]), text))
-    header = next(filter(None, _records(path, reader, lambda: 0)), None)
-    if header is None:
-        raise EmptyFileError(f"{path}: no content")
-    return [cell.strip() for cell in header], lines.end
-
-
-def _parse_ranges(path: str, fd: int, names, at: int, size: int) -> list:
-    """The records of ``fd`` from byte ``at``, a line end, to ``size``, as d x N
-    blocks in order, parsed a range at a time; the first fault in file order raises."""
-    cuts = list(_cuts(fd, at, size))
-    blocks = []
-    # closed as the error leaves it: the workers' results in flight are dropped
-    with contextlib.closing(_in_order(_parse_range, cuts, fd, path, names)) as results:
-        for (lo, hi), result in zip(cuts, results):
-            if lo < at:  # it began inside the record before it: parse what is left
-                if hi <= at:
-                    continue
-                result = _parse_range(fd, path, names, at, hi)
-            values, at = result
-            if isinstance(values, Exception):
-                raise values
-            blocks.append(values)
-    return blocks
+    start = 1
+    try:
+        for header in reader:
+            if header:
+                return [cell.strip() for cell in header], lines.end
+            start = reader.line_num + 1
+    except csv.Error as e:
+        raise MalformedError(f"{path}: line {start}: {e}") from None
+    raise EmptyFileError(f"{path}: no content")
 
 
 def _cuts(fd: int, lo: int, size: int):
@@ -209,88 +198,60 @@ def _lines_before(fd: int, at: int) -> int:
                for text in _pieces(fd, 0, at))
 
 
-def _parse_range(fd: int, path: str, names, lo: int, hi: int):
-    """The records of ``fd`` from byte ``lo``, a line end, through the one that
-    holds byte ``hi - 1``, as (values, end): a d x N C-ordered array, and the
-    offset where the last record ends, past ``hi`` if a quote holds it open.
-    In place of the values, the ``MalformedError`` of the range's first bad
-    record or the ``UnicodeDecodeError`` of its first undecodable line is
-    returned, so that a range found to begin inside a record raises nothing.
+def _parse_range(fd: int, path: str, names, lo: int, hi: int) -> np.ndarray:
+    """The records of ``fd`` from byte ``lo`` to ``hi``, both line ends, as a d x N
+    C-ordered array; the range's first bad line or undecodable line raises.
 
     Each piece is read by orjson (``floattext.read_rows``) or, where that
     gives up, by the row loop, which defines every value and every error.
-    The row loop runs through the record that holds the piece's last byte,
-    and the next piece starts where that record ends. Lines are counted only
-    for an error's message.
+    Lines are counted only for an error's message.
     """
-    size = os.fstat(fd).st_size
     blocks = [np.empty((0, len(names)))]
-    try:
-        while lo < hi:
-            piece = next(_pieces(fd, lo, hi))
-            end = lo + len(piece)
-            rows = floattext.read_rows(piece, len(names))
-            if rows is None:  # this piece, then on to the end of a record a quote holds open
-                lines = _Lines(itertools.chain([piece], _pieces(fd, end, size)), lo)
-                rows = _parse_rows(path, names, csv.reader(lines),
-                                   functools.partial(_lines_before, fd, lo),
-                                   lambda: lines.end >= end)
-                end = lines.end
-            blocks.append(rows)
-            lo = end
-    except (MalformedError, UnicodeDecodeError) as e:
-        return e, None
-    return np.ascontiguousarray(np.concatenate(blocks).T), lo
+    for piece in _pieces(fd, lo, hi):
+        rows = floattext.read_rows(piece, len(names))
+        if rows is None:  # split as _Lines splits; each line decoded as the row loop reaches it
+            lines = (line.decode() for line in piece.splitlines(keepends=True))
+            rows = _parse_rows(path, names, lines, functools.partial(_lines_before, fd, lo))
+        blocks.append(rows)
+        lo += len(piece)
+    return np.ascontiguousarray(np.concatenate(blocks).T)
 
 
-def _parse_rows(path: str, names, reader, before, done=None):
-    """Row-by-row reader of ``parse_csv``'s format, as an N x d array.
+def _parse_rows(path: str, names, lines, before):
+    """Row-by-row reader of ``parse_csv``'s format: the text ``lines``, each with
+    its line end, one record each, as an N x d array.
 
-    ``before()`` is the number of physical lines before the reader's
-    first, asked only for an error's message, so errors name physical
-    lines. With ``done``, it stops after the first record after which
-    ``done()`` holds.
+    Each line has a csv reader of its own, so none reads on into the next:
+    a quote still open at the line end leaves the line end in the last
+    cell, and is an error. ``before()`` is the number of physical lines
+    before the first, asked only for an error's message.
     """
     width = len(names)
     rows = []
-    for row in _records(path, reader, before):
-        if row:
-            if len(row) != width:
-                raise MalformedError(f"{path}: line {before() + reader.line_num}: "
-                                     f"expected {width} cells, got {len(row)}")
-            values = []
-            for name, cell in zip(names, row):
-                cell = cell.strip()
-                if cell == "":
-                    values.append(np.nan)
-                else:
-                    try:
-                        values.append(float(cell))
-                    except ValueError:
-                        raise MalformedError(
-                            f"{path}: line {before() + reader.line_num}: "
-                            f"non-numeric value {cell!r} in column {name!r}"
-                        ) from None
-            rows.append(values)
-        if done is not None and done():
-            break
+
+    def fault(message: str) -> MalformedError:  # on the line being read
+        return MalformedError(f"{path}: line {before() + number}: {message}")
+
+    for number, text in enumerate(lines, 1):
+        try:
+            row = next(csv.reader((text,)))
+        except csv.Error as e:
+            raise fault(str(e)) from None
+        if not row:
+            continue
+        if row[-1].endswith(("\n", "\r")):
+            raise fault("a quote is still open at the line end")
+        if len(row) != width:
+            raise fault(f"expected {width} cells, got {len(row)}")
+        values = []
+        for name, cell in zip(names, row):
+            cell = cell.strip()
+            try:
+                values.append(float(cell) if cell else np.nan)
+            except ValueError:
+                raise fault(f"non-numeric value {cell!r} in column {name!r}") from None
+        rows.append(values)
     return np.array(rows, dtype=float).reshape(-1, width)
-
-
-def _records(path: str, reader, before):
-    """The rows of ``reader``; a csv error becomes a ``MalformedError``.
-
-    The error names the physical line its record starts on, ``before()``
-    lines after the reader's first, not the one where ``csv.reader`` gave
-    up (a quoted cell may run on for many lines).
-    """
-    start = reader.line_num + 1
-    try:
-        for row in reader:
-            yield row
-            start = reader.line_num + 1
-    except csv.Error as e:
-        raise MalformedError(f"{path}: line {before() + start}: {e}") from None
 
 
 _WRITE_BLOCK = 4096  # samples per task of the pool: bounds the text in flight

@@ -84,9 +84,14 @@ _KINDS = {int: numbers.Integral, float: numbers.Real, str: str}  # numpy scalars
 
 def _check(rule: str, value, name: str, error=ValidationError) -> None:
     """Raise ``error`` naming ``name`` unless ``value`` is of ``_RULES[rule]``'s kind, not a
-    bool, and passes its predicate."""
+    bool, and passes its predicate once converted to that kind (an int beyond the float
+    range, which ``float`` cannot convert, fails a number rule)."""
     kind, ok, phrase = _RULES[rule]
-    if isinstance(value, bool) or not isinstance(value, _KINDS[kind]) or not ok(value):
+    try:
+        valid = not isinstance(value, bool) and isinstance(value, _KINDS[kind]) and ok(kind(value))
+    except OverflowError:
+        valid = False
+    if not valid:
         raise error(f"{name} must be {phrase}, got {value!r}")
 
 

@@ -195,6 +195,7 @@ def build_graph(
     alpha = float(alpha)
     if min_tau is not None:
         _check("cut", min_tau, "min_tau")
+        min_tau = float(min_tau)  # as alpha: a numpy scalar or an int is written as a float
     d = fm.d
     if min_tau is not None and np.isnan(fm.TAU).all():
         raise ValidationError("min_tau filtering needs a matrix computed with normalize=True")

@@ -3,7 +3,9 @@
 import contextlib
 import csv
 import errno
+import functools
 import io
+import itertools
 import json
 import multiprocessing
 import os
@@ -21,6 +23,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liangflow import (
     EmptyFileError,
@@ -94,18 +98,19 @@ def serial(monkeypatch):
 
 @pytest.fixture
 def row_loop_calls(monkeypatch, serial):
-    """(path, lines) of each piece parse_csv handed to the row-by-row reader.
+    """(path, lines read) of each piece parse_csv handed to the row-by-row reader.
 
     Serial, because a call in a pool worker would append to the worker's copy.
     """
     calls = []
     rows = cli._parse_rows
 
-    def spy(path, names, reader, line, *done):
+    def spy(path, names, lines, before):
+        taken = []
         try:
-            return rows(path, names, reader, line, *done)
+            return rows(path, names, (taken.append(text) or text for text in lines), before)
         finally:
-            calls.append((path, reader.line_num))
+            calls.append((path, len(taken)))
 
     monkeypatch.setattr(cli, "_parse_rows", spy)
     return calls
@@ -178,10 +183,10 @@ def test_parse_csv_empty_and_header_only(tmp_path):
 
 
 def _row_loop_bits(path, names):
+    """The row loop's bits over the lines of ``path`` after its one-line header."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return cli._parse_rows(path, names, reader, lambda: 1).T.tobytes()
+        next(fh)
+        return cli._parse_rows(path, names, fh, lambda: 1).T.tobytes()
 
 
 def test_parse_csv_gaps_take_the_filled_bulk_reader(tmp_path, row_loop_calls):
@@ -335,14 +340,17 @@ def test_parse_csv_cells_orjson_rejects_give_the_row_loop_error(tmp_path, capsys
 
 def test_parse_csv_blocks_keep_physical_lines_and_quoted_records(tmp_path, monkeypatch):
     ranges = _small_ranges(monkeypatch, 1, 1)  # a line a range
-    # the quoted cell "4\n" is one record over lines 3-4, across a cut
-    text = 'a,b\n1,2\n3,"4\n"\n5,6\n\n7,\n'
+    # the quoted cell "4" is a number; blank lines count as lines
+    text = 'a,b\n1,2\n3,"4"\n\n5,6\n\n7,\n'
     _, values = parse_csv(_write(tmp_path, "t.csv", text))
     np.testing.assert_array_equal(values, [[1, 3, 5, 7], [2, 4, 6, np.nan]])
     with pytest.raises(MalformedError, match="line 9: non-numeric value 'x'"):
         parse_csv(_write(tmp_path, "u.csv", text + "\n8,x\n"))
     with pytest.raises(MalformedError, match="line 9: expected 2 cells, got 1"):
         parse_csv(_write(tmp_path, "v.csv", text + "\n8\n"))
+    # a quoted cell that holds a line end is no record over two lines: it fails on its first
+    with pytest.raises(MalformedError, match="line 3: a quote is still open at the line end$"):
+        parse_csv(_write(tmp_path, "w.csv", text.replace('"4"', '"4\n"')))
     assert len(ranges) > 1
 
 
@@ -772,10 +780,9 @@ def test_csv_io_without_sched_getaffinity(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == [] and len(ranges) > 1
 
 
-# in ranges of 12 bytes, about 3 lines: clean; quoted, its last record open into the next
-# range, which this process parses again from that record's end; gappy; quoted, with a blank
-# line; clean; clean. All of them are parsed in the pool first.
-MIXED_LINES = ("1,2", "3,4", "5,6", '7,"8"', "9,10", '11,"12', '"', "13,", ",14", "15,16",
+# in ranges of 12 bytes, about 3 lines: clean; quoted; quoted, with a blank line; gappy;
+# with a blank line; quoted; clean; clean
+MIXED_LINES = ("1,2", "3,4", "5,6", '7,"8"', "9,10", '11,"12"', "", "13,", ",14", "15,16",
                "", "17,18", '19,"20"', "21,22", "23,24", "25,26", "27,28", "29,30")
 
 
@@ -795,6 +802,8 @@ def _outcome(path):
         ({3: '7,"y"', 16: "27,x"}, "line 5: non-numeric value 'y'"),  # a quoted block first
         ({7: "13,z", 12: '19,"w"'}, "line 9: non-numeric value 'z'"),  # a pooled block first
         ({16: "27,28,0", 17: "x"}, "line 18: expected 2 cells, got 3"),
+        # a quote open at a line end fails on that line, before a bad cell after it
+        ({5: '11,"12', 6: '"', 16: "27,x"}, "line 7: a quote is still open at the line end"),
     ],
 )
 def test_parse_csv_pool_gives_the_serial_result(tmp_path, monkeypatch, bad, message):
@@ -819,11 +828,13 @@ UNDECODABLE = (
     # ranges parsed ahead: the bad cell comes first
     (b"a,b\n1,x\n1,234\n" + "\uff13,4\n".encode() * 20000 + b"3,\xff\n",
      ": line 2: non-numeric value 'x' in column 'b'"),
-    # an unterminated quote that runs on into the bad byte, and one that csv gives up on (at
-    # 131072 characters) before it
+    # a quote open at a line end before the bad byte, and after it
     (b'a,b\n1,"2\n' + b"3,4\n" * 100 + b"3,\xff\n",
+     ": line 2: a quote is still open at the line end"),
+    (b"a,b\n" + b"3,4\n" * 100 + b"3,\xff\n" + b'1,"2\n',
      " is not UTF-8 text: can't decode b'\\xff': invalid start byte"),
-    (b'a,b\n1,"2\n' + b"3,4\n" * 40000 + b"3,\xff\n",
+    # a cell that csv gives up on (at 131072 characters) before the bad byte
+    (b"a,b\n1," + b"2" * 140000 + b"\n" + b"3,4\n" * 100 + b"3,\xff\n",
      ": line 2: field larger than field limit (131072)"),
 )
 
@@ -843,31 +854,32 @@ def test_parse_csv_pool_reports_undecodable_text_as_one_pass(tmp_path, monkeypat
 
 @needs_fork_pool
 def test_parse_csv_pool_parses_quoted_blocks_in_the_workers(tmp_path, monkeypatch, two_cpus):
-    # the range this process parses again, from the end of the quoted record open into it,
-    # is read by orjson here
+    # every range, quoted or not, is parsed in a worker and none again here: the row loop
+    # never runs in this process, neither for the values nor for an open quote's error
     ranges = _small_ranges(monkeypatch, 12, 1)
     path = _write(tmp_path, "t.csv", "a,b\n" + "\n".join(MIXED_LINES) + "\n")
-    with open(path, newline="", encoding="utf-8") as fh:  # the whole-file row loop
-        reader = csv.reader(fh)
-        next(reader)
-        want = cli._parse_rows(path, ["a", "b"], reader, lambda: 0).T
+    want = np.frombuffer(_row_loop_bits(path, ["a", "b"])).reshape(2, -1)
     calls = []
     rows = cli._parse_rows
 
-    def spy(path, names, reader, line, *done):
-        calls.append(line)  # in a worker, to the worker's copy of the list
-        return rows(path, names, reader, line, *done)
+    def spy(*args):
+        calls.append(args)  # in a worker, to the worker's copy of the list
+        return rows(*args)
 
     monkeypatch.setattr(cli, "_parse_rows", spy)
     np.testing.assert_array_equal(parse_csv(path)[1], want)
+    lines = list(MIXED_LINES)
+    lines[5:7] = '11,"12', '"'
+    path = _write(tmp_path, "u.csv", "a,b\n" + "\n".join(lines) + "\n")
+    with pytest.raises(MalformedError, match="line 7: a quote is still open at the line end$"):
+        parse_csv(path)
     assert calls == [] and len(ranges) > 1
     assert multiprocessing.active_children() == []
 
 
-# an unterminated quote on line 2 opens a field that runs on through the 4-character lines
-# after it, until csv gives up at 131072 characters, on line 32770; the error names line 2,
-# where the record starts
-LONG_FIELD = 'a,b\n1,"2\n' + "3,4\n" * 40000
+# a cell of 140,000 digits on line 2, which csv gives up on at 131072 characters, and
+# 4-character lines after it
+LONG_FIELD = "a,b\n1," + "2" * 140_000 + "\n" + "3,4\n" * 40000
 
 
 @pytest.mark.parametrize(
@@ -876,13 +888,17 @@ LONG_FIELD = 'a,b\n1,"2\n' + "3,4\n" * 40000
         (LONG_FIELD, "line 2: field larger than field limit (131072)"),
         # a bad record before it in the same block comes first
         (LONG_FIELD.replace("\n", "\n1x,2\n", 1), "line 2: non-numeric value '1x' in column 'a'"),
+        # a header's quote may hold line ends: this one runs on until csv gives up, on line
+        # 32770; the error names line 1, where the record starts
         ('a,"b\n' + "3,4\n" * 40000, "line 1: field larger than field limit (131072)"),
+        # a data cell's quote may not: it fails on its own line
+        ('a,b\n1,"2\n' + "3,4\n" * 40000, "line 2: a quote is still open at the line end"),
     ],
-    ids=["record", "bad record first", "header"],
+    ids=["record", "bad record first", "header", "open quote"],
 )
 def test_parse_csv_csv_error_is_malformed(tmp_path, monkeypatch, text, message):
-    # in ranges of 1 KB, so the quoted range runs on far into the file and the pool has
-    # ranges after it; the header's quote fails before any range is cut
+    # in ranges of 1 KB, so the pool has ranges after the faulty one; the header's quote
+    # fails before any range is cut
     ranges = _small_ranges(monkeypatch, 1 << 10, 16)
     path = _write(tmp_path, "t.csv", text)
     for cpus in (1, 2):
@@ -960,23 +976,33 @@ def _lines_text(lines, end="\n") -> bytes:
 
 
 def test_parse_csv_quoted_record_across_a_cut(tmp_path, monkeypatch, cpus):
-    # the record on lines 12-14 holds a quoted line end; a cut falls inside it, and the
-    # range after that cut is parsed again from the record's end. A bad cell in a record
-    # is reported on the record's last line, as the row loop reports it.
-    ranges = _small_ranges(monkeypatch, 16, 4)
+    # an open quote fails at the same line for every cut: the quote on line 12 is still open
+    # at its line end, and that line starts a range or not, and ends one or not. A bad cell
+    # before it comes first, and one after it is not reached.
+    ranges = _cut_ranges(monkeypatch)
     lines = ["a,b"] + [f"{i},{i}" for i in range(10)] + ['10,"11', "", '"'] + [
         f"{i},{i}" for i in range(12, 20)]
+    closed = lines[:11] + ['10,"11"', "", '"12",12'] + lines[14:]
+    data = _lines_text(lines)
+    start, end = data.index(b'10,"'), data.index(b'"11\n') + 4
     path = tmp_path / "t.csv"
-    path.write_bytes(_lines_text(lines))
-    values = parse_csv(str(path))[1]
-    assert values[1, 10] == 11 and values.tobytes() == _row_loop_bits(str(path), ["a", "b"])
-    data = path.read_bytes()
-    start, end = data.index(b'10,"'), data.index(b'\n"\n') + 3
-    assert any(start < lo < end for lo, _ in ranges)
-    for at, bad, line in ((start + 4, b"1x", 14), (end + 3, b"x", 15)):
-        path.write_bytes(data[:at] + bad + data[at:])
-        with pytest.raises(MalformedError, match=f"line {line}: non-numeric value"):
+    places = set()
+    for size, piece in ((1 << 21, 1 << 16), (8, 4), (9, 3), (1, 1)):
+        monkeypatch.setattr(cli, "_RANGE", size)
+        monkeypatch.setattr(cli, "_PIECE", piece)
+        ranges.clear()
+        path.write_bytes(data)
+        with pytest.raises(MalformedError, match="line 12: a quote is still open at the line end$"):
             parse_csv(str(path))
+        places.update((lo == start, hi == end) for lo, hi in ranges if lo <= start < hi)
+        for at, line in ((start - 2, 11), (end + 3, 12)):
+            path.write_bytes(data[:at] + b"x" + data[at:])
+            with pytest.raises(MalformedError, match=f"line {line}: "):
+                parse_csv(str(path))
+        path.write_bytes(_lines_text(closed))
+        values = parse_csv(str(path))[1]
+        assert values[1, 10] == 11 and values.tobytes() == _row_loop_bits(str(path), ["a", "b"])
+    assert places == {(False, False), (True, False), (False, True), (True, True)}
 
 
 def test_cut_reads_past_a_cr_for_its_lf(tmp_path):
@@ -988,19 +1014,19 @@ def test_cut_reads_past_a_cr_for_its_lf(tmp_path):
             4097, 4097, 4099, 4101]
 
 
-def test_parse_range_reads_on_only_to_the_end_of_its_last_record(tmp_path):
-    # the row loop stops at the range's end, or past it at the end of the record that a
-    # quote holds open there, and not at the end of the input
+def test_parse_range_returns_the_values_of_its_own_lines(tmp_path):
+    # each range is parsed on its own, to its end and no further: values, or its first fault
     data = b'a,b\n"1",2\n3,"4\n"\n5,6\n"7",8\n'
     path = tmp_path / "t.csv"
     path.write_bytes(data)
     with open(path, "rb") as fh:
-        cuts = [4, data.index(b"3,"), data.index(b'"\n5'), data.index(b'"7'), len(data)]
-        got = [cli._parse_range(fh.fileno(), str(path), ["a", "b"], lo, hi)
-               for lo, hi in zip(cuts, cuts[1:])]
-    assert [(values.tolist(), end) for values, end in got[:2]] == [
-        ([[1.0], [2.0]], cuts[1]), ([[3.0], [4.0]], cuts[2] + 2)]
-    assert got[3][0].tolist() == [[7.0], [8.0]] and got[3][1] == len(data)
+        cuts = [4, data.index(b"3,"), data.index(b'"\n5'), data.index(b"5,"), len(data)]
+        parse = functools.partial(cli._parse_range, fh.fileno(), str(path), ["a", "b"])
+        assert parse(cuts[0], cuts[1]).tolist() == [[1.0], [2.0]]
+        assert parse(cuts[3], cuts[4]).tolist() == [[5.0, 7.0], [6.0, 8.0]]
+        for (lo, hi), line in (((cuts[1], cuts[2]), 3), ((cuts[2], cuts[3]), 4)):
+            with pytest.raises(MalformedError, match=f"line {line}: a quote is still open"):
+                parse(lo, hi)
 
 
 @pytest.mark.parametrize("end", ["\r", "\r\n"])
@@ -1052,6 +1078,82 @@ def test_parse_csv_a_bad_record_comes_before_undecodable_bytes_in_a_later_range(
     with pytest.raises(MalformedError, match=r"is not UTF-8 text: can't decode "
                                              r"b'\\xe2\\x82': invalid continuation byte"):
         parse_csv(str(path))
+
+
+@st.composite
+def _one_line_records(draw):
+    """A header of d names and a few data lines, as bytes: numbers, empty cells and quoted
+    cells closed on their line, blank lines, LF, CRLF or lone CR ends; and perhaps a quote
+    left open at a line end, a bad cell and an undecodable byte, each on a line it draws."""
+    d = draw(st.integers(1, 3))
+    cells = st.sampled_from(("1", "-2.5", "1e3", " 7 ", "", '"4"', '" 5.5 "', "nan", "+1", ".5"))
+    row = st.lists(cells, min_size=d, max_size=d).map(",".join)
+    lines = draw(st.lists(st.one_of(row, row, row, st.just("")), min_size=1, max_size=8))
+    for fault in ("open", "bad", "undecodable"):
+        if draw(st.integers(0, 2)) < 2:  # in about a third of the texts each
+            continue
+        k = draw(st.integers(0, len(lines) - 1))
+        lines[k] = {"open": '"' + lines[k].replace('"', ""), "bad": "x" + lines[k],
+                    "undecodable": lines[k] + "\udcff"}[fault]
+    ends = draw(st.lists(st.sampled_from(("\n", "\r\n", "\r")), min_size=len(lines) + 1,
+                         max_size=len(lines) + 1))
+    text = "".join(line + end for line, end in zip([",".join(f"v{i}" for i in range(d))] + lines,
+                                                     ends))
+    return text.encode("utf-8", "surrogateescape")
+
+
+def _per_line_outcome(path: str, data: bytes):
+    """parse_csv's outcome by the rules of one data line, applied line by line: the values'
+    bytes, or the class and message of the first fault."""
+    lines = data.splitlines(keepends=True)
+    names = lines[0].decode().rstrip("\r\n").split(",")
+    rows = []
+    for number, line in enumerate(lines[1:], 2):
+        try:
+            text = line.decode()
+        except UnicodeDecodeError as e:
+            return MalformedError, (f"{path} is not UTF-8 text: can't decode "
+                                    f"{e.object[e.start:e.end]!r}: {e.reason}")
+        cells = next(csv.reader([text]))
+        if cells and cells[-1][-1:] in ("\n", "\r"):  # the line end is inside a quote
+            return MalformedError, f"{path}: line {number}: a quote is still open at the line end"
+        if cells and len(cells) != len(names):
+            return MalformedError, (f"{path}: line {number}: expected {len(names)} cells, "
+                                    f"got {len(cells)}")
+        for name, cell in zip(names, cells):
+            try:
+                float(cell.strip() or "nan")
+            except ValueError:
+                return MalformedError, (f"{path}: line {number}: non-numeric value "
+                                        f"{cell.strip()!r} in column {name!r}")
+        if cells:
+            rows.append([float(cell.strip() or "nan") for cell in cells])
+    if not rows:
+        return EmptyFileError, f"{path}: header only, no data rows"
+    return np.array(rows).T.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_one_line_records())
+def test_every_cut_gives_the_per_line_outcome(tmp_path_factory, data):
+    # ranges and pieces of the default sizes and of a few bytes, on one CPU and two: each
+    # range is parsed on its own, and the outcome is that of the lines in file order
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_bytes(data)
+    path = str(path)
+    want = _per_line_outcome(path, data)
+    for (size, piece), cpus in itertools.product(((1 << 21, 1 << 16), (1, 1), (3, 2), (7, 3)),
+                                                 (1, 2)):
+        with pytest.MonkeyPatch.context() as patch:
+            ranges = _small_ranges(patch, size, piece)
+            patch.setattr(cli, "_usable_cpus", lambda: cpus)
+            try:
+                got = parse_csv(path)[1].tobytes()
+            except ValidationError as e:
+                got = type(e), str(e)
+        assert got == want
+        assert size > 1 or len(ranges) == len(data.splitlines()) - 1  # a line a range
+    assert multiprocessing.active_children() == []
 
 
 def _through_a_pipe(data: bytes, parse):

@@ -437,6 +437,23 @@ def test_every_entry_point_checks_its_step_by_one_rule(caller):
     call(np.float32(0.5))
 
 
+def test_an_int_beyond_the_float_range_fails_the_step_rule():
+    # 10**400 compares as > 0 and < inf, but float() cannot convert it: each entry point
+    # rejects it with its rule's class, not OverflowError
+    huge = 10 ** 400
+    message = f"must be a finite number > 0, got {huge}$"
+    with pytest.raises(ValidationError, match=f"^dt {message}"):
+        TimeSeriesSet(("a",), np.arange(5.0), huge)
+    with pytest.raises(ValueError, match=f"^dt {message}"):
+        simulate(_SDE, np.zeros(3), 5, huge, seed=0)
+    raw = json.loads(emit_json(all_pairs(_TSS)))
+    raw["dt"] = huge
+    text = json.dumps(raw)
+    assert '"dt": ' + "1" + "0" * 400 + "," in text
+    with pytest.raises(MalformedError, match=f"^flow-matrix JSON field 'dt' {message}"):
+        flow_matrix_from_json(text)
+
+
 _FM = all_pairs(_TSS)
 _STRIDE_BAD = (0, -1, 1.5, True, np.True_, "2", None)
 _STRIDE = "k must be an integer >= 1"

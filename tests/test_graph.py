@@ -219,6 +219,15 @@ def test_build_graph_min_tau_filter():
     assert kept_loops == {i for i in range(3) if abs(fm.TAU[i, i]) >= cutoff}
 
 
+def test_build_graph_stores_min_tau_as_a_float():
+    # as alpha: a numpy integer is written to JSON, and an int as the CLI writes it
+    fm = all_pairs(_random_set(3, 300, seed=13))
+    for given, written in ((np.int64(0), "0.0"), (1, "1.0"), (np.float32(0.5), "0.5")):
+        g = build_graph(fm, alpha=1.0, min_tau=given)
+        assert type(g.min_tau) is float and g.min_tau == given
+        assert f'"min_tau": {written}' in emit_json(g)
+
+
 def test_min_tau_requires_normalization():
     tss = _random_set(2, 100, seed=14)
     fm = all_pairs(tss, normalize=False)

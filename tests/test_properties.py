@@ -5,7 +5,7 @@ are not all null. Tolerances are fixed beforehand from double precision:
 a reordered or rescaled regression changes the rounding of every
 quantity, never more than 1e-9 of a standard error here. CSV parsing
 has no tolerance: the range reader must return the bits of the row loop
-run over the whole file, or raise its error.
+run over the whole file, one line at a time, or raise its error.
 """
 
 import csv
@@ -96,7 +96,7 @@ EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, np.inf, 
                1e308, -1e308, 1.7976931348623157e308)
 values64 = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, width=64))
 # bytes per range: the default and sizes small enough that ranges, runs between gaps and
-# quoted records cross each other
+# quoted cells cross each other
 RANGE_SIZES = (1 << 21, 1, 2, 3, 7)
 # bytes per orjson piece: the default and sizes that end inside lines, and between a CR and
 # its LF, so that a range takes several pieces
@@ -106,6 +106,18 @@ PIECE_SIZES = (1 << 16, 1, 2, 3)
 FAULTS = ("x", ",0", '"', "unterminated", "\udcff", "\udce2\udc82")
 
 
+def _row_loop(path: str, data: bytes):
+    """(names, values) of ``data`` by the row loop over all its lines after the header, each
+    decoded as it is reached, as parse_csv reads a file in one pass."""
+    lines = iter(data.splitlines(keepends=True))
+    for count, line in enumerate(lines, 1):
+        header = next(csv.reader([line.decode()]))
+        if header:
+            break
+    names = [cell.strip() for cell in header]
+    return names, _parse_rows(path, names, (line.decode() for line in lines), lambda: count).T
+
+
 @st.composite
 def csv_texts(draw, faulty=False):
     """(data, n_rows, d): a float64 matrix, with gaps and NaN, in one of the layouts parse_csv
@@ -113,7 +125,8 @@ def csv_texts(draw, faulty=False):
     ``numpy.savetxt``'s default, which write NaN as ``nan``.
 
     ``faulty`` draws up to two faults in data lines, each of a different kind: a bad cell, a
-    ragged row, a stray or unterminated quote, or bytes that are not UTF-8.
+    ragged row, a stray or unterminated quote, or bytes that are not UTF-8. It also draws
+    quoted cells that hold their line end, which no data line may.
     """
     d = draw(st.integers(1, 4))
     # None is an empty cell; with d = 1 it could be a blank line, which is no row
@@ -124,8 +137,8 @@ def csv_texts(draw, faulty=False):
     fmt = draw(st.sampled_from((repr, lambda v: "%.17g" % v, lambda v: "%.18e" % v)))
     end = draw(st.sampled_from(("\n", "\r\n", "\r")))
     pad = " " * draw(st.integers(0, 2))
-    # none, quoted, or quoted with the line end inside the quotes
-    quote, tail = draw(st.sampled_from((("", ""), ('"', ""), ('"', end))))
+    # none, quoted, or (a fault) quoted with the line end inside the quotes
+    quote, tail = draw(st.sampled_from((("", ""), ('"', ""), ('"', end))[:3 if faulty else 2]))
     blanks = draw(st.lists(st.integers(0, 2), min_size=len(rows) + 1, max_size=len(rows) + 1))
     lines = [end * draw(st.integers(0, 2)) + ",".join(f" v{i} " for i in range(d))]
     for row, blank in zip(rows, blanks):
@@ -154,10 +167,7 @@ def test_block_reader_returns_the_whole_file_row_loop_bits(tmp_path_factory, cas
     path = str(path)
     with mock.patch.object(cli, "_RANGE", size), mock.patch.object(cli, "_PIECE", piece):
         names, values = parse_csv(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        want_names = [cell.strip() for cell in next(filter(None, reader))]
-        want = _parse_rows(path, want_names, reader, lambda: 0).T
+    want_names, want = _row_loop(path, data)
     assert names == want_names == [f"v{i}" for i in range(d)]
     assert values.shape == want.shape == (d, n)
     assert values.tobytes() == want.tobytes()
@@ -196,13 +206,7 @@ def test_block_reader_gives_the_whole_file_row_loop_outcome(tmp_path_factory, ca
     path.write_bytes(case[0])
     path = str(path)
 
-    def row_loop():  # one pass in file order, each line decoded before csv reads it
-        lines = (line.decode() for line in case[0].splitlines(keepends=True))
-        reader = csv.reader(lines)
-        names = [cell.strip() for cell in next(filter(None, reader))]
-        return names, _parse_rows(path, names, reader, lambda: 0).T
-
-    want = _outcome(path, row_loop)
+    want = _outcome(path, lambda: _row_loop(path, case[0]))
     # one CPU reads the ranges one by one, two take the pool, as a pipe does too
     for cpus, size, piece in itertools.product((1, 2), RANGE_SIZES, PIECE_SIZES):
         with mock.patch.object(cli, "_usable_cpus", lambda: cpus), \
